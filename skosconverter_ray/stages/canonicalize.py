@@ -2,14 +2,14 @@
 skos:exactMatch clusters (graft A8; seed semantics from the reference's
 ``get_same_as`` read, skos_converter.py:644-647).
 
-Algorithm: hash-min label propagation. Each node's label starts as
-itself; every round each node takes the min of its own label and its
-neighbors' labels (``groupby(node).min(label)`` — a shuffle over the
-*equivalence graph only*, which is vocabulary-sized, not corpus-sized).
-Converges in O(diameter) rounds; chains built by the vocab generator
-have small diameter, and rounds are capped. The canonical URI of a
-cluster is its lexicographic min — deterministic on every worker
-(same tiebreak discipline as SURVEY.md D5).
+Algorithm: exact union-find on the driver for a dimension-sized
+equivalence graph; above that gate, hash-min label propagation on
+shard actors. Each node's label starts as itself; every round each
+node takes the min of its own label and its neighbors' labels, plus
+pointer doubling, over the *equivalence graph only* (vocabulary-sized,
+not corpus-sized); rounds are capped. The canonical URI of a cluster
+is its lexicographic min — deterministic on every worker (same
+tiebreak discipline as SURVEY.md D5).
 
 The rewrite (J7) is applied to the *corpus-sized* triples table as a
 broadcast map — canon_map is dimension-sized, shipped once via
@@ -18,7 +18,6 @@ broadcast map — canon_map is dimension-sized, shipped once via
 
 from __future__ import annotations
 
-import os
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -68,26 +67,22 @@ def canonical_map(triples_ds, *, max_rounds: int = 64,
                   num_buckets: int = 64, engine: str = "auto"):
     """-> canon_map Dataset (uri, canonical_uri), non-trivial rows only.
 
-    Distributed hash-min label propagation. Labels stay DISTRIBUTED
-    throughout: each round is (1) a bucket-cogroup join
-    ``edges ⋈ labels`` on the peer endpoint (neighbors' labels become
-    candidates) and (2) a bucket-cogroup min+change-detect on the node
-    endpoint. The driver sees only the changed-count scalar per round —
-    never a node→label dict — so the path is bounded by per-bucket
-    memory (|graph| / num_buckets), not driver memory.
+    Connected components over the symmetric sameAs/exactMatch edges
+    (components_min_label). A dimension-sized equivalence graph is
+    solved by exact union-find on the driver; above the gate, hash-min
+    label propagation runs on Pregel-tier shard actors
+    (shardutil.ShardGroup; zero Dataset exchanges per round). Labels
+    stay DISTRIBUTED there: each shard owns its nodes' labels and
+    adjacency, and the driver sees only the changed-count scalar per
+    round — never a node→label dict — so the path is bounded by
+    per-shard memory, not driver memory.
 
-    Each round ALSO unions pointer-jump edges (node → its current
-    label) into the propagate step, so a node adopts its label's label
-    — classic pointer doubling. Convergence is O(log diameter) rounds
+    Each round ALSO follows pointer-jump requests (node → its current
+    label → that label's label), so a node adopts its label's label —
+    classic pointer doubling. Convergence is O(log diameter) rounds
     instead of O(diameter), which matters because per-round cost is
-    dominated by fixed shuffle latency, not data volume.
-    ``max_rounds`` caps pathological graphs.
-
-    Above the driver gate two engines exist: ``"auto"``/``"actors"``
-    (default) runs the same hash-min + pointer jumping on Pregel-tier
-    shard actors (stages/shardutil; zero Dataset exchanges per round),
-    ``"dataset"`` keeps the cogroup-join loop described above, covered
-    by engine-parametrized parity tests.
+    dominated by fixed wave latency, not data volume. ``max_rounds``
+    caps pathological graphs.
 
     ``preferred_ns``: URIs under this namespace outrank foreign URIs as
     cluster representatives (so an ``owl:sameAs`` alias never replaces
@@ -102,8 +97,8 @@ def canonical_map(triples_ds, *, max_rounds: int = 64,
 
 
 class _CCShard:
-    """One connected-components shard (``ray.remote`` at use; see
-    components_min_label). Holds the label state and adjacency for
+    """One connected-components shard (run by shardutil.ShardGroup;
+    see components_min_label). Holds the label state and adjacency for
     nodes with ``bucket_of(node) == b``. A round is hash-min with
     pointer jumping, three RPC waves:
 
@@ -115,24 +110,14 @@ class _CCShard:
     - **apply**: min-merge neighbor candidates + jump answers,
       returning the changed count for the driver's termination fold.
 
-    Candidate sets per round are a superset-equivalent of the Dataset
-    loop's (min is idempotent; resends from unchanged nodes can never
-    lower a min the receiver hasn't already seen), so the fixpoint is
-    identical — pinned by the engine-parametrized parity tests."""
+    Only changed nodes resend (min is idempotent; a resend from an
+    unchanged node can never lower a min the receiver hasn't already
+    seen), so the fixpoint is the driver union-find's — pinned by the
+    forced-path parity tests."""
 
     def __init__(self, bucket: int, n_buckets: int,
                  preferred_ns: str | None):
         self.b, self.B, self.ns = bucket, n_buckets, preferred_ns
-
-    def _rank_arr(self, arr: pa.Array) -> pa.Array:
-        """Vectorized rank prefix: "0|uri" for the preferred namespace,
-        "1|uri" otherwise (string order == (rank, uri) order)."""
-        if self.ns:
-            pref = pc.if_else(pc.starts_with(arr, self.ns),
-                              pa.scalar("0|"), pa.scalar("1|"))
-        else:
-            pref = pa.array(["1|"] * len(arr), pa.string())
-        return pc.binary_join_element_wise(pref, arr, pa.scalar(""))
 
     def load(self, edge_refs) -> int:
         """Arrow/numpy shard state (round-4 rewrite of the dict-of-
@@ -164,10 +149,10 @@ class _CCShard:
                         if len(self.peers) else np.empty(0, np.int32))
         # seed: min(rank(self), min rank(peer)) per CSR segment —
         # segments are non-empty by construction (nodes come from edges)
-        self_rank = self._rank_arr(self.nodes) \
+        self_rank = _rank_array(self.nodes, self.ns) \
             .to_numpy(zero_copy_only=False)
         if n:
-            peer_rank = self._rank_arr(peer_s) \
+            peer_rank = _rank_array(peer_s, self.ns) \
                 .to_numpy(zero_copy_only=False)
             seg_min = np.minimum.reduceat(peer_rank, self.off[:-1])
             self.label = np.minimum(self_rank, seg_min)
@@ -296,49 +281,23 @@ class _CCShard:
 
 def _components_actors(edges, *, max_rounds: int, preferred_ns,
                        num_buckets: int):
-    """Shard-actor engine for components_min_label (same Pregel tier
-    as stages/graph._PRShard): zero Dataset exchanges per round, the
-    driver relays refs and folds the changed-count scalar."""
-    import ray
-    import ray.data as rd
-
-    from .shardutil import split_dataset_by_bucket
+    """Shard-actor engine for components_min_label (the same Pregel
+    tier as stages/graph._PRShard): zero Dataset exchanges per round,
+    the driver relays refs and folds the changed-count scalar."""
+    from .shardutil import ShardGroup, split_dataset_by_bucket
 
     B = max(2, min(num_buckets, 8))
-    # splits run BEFORE actor creation, and the shard actors reserve no
-    # CPUs: B x num_cpus actors reserving the whole machine would
-    # starve the split/materialize tasks they wait on (the actor-pool
-    # live-lock pitfall) — these actors work in short serialized waves
     edge_cols = split_dataset_by_bucket(edges, "node", B)
-    Shard = ray.remote(num_cpus=0)(_CCShard)
-    shards = [Shard.remote(b, B, preferred_ns) for b in range(B)]
-    try:
-        ray.get([s.load.remote(edge_cols[b])
-                 for b, s in enumerate(shards)])
+    with ShardGroup(_CCShard, B, preferred_ns) as g:
+        g.wave("load", edge_cols)
         for _ in range(max_rounds):
-            outs = ray.get([s.emit.remote() for s in shards])
-            msg_in = [[outs[b][0][t] for b in range(B)
-                       if outs[b][0][t] is not None] for t in range(B)]
-            req_in = [[outs[b][1][t] for b in range(B)
-                       if outs[b][1][t] is not None] for t in range(B)]
-            answers = ray.get([s.serve.remote(req_in[t])
-                               for t, s in enumerate(shards)])
-            ans_in = [[answers[b][t] for b in range(B)
-                       if answers[b][t] is not None] for t in range(B)]
-            n_changed = sum(ray.get(
-                [s.apply.remote(msg_in[t], ans_in[t])
-                 for t, s in enumerate(shards)]))
-            if os.environ.get("GRAFT_UF_DEBUG"):
-                print(f"[canonical_map/actors] round changed="
-                      f"{n_changed}", flush=True)
+            outs = g.wave("emit")
+            answers = g.wave("serve", g.relay([o[1] for o in outs]))
+            n_changed = sum(g.wave("apply", g.relay([o[0] for o in outs]),
+                                   g.relay(answers)))
             if n_changed == 0:
                 break
-        out = rd.from_arrow_refs(
-            [s.result.remote() for s in shards]).materialize()
-    finally:
-        for s in shards:
-            ray.kill(s)
-    return out
+        return g.collect()
 
 
 def components_min_label(edges_ds, *, max_rounds: int = 64,
@@ -348,12 +307,12 @@ def components_min_label(edges_ds, *, max_rounds: int = 64,
     (uri, canonical_uri) non-trivial member rows; representative = min
     by (rank, value). The general primitive behind
     :func:`canonical_map` — near-dup cluster assignment reuses it with
-    padded numeric ids. Driver union-find fast path below
-    ``GRAFT_UF_DRIVER_MAX`` edges; distributed pointer-doubling
-    hash-min propagation (bounded driver memory) above it."""
-    from ray.data.aggregate import Min, Sum
-
-    from ..functions.hashing import bucket_of
+    padded numeric ids. ``engine`` follows graph.resolve_engine: exact
+    driver union-find at or below ``_DRIVER_UF_MAX`` edges (no
+    per-round scheduling latency), hash-min propagation with pointer
+    doubling on ``min(num_buckets, 8)`` shard actors above it (bounded
+    driver memory; ``max_rounds`` caps pathological graphs)."""
+    from .graph import resolve_engine
 
     def _rank(uri: str) -> str:
         if preferred_ns and uri.startswith(preferred_ns):
@@ -369,171 +328,14 @@ def components_min_label(edges_ds, *, max_rounds: int = 64,
             pa.table({"uri": pa.array([], pa.string()),
                       "canonical_uri": pa.array([], pa.string())})
         )
-
-    # Fast path: a dimension-sized equivalence graph is solved exactly
-    # on the driver (no per-round scheduling latency). Above the
-    # threshold, the distributed propagation below runs with bounded
-    # driver memory. Engine contract shared with the other iterative
-    # operators (graph.resolve_engine).
-    from .graph import resolve_engine
-
-    engine = resolve_engine(engine, n_edges, _DRIVER_UF_MAX,
-                            extra=("dataset",))
-    if engine == "driver":
+    if resolve_engine(engine, n_edges, _DRIVER_UF_MAX) == "driver":
         return _driver_union_find(edges, _rank)
-
-    if engine == "actors":
-        return _components_actors(edges, max_rounds=max_rounds,
-                                  preferred_ns=preferred_ns,
-                                  num_buckets=num_buckets)
-
-    # seed labels: node -> min rank-prefixed candidate over
-    # {node} ∪ neighbors — one groupby-min over the symmetric edges
-    def seed(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "node": batch["node"].combine_chunks(),
-            "cand": _rank_array(batch["peer"], preferred_ns),
-        })
-
-    def self_seed(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "node": batch["node"].combine_chunks(),
-            "cand": _rank_array(batch["node"], preferred_ns),
-        })
-
-    labels = (
-        edges.map_batches(seed, batch_format="pyarrow")
-        .union(edges.map_batches(self_seed, batch_format="pyarrow"))
-        .groupby("node").aggregate(Min("cand", alias_name="label"))
-        .materialize()
-    )
-
-    lookup_schema = pa.schema([("_bucket", pa.int32()), ("_side", pa.int8()),
-                               ("key", pa.string()), ("node", pa.string()),
-                               ("label", pa.string())])
-
-    def tag_edges(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "_bucket": bucket_of(batch["peer"], num_buckets),
-            "_side": pa.array(np.zeros(batch.num_rows, np.int8)),
-            "key": batch["peer"].combine_chunks(),
-            "node": batch["node"].combine_chunks(),
-            "label": pa.nulls(batch.num_rows, pa.string()),
-        }, schema=lookup_schema)
-
-    def tag_labels(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "_bucket": bucket_of(batch["node"], num_buckets),
-            "_side": pa.array(np.ones(batch.num_rows, np.int8)),
-            "key": batch["node"].combine_chunks(),
-            "node": pa.nulls(batch.num_rows, pa.string()),
-            "label": batch["label"].combine_chunks(),
-        }, schema=lookup_schema)
-
-    def propagate(group: pa.Table) -> pa.Table:
-        """edges ⋈ labels on the peer endpoint, local per bucket."""
-        side = group["_side"]
-        e = group.filter(pc.equal(side, 0)).select(["key", "node"])
-        lab = group.filter(pc.equal(side, 1)).select(["key", "label"])
-        if e.num_rows == 0 or lab.num_rows == 0:
-            return pa.schema([("node", pa.string()),
-                              ("cand", pa.string())]).empty_table()
-        j = e.join(lab, keys=["key"], join_type="inner")
-        return pa.table({"node": j["node"],
-                         "cand": j["label"]})
-
-    combine_schema = pa.schema([("node", pa.string()),
-                                ("label", pa.string()),
-                                ("changed", pa.int64())])
-
-    def tag_old(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "_bucket": bucket_of(batch["node"], num_buckets),
-            "node": batch["node"].combine_chunks(),
-            "cand": batch["label"].combine_chunks(),
-            "is_old": pa.array(np.ones(batch.num_rows, np.int8)),
-        })
-
-    def tag_cand(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "_bucket": bucket_of(batch["node"], num_buckets),
-            "node": batch["node"].combine_chunks(),
-            "cand": batch["cand"].combine_chunks(),
-            "is_old": pa.array(np.zeros(batch.num_rows, np.int8)),
-        })
-
-    def combine(group: pa.Table) -> pa.Table:
-        """per-node min over {old label} ∪ {candidates} + change flag.
-
-        Vectorized: arrow sort by (node, cand), run-head detection on
-        dictionary codes; every node has exactly one old row (labels
-        covers all nodes after seeding)."""
-        order = pc.sort_indices(
-            group, sort_keys=[("node", "ascending"), ("cand", "ascending")])
-        g = group.take(order)
-        codes = pc.dictionary_encode(g["node"].combine_chunks()) \
-                  .indices.to_numpy(zero_copy_only=False)
-        head = np.concatenate(([True], codes[1:] != codes[:-1]))
-        firsts = g.filter(pa.array(head))
-        olds = g.filter(pc.equal(g["is_old"], 1))
-        # olds sorted by node too; align row-for-row with firsts
-        changed = pc.invert(pc.equal(firsts["cand"], olds["cand"]))
-        return pa.table({
-            "node": firsts["node"],
-            "label": firsts["cand"],
-            "changed": pc.cast(changed, pa.int64()),
-        }, schema=combine_schema)
-
-    def chase_edges(batch: pa.Table) -> pa.Table:
-        """labels -> pointer-jump edges (node, peer=unrank(label)):
-        joining these through the same propagate cogroup yields
-        label(label(node)) — pointer doubling for free."""
-        return pa.table({
-            "node": batch["node"].combine_chunks(),
-            "peer": pc.utf8_slice_codeunits(
-                batch["label"].combine_chunks(), 2, None),
-        })
-
-    for _ in range(max_rounds):
-        jump = labels.map_batches(chase_edges, batch_format="pyarrow")
-        # repartition(num_buckets) before each groupby: iterated
-        # union+groupby otherwise COMPOUNDS block counts round over
-        # round and the sort-shuffle cost (map_blocks x
-        # reduce_partitions) grows superlinearly — measured 0.2s ->
-        # 54s per round by round 5 without it, flat ~1.7s with it
-        cand = (
-            edges.union(jump)
-            .map_batches(tag_edges, batch_format="pyarrow")
-            .union(labels.map_batches(tag_labels, batch_format="pyarrow"))
-            .repartition(num_buckets)
-            .groupby("_bucket")
-            .map_groups(propagate, batch_format="pyarrow")
-        )
-        merged = (
-            labels.map_batches(tag_old, batch_format="pyarrow")
-            .union(cand.map_batches(tag_cand, batch_format="pyarrow"))
-            .repartition(num_buckets)
-            .groupby("_bucket")
-            .map_groups(combine, batch_format="pyarrow")
-            .materialize()
-        )
-        n_changed = merged.aggregate(Sum("changed", alias_name="s"))["s"]
-        if os.environ.get("GRAFT_UF_DEBUG"):
-            print(f"[canonical_map] round changed={n_changed}", flush=True)
-        labels = merged.drop_columns(["changed"])
-        if not n_changed:
-            break
-
-    def finish(batch: pa.Table) -> pa.Table:
-        canon = pc.utf8_slice_codeunits(
-            batch["label"].combine_chunks(), 2, None)
-        t = pa.table({"uri": batch["node"], "canonical_uri": canon})
-        return t.filter(pc.invert(pc.equal(t["uri"], t["canonical_uri"])))
-
-    return labels.map_batches(finish, batch_format="pyarrow")
+    return _components_actors(edges, max_rounds=max_rounds,
+                              preferred_ns=preferred_ns,
+                              num_buckets=num_buckets)
 
 
-_DRIVER_UF_MAX = int(os.environ.get("GRAFT_UF_DRIVER_MAX", "4000000"))
+_DRIVER_UF_MAX = 4_000_000
 
 
 def canonical_map_table(vocab_triples: pa.Table, *,

@@ -14,7 +14,7 @@ first with MODE (argmax-count) message aggregation rather than a sum:
 - **driver** (≤ ``max_driver_edges``): one np.unique over
   ``dst * n + label`` composite keys per round, then a
   (dst, -count, label) lexsort picking the first row per dst.
-- **actors**: Pregel shard actors (stages/shardutil plumbing, same
+- **actors**: Pregel shard actors (shardutil.ShardGroup, same
   discipline as PageRank: nodes + labels sharded by node hash,
   symmetrized edges co-located by src hash so emission is local;
   per round one emit wave of per-(dst, label) pre-aggregated count
@@ -197,10 +197,7 @@ class _LPAShard:
 
 
 def _lpa_actors(norm, *, n_iter: int, num_shards: int):
-    import ray
-    import ray.data as rd
-
-    from .shardutil import split_dataset_by_bucket
+    from .shardutil import ShardGroup, split_dataset_by_bucket
 
     B = num_shards
 
@@ -215,26 +212,13 @@ def _lpa_actors(norm, *, n_iter: int, num_shards: int):
     sym_ds = norm.map_batches(sym, batch_format="pyarrow").materialize()
     src_cols = split_dataset_by_bucket(sym_ds, "src", B)
     dst_cols = split_dataset_by_bucket(sym_ds, "dst", B)
-
-    Shard = ray.remote(num_cpus=0)(_LPAShard)
-    shards = [Shard.remote(b, B) for b in range(B)]
-    try:
-        ray.get([s.load.remote(src_cols[b], dst_cols[b])
-                 for b, s in enumerate(shards)])
+    with ShardGroup(_LPAShard, B) as g:
+        g.wave("load", src_cols, dst_cols)
         for _ in range(n_iter):
-            outs = ray.get([s.emit.remote() for s in shards])
-            inbox = [[outs[b][t] for b in range(B)
-                      if outs[b][t] is not None] for t in range(B)]
-            changed = ray.get([s.apply.remote(inbox[t])
-                               for t, s in enumerate(shards)])
-            if sum(changed) == 0:
+            inbox = g.relay(g.wave("emit"))
+            if sum(g.wave("apply", inbox)) == 0:
                 break
-        out = rd.from_arrow_refs(
-            [s.result.remote() for s in shards]).materialize()
-    finally:
-        for s in shards:
-            ray.kill(s)
-    return out
+        return g.collect()
 
 
 def label_propagation(edges_ds, *, n_iter: int = 5,

@@ -445,7 +445,7 @@ def verify_pairs_scatter(pairs_ds, sh_ds, *, row_verify,
     scatter_apply_by_value / bucket_aggregate produce — qualify for
     free); each exchange then reads existing refs, no re-materialize.
     """
-    from .shardutil import cogroup_scatter
+    from .shardutil import multiway_cogroup_scatter
 
     if id_type is None:
         id_type = out_schema.field("doc_a").type
@@ -472,12 +472,12 @@ def verify_pairs_scatter(pairs_ds, sh_ds, *, row_verify,
                            join_type="inner")
         return row_verify(joined).cast(out_schema)
 
-    halves = cogroup_scatter(pairs_ds, "doc_a", sh_ds, "doc_id",
-                             num_partitions, attach_a,
-                             empty_result=half_schema.empty_table())
-    return cogroup_scatter(halves, "doc_b", sh_ds, "doc_id",
-                           num_partitions, attach_b_verify,
-                           empty_result=out_schema.empty_table())
+    halves = multiway_cogroup_scatter(
+        [(pairs_ds, "doc_a"), (sh_ds, "doc_id")], num_partitions,
+        attach_a, empty_result=half_schema.empty_table())
+    return multiway_cogroup_scatter(
+        [(halves, "doc_b"), (sh_ds, "doc_id")], num_partitions,
+        attach_b_verify, empty_result=out_schema.empty_table())
 
 
 

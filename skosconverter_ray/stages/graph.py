@@ -1,43 +1,29 @@
-"""Iterative graph computation: distributed PageRank.
+"""Iterative graph computation: PageRank/PPR, HITS, k-core, bounded
+BFS, triangle counting and common-neighbor link prediction.
 
-The iterative-algorithm operator class (power iteration with
-synchronous barriers). Three engines behind one contract:
+The iterative operators (PageRank, HITS, k-core, and label
+propagation / connected components in their own modules) share one
+engine contract (``resolve_engine``), with two engines:
 
-- **driver** (≤ ``max_driver_edges``): vectorized numpy folds.
-- **actors** (default above the gate): Pregel-style shard actors —
-  rank partitions co-located with their out-edges by key hash, one
-  emit + one apply RPC wave per round, per-dst pre-aggregated message
-  tables moving actor→actor through the object store. Zero Dataset
-  exchanges per round (measured 5.3 s vs 46 s for the Dataset loop on
-  the 60k-edge gate graph, bit-identical ranks). This is the
-  "raw Ray actors where the Dataset API can't express it" tier: a
-  synchronous iteration over mutable sharded state.
-- **dataset** (``engine="dataset"``): every round is one cogroup join
-  (edges ⋈ ranks on src) plus one coarse-bucket aggregate
-  (contribution sum per dst); kept for lineage-pure environments and
-  its own parity tests. The driver sees only per-round scalars
-  (dangling mass, delta), never a node→rank map.
+- **driver** (≤ ``max_driver_edges``, default 4M rows ≈ a few hundred
+  MB of int indices): vectorized numpy folds over dictionary-encoded
+  node codes. For small and medium graphs this is orders of magnitude
+  faster than any distributed round, which pays fixed scheduling
+  latency regardless of data size.
+- **actors** (above the gate): Pregel-style shard actors run by
+  shardutil.ShardGroup — node state partitioned by key hash and
+  co-located with its out-edges, so message emission is local; a
+  round is an emit wave of per-peer pre-aggregated message tables
+  (moving actor→actor through the object store, the driver relaying
+  refs and folding scalars) and an apply wave. Zero Dataset exchanges
+  per round: the "raw Ray actors where the Dataset API can't express
+  it" tier, a synchronous iteration over mutable sharded state.
 
-Scale shape: edges and ranks stay distributed; per-round shuffle
-volume is |edges| contribution rows (compact: dst + one double).
-``repartition(num_buckets)`` before each groupby keeps block counts
-flat across rounds (the measured compounding pitfall from the
-canonicalization loop — BASELINE.md optimization log). Out-degrees
-are computed ONCE and joined into the edge table up front, so the
-per-round join ships (src, dst, inv_deg) — no degree recomputation.
-
-Size-gated fast path (same pattern as the canonicalization
-union-find, stages/canonicalize.py): when the edge list fits the
-driver (``max_driver_edges``, default 4M rows ≈ a few hundred MB of
-int indices) the iteration runs as vectorized numpy bincount folds —
-each distributed round costs two fixed-latency exchanges (~1.5 s on
-this box regardless of data size), so for small/medium graphs the
-driver path is orders of magnitude faster with identical semantics.
-The distributed path stays exercised by forced-path parity tests
-(``max_driver_edges=0``). The normalized edge list is materialized
-ONCE up front: both paths (and the distributed path's three
-consumers: node set, degrees, per-round join) read the pinned copy,
-never re-executing upstream lineage (the shared-lineage pitfall,
+The actor engine stays exercised by forced-path parity tests
+(``max_driver_edges=0`` or ``engine="actors"``) against the driver
+engine and sequential oracles. The normalized edge list is
+materialized ONCE up front, so both engines read the pinned copy and
+never re-execute upstream lineage (the shared-lineage pitfall,
 BASELINE.md).
 """
 
@@ -69,16 +55,16 @@ def _reset_vector(nodes, seeds) -> np.ndarray:
     return np.where(mask, 1.0 / k, 0.0)
 
 
-def resolve_engine(engine: str, n_edges: int, max_driver_edges: int,
-                   extra: tuple = ()) -> str:
+def resolve_engine(engine: str, n_edges: int,
+                   max_driver_edges: int) -> str:
     """Shared gate for the iterative operators' ``engine`` kwarg
-    (round 5 — pagerank/hits/kcore/label_propagation/
-    components_min_label previously each had their own convention):
-    ``"auto"`` routes by the driver gate (numpy fast path at or below
-    ``max_driver_edges`` edge rows, shard actors above); an explicit
-    name picks that engine unconditionally; anything else is rejected
-    loudly instead of silently running some default."""
-    valid = ("auto", "driver", "actors") + tuple(extra)
+    (pagerank/hits/kcore/bfs_hops/label_propagation/
+    components_min_label): ``"auto"`` routes by the driver gate (numpy
+    fast path at or below ``max_driver_edges`` edge rows, the
+    distributed engine above); an explicit name picks that engine
+    unconditionally; anything else is rejected loudly instead of
+    silently running some default."""
+    valid = ("auto", "driver", "actors")
     if engine not in valid:
         raise ValueError(f"unknown engine {engine!r}; expected one "
                          f"of {valid}")
@@ -160,7 +146,7 @@ def _pagerank_driver(norm_ds, *, damping: float, n_iter: int,
 
 
 class _PRShard:
-    """One Pregel-style rank shard (decorated ``ray.remote`` at use).
+    """One Pregel-style rank shard (run by shardutil.ShardGroup).
 
     Holds the rank partition for nodes with ``bucket_of(node) == b``
     plus every edge whose SRC hashes to ``b`` — so message emission is
@@ -266,7 +252,7 @@ class _PRShard:
         dang_local = float(self.rank[self.dang].sum())
         return dang_local, refs
 
-    def apply(self, scale: float, msg_refs) -> float:
+    def apply(self, msg_refs, scale: float) -> float:
         """``scale`` = (1-d) + d*dangling_mass; the teleport term is
         scale * reset(v), which reduces to the old uniform base when
         reset is 1/N."""
@@ -297,52 +283,32 @@ def _pagerank_actors(norm, *,
     Zero Dataset exchanges per round: B long-lived shard actors hold
     rank partitions + co-located out-edges; a round is one emit wave
     (per-dst pre-aggregated message tables, B² refs relayed by the
-    driver) and one apply wave. The Dataset-loop engine pays 3
-    fixed-latency all-to-alls per round (~9 s/round at gate scale);
-    this pays 2 actor RPC waves (~0.1 s/round) and moves each message
-    table once."""
-    import ray
-    import ray.data as rd
-
-    from .shardutil import split_dataset_by_bucket
+    driver) and one apply wave, and each message table moves once.
+    Setup is exchange-free too: raw (src, dst) edges split twice — by
+    src (emission locality) and by dst (node discovery) — and nodes,
+    degrees and dangling flags derive locally in ``load``."""
+    from .shardutil import ShardGroup, split_dataset_by_bucket
 
     B = num_shards
-
-    # splits before actor creation + zero-CPU actors: reserving
-    # B x num_cpus would starve the split tasks (actor-pool live-lock).
-    # Raw (src, dst) edges split twice — by src (emission locality)
-    # and by dst (node discovery) — both task-level passes, no
-    # exchange; nodes/deg/inv_deg/dangling derive locally in load.
     src_cols = split_dataset_by_bucket(norm, "src", B)
     dst_cols = split_dataset_by_bucket(norm, "dst", B)
-
-    Shard = ray.remote(num_cpus=0)(_PRShard)
-    shards = [Shard.remote(b, B, damping, seeds) for b in range(B)]
-    try:
-        loads = ray.get([s.load.remote(src_cols[b], dst_cols[b])
-                         for b, s in enumerate(shards)])
+    with ShardGroup(_PRShard, B, damping, seeds) as g:
+        loads = g.wave("load", src_cols, dst_cols)
         n_nodes = sum(l[0] for l in loads)
         k_seeds = sum(l[1] for l in loads)
         if seeds is not None and k_seeds == 0:
             raise ValueError("personalized pagerank: no seed node "
                              "present in the graph")
-        ray.get([s.init.remote(n_nodes, k_seeds) for s in shards])
+        g.wave("init", n_nodes=n_nodes, k_seeds=k_seeds)
         for _ in range(n_iter):
-            outs = ray.get([s.emit.remote() for s in shards])
+            outs = g.wave("emit")
             dmass = sum(o[0] for o in outs)
             scale = (1.0 - damping) + damping * dmass
-            inbox = [[outs[b][1][t] for b in range(B)
-                      if outs[b][1][t] is not None] for t in range(B)]
-            deltas = ray.get([s.apply.remote(scale, inbox[t])
-                              for t, s in enumerate(shards)])
+            deltas = g.wave("apply", g.relay([o[1] for o in outs]),
+                            scale=scale)
             if tol is not None and max(deltas) < tol:
                 break
-        out = rd.from_arrow_refs(
-            [s.result.remote() for s in shards]).materialize()
-    finally:
-        for s in shards:
-            ray.kill(s)
-    return out
+        return g.collect()
 
 
 def pagerank(edges_ds, *, damping: float = 0.85, n_iter: int = 20,
@@ -357,26 +323,20 @@ def pagerank(edges_ds, *, damping: float = 0.85, n_iter: int = 20,
     ``dangling`` is the rank mass of nodes without out-edges. Up to
     ``n_iter`` synchronous rounds (early exit when the max |Δrank|
     drops below ``tol``, if given); Σ rank = 1 preserved every round.
+    Out-degree counts edge ROWS, so each multi-edge row contributes
+    rank/deg.
 
-    ``max_driver_edges`` gates the numpy fast path (module docstring);
-    pass 0 to force a distributed engine (parity tests do).
+    ``engine`` follows resolve_engine: ``max_driver_edges`` gates the
+    numpy fast path; above it (or with ``engine="actors"``, or
+    ``max_driver_edges=0`` as the parity tests force) the Pregel shard
+    actors run, on ``min(num_buckets, 8)`` shards (at least 2).
     ``seeds`` (an iterable of node ids, dimension-sized by assumption)
     switches to PERSONALIZED PageRank / random walk with restart: the
     teleport vector becomes 1/k on the seed nodes (0 elsewhere) and
     dangling mass redistributes to the seeds — ranks then measure
-    proximity to the seed set. All three engines honor it.
-    ``engine`` picks the distributed implementation above the gate:
-    ``"auto"``/``"actors"`` = Pregel-style shard actors (zero Dataset
-    exchanges per round — see _pagerank_actors), ``"dataset"`` = the
-    cogroup-join/aggregate loop kept for lineage-pure environments and
-    covered by its own parity tests.
+    proximity to the seed set. Both engines honor it.
     """
     import ray.data as rd
-
-    from ..config import use_hash_shuffle
-    from .skew import bucket_aggregate
-
-    use_hash_shuffle()
 
     def edge_norm(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -392,209 +352,12 @@ def pagerank(edges_ds, *, damping: float = 0.85, n_iter: int = 20,
                                        "rank": pa.array([], pa.float64())}))
     seeds = frozenset(str(s) for s in seeds) if seeds is not None \
         else None
-    engine = resolve_engine(engine, n_edges, max_driver_edges,
-                            extra=("dataset",))
-    if engine == "driver":
+    if resolve_engine(engine, n_edges, max_driver_edges) == "driver":
         return _pagerank_driver(norm, damping=damping, n_iter=n_iter,
                                 tol=tol, seeds=seeds)
-
-    def sym_nodes(batch: pa.Table) -> pa.Table:
-        s = batch["src"].combine_chunks() if isinstance(
-            batch["src"], pa.ChunkedArray) else batch["src"]
-        d = batch["dst"].combine_chunks() if isinstance(
-            batch["dst"], pa.ChunkedArray) else batch["dst"]
-        return pa.table({"node": pa.concat_arrays([s, d])})
-
-    if engine == "actors":
-        # zero-exchange setup: the shards derive node sets, degrees
-        # and dangling flags locally from two task-level edge splits
-        # (by src and by dst) — none of the nodes/deg/edges/flagged
-        # exchanges below are needed
-        return _pagerank_actors(
-            norm, damping=damping, n_iter=n_iter, tol=tol,
-            num_shards=max(2, min(num_buckets, 8)), seeds=seeds)
-
-    nodes = bucket_aggregate(
-        norm.map_batches(sym_nodes, batch_format="pyarrow"),
-        ["node"], [("count", None, "_n")],
-        num_buckets=num_buckets).drop_columns(["_n"]).materialize()
-    n_nodes = nodes.count()
-
-    deg = bucket_aggregate(
-        norm.select_columns(["src"]).map_batches(
-            lambda b: pa.table({"node": b["src"]}),
-            batch_format="pyarrow"),
-        ["node"], [("count", None, "deg")], num_buckets=num_buckets)
-
-    from .joinutil import cogroup_join
-
-    edges = cogroup_join(
-        norm,
-        deg.map_batches(
-            lambda b: pa.table({"node": b["node"],
-                                "inv_deg": pc.divide(
-                                    pa.scalar(1.0),
-                                    pc.cast(b["deg"], pa.float64()))}),
-            batch_format="pyarrow"),
-        left_on="src", right_on="node", num_buckets=num_buckets,
-        left_schema=pa.schema([("src", pa.string()), ("dst", pa.string())]),
-        right_schema=pa.schema([("node", pa.string()),
-                                ("inv_deg", pa.float64())]),
-    ).materialize()
-
-    # dangling flag folded into the rank table ONCE (a node absent
-    # from deg has no out-edges); per round its mass is then a single
-    # scan-aggregate over ranks — no extra join
-    flagged = cogroup_join(
-        nodes, deg.map_batches(
-            lambda b: pa.table({"dnode": b["node"],
-                                "deg": pc.cast(b["deg"], pa.int64())}),
-            batch_format="pyarrow"),
-        left_on="node", right_on="dnode", join_type="left outer",
-        num_buckets=num_buckets,
-        left_schema=pa.schema([("node", pa.string())]),
-        right_schema=pa.schema([("dnode", pa.string()),
-                                ("deg", pa.int64())]))
-
-    if seeds is not None:
-        # global seed count: one tiny distributed fold over the node
-        # table (the seed set itself is dimension-sized)
-        seed_arr = pa.array(sorted(seeds), pa.string())
-        k_seeds = 0
-        for b in nodes.map_batches(
-                lambda b, _s=seed_arr: pa.table({"k": [pc.sum(
-                    pc.cast(pc.is_in(b["node"], value_set=_s),
-                            pa.int64())).as_py() or 0]}),
-                batch_format="pyarrow").iter_batches(
-                    batch_format="pyarrow"):
-            k_seeds += int(pc.sum(b["k"]).as_py() or 0)
-        if k_seeds == 0:
-            raise ValueError("personalized pagerank: no seed node "
-                             "present in the graph")
-    r0 = 1.0 / n_nodes
-    ranks_schema = pa.schema([("node", pa.string()),
-                              ("rank", pa.float64()),
-                              ("dang", pa.int8()),
-                              ("rw", pa.float64())])
-
-    def init_rank(batch: pa.Table) -> pa.Table:
-        if seeds is None:
-            rw = pa.array(np.full(batch.num_rows, r0), pa.float64())
-        else:
-            m = pc.is_in(batch["node"], value_set=seed_arr)
-            rw = pc.if_else(m, pa.scalar(1.0 / k_seeds), pa.scalar(0.0))
-        return pa.table({
-            "node": batch["node"],
-            "rank": pc.cast(rw, pa.float64()),
-            "dang": pc.cast(pc.is_null(batch["deg"]), pa.int8()),
-            "rw": pc.cast(rw, pa.float64()),
-        }, schema=ranks_schema)
-
-    from ray.data.aggregate import Max  # noqa: F401  (distributed Δ fold)
-
-    ranks = (flagged.map_batches(init_rank, batch_format="pyarrow")
-             .repartition(num_buckets).materialize())
-
-    from ray.data.aggregate import Sum
-
-    # small graphs: the per-round dangling-mass scalar is a driver fold
-    # over the pinned blocks (object fetch — saves one fixed-latency
-    # exchange per round); large graphs keep it a distributed aggregate
-    driver_fold = n_nodes <= 5_000_000
-
-    for _ in range(n_iter):
-        if driver_fold:
-            dmass = 0.0
-            for b in ranks.iter_batches(batch_format="pyarrow",
-                                        batch_size=65536):
-                dmass += float(np.dot(
-                    b["rank"].to_numpy(zero_copy_only=False),
-                    b["dang"].to_numpy(zero_copy_only=False)
-                    .astype(np.float64)))
-        else:
-            dj = ranks.map_batches(
-                lambda b: pa.table({"dm": pc.multiply(
-                    b["rank"], pc.cast(b["dang"], pa.float64()))}),
-                batch_format="pyarrow")
-            dmass = float(dj.aggregate(Sum("dm", alias_name="s"))["s"]
-                          or 0.0)
-
-        contrib = cogroup_join(
-            edges, ranks.map_batches(
-                lambda b: pa.table({"rnode": b["node"], "rank": b["rank"]}),
-                batch_format="pyarrow"),
-            left_on="src", right_on="rnode", num_buckets=num_buckets,
-            left_schema=pa.schema([("src", pa.string()),
-                                   ("dst", pa.string()),
-                                   ("inv_deg", pa.float64())]),
-            right_schema=pa.schema([("rnode", pa.string()),
-                                    ("rank", pa.float64())]))
-
-        def msg(batch: pa.Table) -> pa.Table:
-            return pa.table({
-                "node": batch["dst"],
-                "m": pc.multiply(batch["rank"], batch["inv_deg"]),
-            })
-
-        sums = bucket_aggregate(
-            contrib.map_batches(msg, batch_format="pyarrow"),
-            ["node"], [("sum", "m", "m")], num_buckets=num_buckets)
-
-        scale = (1.0 - damping) + damping * dmass
-
-        # left-outer onto the rank table (IS the node set, carries the
-        # dangling flag AND the previous rank, so |Δ| is computable
-        # without another exchange): nodes with no in-edges keep base
-        # mass only
-        joined = cogroup_join(
-            ranks.select_columns(["node", "rank", "dang", "rw"]),
-            sums.map_batches(
-                lambda b: pa.table({"mnode": b["node"], "m": b["m"]}),
-                batch_format="pyarrow"),
-            left_on="node", right_on="mnode", join_type="left outer",
-            num_buckets=num_buckets,
-            left_schema=ranks_schema,
-            right_schema=pa.schema([("mnode", pa.string()),
-                                    ("m", pa.float64())]))
-
-        def new_rank(batch: pa.Table, _scale=scale) -> pa.Table:
-            m = pc.fill_null(pc.cast(batch["m"], pa.float64()), 0.0)
-            new = pc.add(pc.multiply(pa.scalar(_scale), batch["rw"]),
-                         pc.multiply(pa.scalar(damping), m))
-            return pa.table({
-                "node": batch["node"],
-                "rank": pc.cast(new, pa.float64()),
-                "dang": batch["dang"],
-                "rw": batch["rw"],
-            }, schema=ranks_schema).append_column(
-                "_delta", pc.cast(pc.abs(pc.subtract(new, batch["rank"])),
-                                  pa.float64()))
-
-        # repartition before materialize is LOAD-BEARING: the cogroup
-        # join's map_groups splits group output into many small blocks
-        # (measured 576 blocks by round 2 without this), and iterated
-        # shuffle cost compounds with block count (same pitfall as the
-        # canonicalization loop — BASELINE.md optimization log)
-        with_delta = (joined.map_batches(new_rank, batch_format="pyarrow")
-                      .repartition(num_buckets).materialize())
-        ranks = with_delta
-        if tol is not None:
-            # Δ fold reads the SAME pinned blocks (object fetch, no
-            # extra pass); distributed Max only above the driver gate
-            if driver_fold:
-                delta = 0.0
-                for b in with_delta.iter_batches(batch_format="pyarrow",
-                                                 batch_size=65536):
-                    if b.num_rows:
-                        delta = max(delta, float(
-                            pc.max(b["_delta"]).as_py() or 0.0))
-            else:
-                delta = float(with_delta.aggregate(
-                    Max("_delta", alias_name="d"))["d"] or 0.0)
-            if delta < tol:
-                break
-
-    return ranks.select_columns(["node", "rank"])
+    return _pagerank_actors(
+        norm, damping=damping, n_iter=n_iter, tol=tol,
+        num_shards=max(2, min(num_buckets, 8)), seeds=seeds)
 
 
 def triangle_count(edges_ds, *, num_buckets: int = 16,
@@ -718,7 +481,7 @@ def triangle_count(edges_ds, *, num_buckets: int = 16,
         lo, hi = np.minimum(x, y), np.maximum(x, y)
         return pa.table({"key": (lo << _SHIFT) | hi})
 
-    from .shardutil import cogroup_scatter, scatter_apply_by_value
+    from .shardutil import multiway_cogroup_scatter, scatter_apply_by_value
 
     wedge_schema = pa.schema([("key", pa.int64())])
     cand = scatter_apply_by_value(
@@ -743,9 +506,9 @@ def triangle_count(edges_ds, *, num_buckets: int = 16,
         n = pc.sum(pc.cast(hit, pa.int64())).as_py() or 0
         return pa.table({"n": pa.array([n], pa.int64())})
 
-    closed = cogroup_scatter(cand, "key", edges, "key", num_buckets,
-                             close_count,
-                             empty_result=cnt_schema.empty_table())
+    closed = multiway_cogroup_scatter(
+        [(cand, "key"), (edges, "key")], num_buckets, close_count,
+        empty_result=cnt_schema.empty_table())
     n_tri = 0
     for b in closed.iter_batches(batch_format="pyarrow",
                                  batch_size=65536):
@@ -791,7 +554,7 @@ def _hits_driver(norm_ds, *, n_iter: int):
 
 
 class _HITSShard:
-    """One hubs/authorities shard (``ray.remote`` at use). Owns the
+    """One hubs/authorities shard (run by shardutil.ShardGroup). Owns the
     (hub, auth) state for nodes hashing to its bucket plus BOTH edge
     splits: src-sharded edges emit hub mass toward dsts (the auth
     half-round), dst-sharded edges emit auth mass toward srcs (the hub
@@ -918,41 +681,19 @@ class _HITSShard:
 
 
 def _hits_actors(norm, *, n_iter: int, num_shards: int):
-    import ray
-    import ray.data as rd
-
-    from .shardutil import split_dataset_by_bucket
+    from .shardutil import ShardGroup, split_dataset_by_bucket
 
     B = num_shards
     src_cols = split_dataset_by_bucket(norm, "src", B)
     dst_cols = split_dataset_by_bucket(norm, "dst", B)
-    Shard = ray.remote(num_cpus=0)(_HITSShard)
-    shards = [Shard.remote(b, B) for b in range(B)]
-    try:
-        n_nodes = sum(ray.get([s.load.remote(src_cols[b], dst_cols[b])
-                               for b, s in enumerate(shards)]))
-        ray.get([s.init.remote(n_nodes) for s in shards])
+    with ShardGroup(_HITSShard, B) as g:
+        g.wave("init", n_nodes=sum(g.wave("load", src_cols, dst_cols)))
         for _ in range(n_iter):
-            outs = ray.get([s.emit_auth.remote() for s in shards])
-            inbox = [[outs[b][t] for b in range(B)
-                      if outs[b][t] is not None] for t in range(B)]
-            ssq = sum(ray.get([s.apply_auth.remote(inbox[t])
-                               for t, s in enumerate(shards)]))
-            ray.get([s.scale_auth.remote(float(np.sqrt(ssq)))
-                     for s in shards])
-            outs = ray.get([s.emit_hub.remote() for s in shards])
-            inbox = [[outs[b][t] for b in range(B)
-                      if outs[b][t] is not None] for t in range(B)]
-            ssq = sum(ray.get([s.apply_hub.remote(inbox[t])
-                               for t, s in enumerate(shards)]))
-            ray.get([s.scale_hub.remote(float(np.sqrt(ssq)))
-                     for s in shards])
-        out = rd.from_arrow_refs(
-            [s.result.remote() for s in shards]).materialize()
-    finally:
-        for s in shards:
-            ray.kill(s)
-    return out
+            for half in ("auth", "hub"):
+                inbox = g.relay(g.wave("emit_" + half))
+                ssq = sum(g.wave("apply_" + half, inbox))
+                g.wave("scale_" + half, norm=float(np.sqrt(ssq)))
+        return g.collect()
 
 
 def hits(edges_ds, *, n_iter: int = 20, src_col: str = "src",
@@ -1387,32 +1128,18 @@ def bfs_hops(edges_ds, *, n_seeds: int = 3, max_hops: int = 4,
 
 
 def _kcore_actors(norm, *, k: int, num_shards: int):
-    import ray
-    import ray.data as rd
-
-    from .shardutil import split_dataset_by_bucket
+    from .shardutil import ShardGroup, split_dataset_by_bucket
 
     B = num_shards
     cols = split_dataset_by_bucket(norm, "src", B)
-    Shard = ray.remote(num_cpus=0)(_KCoreShard)
-    shards = [Shard.remote(b, B, k) for b in range(B)]
-    try:
-        ray.get([s.load.remote(cols[b]) for b, s in enumerate(shards)])
+    with ShardGroup(_KCoreShard, B, k) as g:
+        g.wave("load", cols)
         while True:
-            outs = ray.get([s.step_emit.remote() for s in shards])
-            died = sum(o[0] for o in outs)
-            if died == 0:
+            outs = g.wave("step_emit")
+            if sum(o[0] for o in outs) == 0:
                 break
-            inbox = [[outs[b][1][t] for b in range(B)
-                      if outs[b][1][t] is not None] for t in range(B)]
-            ray.get([s.apply.remote(inbox[t])
-                     for t, s in enumerate(shards)])
-        out = rd.from_arrow_refs(
-            [s.result.remote() for s in shards]).materialize()
-    finally:
-        for s in shards:
-            ray.kill(s)
-    return out
+            g.wave("apply", g.relay([o[1] for o in outs]))
+        return g.collect()
 
 
 def kcore(edges_ds, *, k: int, a_col: str = "a", b_col: str = "b",

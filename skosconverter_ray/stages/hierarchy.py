@@ -249,7 +249,7 @@ def _seg_array(label_col, uri_col) -> pa.Array:
 
 class _TreeShard:
     """One propagation shard for the distributed DFS-preorder
-    (decorated ``ray.remote`` at use; see build_tree_rows_distributed).
+    (run by shardutil.ShardGroup; see build_tree_rows_distributed).
 
     Holds the placement state for concepts with ``bucket_of(uri) == b``
     plus every display-parent edge whose PARENT hashes to ``b``. A
@@ -444,9 +444,9 @@ def build_tree_rows_distributed(triples_ds, cfg: EngineConfig | None = None):
     because a path through a cycle strictly extends, hence exceeds, the
     node's existing path; depth is additionally capped at
     ``cfg.max_hierarchy_depth``, reproducing the reference's recursion
-    bound). Cost: <= depth rounds x 2 dimension-sized cogroup
-    exchanges; blocks are repartitioned each round so iterated shuffles
-    stay flat (BASELINE.md pitfall).
+    bound). Cost: a few dimension-sized cogroup joins to build the
+    skeleton, then <= depth rounds x 2 shard-actor waves (emit, apply)
+    with zero Dataset exchanges per round.
     """
     import ray.data as rd
 
@@ -586,49 +586,33 @@ def build_tree_rows_distributed(triples_ds, cfg: EngineConfig | None = None):
     children = skel.map_batches(
         child_side, batch_format="pyarrow").materialize()
 
-    # propagation engine: Pregel-tier shard actors (same pattern as
-    # stages/graph._pagerank_actors). Node states shard by hash(uri),
-    # edges by hash(parent) — a node's state and its out-edges
-    # co-locate, so candidate emission is local; per round one emit
-    # wave ships candidate rows actor→actor through the object store
-    # and one apply wave min-merges them (strict < keeps the incumbent
-    # on equal paths — the old origin tiebreak). In a functional graph
-    # each child has ONE display-parent edge, so at most one candidate
-    # per child per round arrives; cycles terminate because a path
-    # through a cycle strictly extends the incumbent. The Dataset-loop
-    # engine this replaces paid 2 all-to-all exchanges per round
-    # (~1.4 s/round of fixed latency at gate scale).
-    import ray
-
-    from .shardutil import split_dataset_by_bucket
+    # propagation engine: Pregel-tier shard actors run by
+    # shardutil.ShardGroup (same pattern as the stages/graph engines).
+    # Node states shard by hash(uri), edges by hash(parent) — a node's
+    # state and its out-edges co-locate, so candidate emission is
+    # local; per round one emit wave ships candidate rows actor→actor
+    # through the object store and one apply wave min-merges them
+    # (strict < keeps the incumbent on equal paths — the old origin
+    # tiebreak). In a functional graph each child has ONE
+    # display-parent edge, so at most one candidate per child per
+    # round arrives; cycles terminate because a path through a cycle
+    # strictly extends the incumbent. Zero Dataset exchanges per round.
+    from .shardutil import ShardGroup, split_dataset_by_bucket
 
     B = max(2, min(nb, 8))
     uris = c_side.map_batches(
         lambda b: pa.table({"uri": b["uri"]}),
         batch_format="pyarrow").materialize()
-    # splits before actor creation + zero-CPU actors: reserving
-    # B x num_cpus would starve the split tasks (actor-pool live-lock)
     node_cols = split_dataset_by_bucket(uris, "uri", B)
     root_cols = split_dataset_by_bucket(best, "uri", B)
     edge_cols = split_dataset_by_bucket(children, "parent", B)
-    Shard = ray.remote(num_cpus=0)(_TreeShard)
-    shards = [Shard.remote(b, B) for b in range(B)]
-    try:
-        ray.get([s.load.remote(node_cols[b], root_cols[b], edge_cols[b])
-                 for b, s in enumerate(shards)])
+    with ShardGroup(_TreeShard, B) as g:
+        g.wave("load", node_cols, root_cols, edge_cols)
         for _round in range(cfg.max_hierarchy_depth - 1):
-            outs = ray.get([s.emit.remote() for s in shards])
-            inbox = [[outs[b][t] for b in range(B)
-                      if outs[b][t] is not None] for t in range(B)]
-            improved = sum(ray.get([s.apply.remote(inbox[t])
-                                    for t, s in enumerate(shards)]))
-            if improved == 0:
+            inbox = g.relay(g.wave("emit"))
+            if sum(g.wave("apply", inbox)) == 0:
                 break
-        best = ray.data.from_arrow_refs(
-            [s.result.remote() for s in shards]).materialize()
-    finally:
-        for s in shards:
-            ray.kill(s)
+        best = g.collect()
 
     # --- unassigned: concepts never placed ---
     placed_keys = best.map_batches(

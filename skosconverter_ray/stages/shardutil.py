@@ -1,20 +1,27 @@
-"""Shared plumbing for bucket-actor (Pregel-tier) stages.
+"""Shared plumbing for the Pregel-tier shard-actor engines and the
+task-level hash exchanges.
+
+``ShardGroup`` is the one runner behind every shard-actor engine: the
+PageRank/PPR, HITS and k-core shards (stages/graph.py), the
+label-propagation shards (communities.py), the union-find shards
+(canonicalize.py) and the tree-order propagation shards
+(hierarchy.py). A shard class supplies ``load``/``emit``/``apply``
+style methods over numpy state plus ``result() -> pa.Table``; the
+group creates the actors, runs synchronous waves, relays each wave's
+B×B per-peer message refs and collects the results.
 
 ``split_dataset_by_bucket`` scatters a materialized Dataset's blocks
 into per-bucket table refs: one remote split task per block, data
-moving block → split task → shard actor (twice, setup only). Shard
-actors then ``ray.get`` exactly their column of refs — the driver
-relays refs, never rows. Used by the PageRank/PPR and HITS shard
-engines (stages/graph.py), the tree-order propagation shards
-(stages/hierarchy.py), the union-find shards (canonicalize.py), and
-the label-propagation shards (communities.py).
+moving block → split task → shard actor (setup only). Shard actors
+then ``ray.get`` exactly their column of refs — the driver relays
+refs, never rows.
 
 Fault model (deliberate): shard actors are assumed live for the
 duration of ONE stage run — they hold in-memory iteration state that
-Ray could not transparently rebuild, so the engines do NOT set
+Ray could not transparently rebuild, so the group does NOT set
 max_restarts. Recovery is re-running the stage: its inputs are always
 MATERIALIZED datasets (pinned blocks / lineage), the actors are
-created per run and ``ray.kill``-ed in ``finally``, and the stage is
+created per run and killed when the group exits, and the stage is
 deterministic, so a re-run is bit-identical. At cluster scale that
 re-run is bounded by one stage, never the whole pipeline — the same
 contract Ray Data itself offers for a failed all-to-all."""
@@ -22,6 +29,63 @@ contract Ray Data itself offers for a failed all-to-all."""
 from __future__ import annotations
 
 import pyarrow as pa
+
+
+class ShardGroup:
+    """``n_shards`` zero-CPU actors of ``shard_cls``, constructed as
+    ``shard_cls(b, n_shards, *args)``, killed when the ``with`` block
+    exits (normally or not).
+
+    Split the inputs (``split_dataset_by_bucket``) BEFORE entering:
+    the actors reserve no CPUs, but they block in ``load`` on the
+    split tasks, and B actors reserving B x num_cpus would starve
+    those tasks (the actor-pool live-lock pitfall). The actors work
+    in short serialized waves, so zero CPUs is the honest
+    reservation."""
+
+    def __init__(self, shard_cls, n_shards: int, *args):
+        import ray
+
+        self.B = n_shards
+        actor = ray.remote(num_cpus=0)(shard_cls)
+        self.shards = [actor.remote(b, n_shards, *args)
+                       for b in range(n_shards)]
+
+    def __enter__(self) -> "ShardGroup":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        import ray
+
+        for s in self.shards:
+            ray.kill(s)
+
+    def wave(self, method: str, *per_shard, **broadcast) -> list:
+        """One synchronous wave: ``method`` on every shard, results in
+        shard order. Shard ``b`` gets the ``b``-th item of each
+        positional sequence, then every keyword argument as is."""
+        import ray
+
+        return ray.get([
+            getattr(s, method).remote(*(a[b] for a in per_shard),
+                                      **broadcast)
+            for b, s in enumerate(self.shards)])
+
+    def relay(self, outs) -> list[list]:
+        """B per-shard lists of B peer refs (``None`` = nothing for
+        that peer) -> B inboxes; inbox ``t`` holds every ref addressed
+        to shard ``t``. The driver moves refs, never message rows."""
+        B = self.B
+        return [[outs[b][t] for b in range(B) if outs[b][t] is not None]
+                for t in range(B)]
+
+    def collect(self):
+        """Every shard's ``result()`` table as one materialized
+        Dataset (materialized before the actors die)."""
+        import ray.data as rd
+
+        return rd.from_arrow_refs(
+            [s.result.remote() for s in self.shards]).materialize()
 
 
 def split_dataset_by_bucket(ds, col: str, n_buckets: int) -> list[list]:
@@ -136,23 +200,28 @@ def scatter_apply_by_value(ds, bucket_col: str, n_buckets: int, fn,
     return rd.from_arrow_refs([gather.remote(*cols[t]) for t in range(B)])
 
 
-def cogroup_scatter(a_ds, a_key, b_ds, b_key, n_buckets: int, fn,
-                    key_to_bucket=None, empty_result: pa.Table = None):
-    """Two-sided task-level hash cogroup: ``fn(a_tbl, b_tbl)`` per
-    bucket, with NO sort, NO tagged-union re-materialize.
+def multiway_cogroup_scatter(sides, n_buckets: int, fn,
+                             key_to_bucket=None,
+                             empty_result: pa.Table = None):
+    """N-ary task-level hash cogroup: ``fn(t0, …, tN-1)`` per bucket
+    over ANY number of materialized sides, each given as
+    ``(dataset, key_column)``, with NO sort and NO tagged-union
+    re-materialize. The composition shape: k sequential binary
+    cogroup joins on ONE shared key pay k exchange barriers for what
+    is a single co-partitioned local join — this pays one.
 
-    Both inputs must be materialized (``from_arrow_refs`` outputs — as
+    Inputs must be materialized (``from_arrow_refs`` outputs — as
     scatter_apply_by_value and the banding gathers produce — qualify
     for free: ``to_arrow_refs`` returns their existing refs). One
-    split task per block hashes its OWN key column; one gather task
-    per bucket concatenates each side and applies ``fn``. Compared to
-    routing the same cogroup through two map_batches tags + a union +
-    a materialize + an exchange, this is one barrier instead of three.
+    split task per block hashes its side's key column; one gather
+    task per bucket concatenates each side and applies ``fn``. A
+    side's table arrives as ``None`` in ``fn`` when its bucket is
+    empty.
 
-    ``key_to_bucket``: vectorized ``values -> int bucket ids`` (default
-    functions.hashing.bucket_of over stringified keys — both sides MUST
-    use the same function for co-location).
-    """
+    ``key_to_bucket``: vectorized ``values -> int bucket ids``, the
+    SAME function for every side so co-location holds (default: an
+    int mix for integer keys, functions.hashing.bucket_of over
+    stringified keys otherwise)."""
     import ray
     import ray.data as rd
 
@@ -170,78 +239,6 @@ def cogroup_scatter(a_ds, a_key, b_ds, b_key, n_buckets: int, fn,
                 # ids to strings for the polars hash cost more than
                 # the exchange itself (measured on the 5.5M-row
                 # banding-pair scatter)
-                v = values.to_numpy(zero_copy_only=False) \
-                    .astype(np.uint64)
-                h = v * np.uint64(0x9E3779B97F4A7C15)
-                return ((h >> np.uint64(32)).astype(np.int64)
-                        % B).astype(np.int32)
-            if not pa.types.is_string(values.type):
-                values = pc.cast(values, pa.string())
-            return bucket_of(values, B).to_numpy(zero_copy_only=False)
-
-    @ray.remote(num_returns=B)
-    def split(tbl: pa.Table, key: str):
-        if tbl.num_rows == 0 or key not in tbl.column_names:
-            return tuple(None for _ in range(B)) if B > 1 else None
-        bk = key_to_bucket(tbl[key].combine_chunks())
-        parts = tuple(tbl.filter(pa.array(bk == t)) for t in range(B))
-        return parts if B > 1 else parts[0]
-
-    @ray.remote
-    def gather(a_refs, b_refs):
-        a_parts = [t for t in ray.get(list(a_refs))
-                   if t is not None and t.num_rows]
-        b_parts = [t for t in ray.get(list(b_refs))
-                   if t is not None and t.num_rows]
-        if not a_parts and not b_parts and empty_result is not None:
-            return empty_result
-        a = (pa.concat_tables(a_parts).combine_chunks() if a_parts
-             else None)
-        b = (pa.concat_tables(b_parts).combine_chunks() if b_parts
-             else None)
-        return fn(a, b)
-
-    def _cols(ds, key):
-        cols: list[list] = [[] for _ in range(B)]
-        for ref in ds.to_arrow_refs():
-            out = split.remote(ref, key)
-            if B == 1:
-                out = [out]
-            for t, part in enumerate(out):
-                cols[t].append(part)
-        return cols
-
-    a_cols, b_cols = _cols(a_ds, a_key), _cols(b_ds, b_key)
-    return rd.from_arrow_refs(
-        [gather.remote(a_cols[t], b_cols[t]) for t in range(B)])
-
-
-def multiway_cogroup_scatter(sides, n_buckets: int, fn,
-                             key_to_bucket=None,
-                             empty_result: pa.Table = None):
-    """N-ary task-level hash cogroup (round 5): ``fn(t0, …, tN-1)``
-    per bucket over ANY number of materialized sides, each given as
-    ``(dataset, key_column)``. The composition shape: k sequential
-    binary cogroup joins on ONE shared key pay k exchange barriers
-    for what is a single co-partitioned local join — this pays one.
-    Sides hash with the SAME bucket function (int mix for integer
-    keys, bucket_of otherwise), so co-location holds across all of
-    them; a side's table arrives as ``None`` in ``fn`` when its
-    bucket is empty. Same materialized-inputs contract as
-    cogroup_scatter."""
-    import ray
-    import ray.data as rd
-
-    import pyarrow.compute as pc
-
-    from ..functions.hashing import bucket_of
-
-    B = n_buckets
-    if key_to_bucket is None:
-        def key_to_bucket(values):
-            import numpy as np
-
-            if pa.types.is_integer(values.type):
                 v = values.to_numpy(zero_copy_only=False) \
                     .astype(np.uint64)
                 h = v * np.uint64(0x9E3779B97F4A7C15)

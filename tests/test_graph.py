@@ -47,11 +47,11 @@ def test_pagerank_matches_oracle_with_dangling(ray_session):
 import pytest
 
 
-@pytest.mark.parametrize("engine", ["actors", "dataset"])
+@pytest.mark.parametrize("engine", ["actors"])
 def test_pagerank_distributed_forced_path_parity(ray_session, engine):
-    # max_driver_edges=0 forces a distributed engine (Pregel shard
-    # actors or the cogroup-join/bucket-aggregate Dataset loop); both
-    # must match the sequential oracle and the driver path exactly.
+    # max_driver_edges=0 forces the distributed engine (Pregel shard
+    # actors); it must match the sequential oracle and the driver path
+    # exactly.
     got = _run(_EDGES, n_iter=6, max_driver_edges=0, engine=engine)
     want = _oracle(_EDGES, n_iter=6)
     fast = _run(_EDGES, n_iter=6)
@@ -66,8 +66,7 @@ def test_pagerank_multi_edge_semantics(ray_session):
     # edge ROWS — both paths must agree with the oracle on that
     edges = [("a", "b"), ("a", "b"), ("a", "c"), ("b", "a")]
     want = _oracle(edges, n_iter=4)
-    for kw in ({}, {"max_driver_edges": 0},
-               {"max_driver_edges": 0, "engine": "dataset"}):
+    for kw in ({}, {"max_driver_edges": 0}):
         got = _run(edges, n_iter=4, **kw)
         for v in want:
             assert abs(got[v] - want[v]) < 1e-12, (kw, v)
@@ -85,8 +84,7 @@ def test_pagerank_tol_early_exit(ray_session):
     # a cycle converges to uniform immediately: with tol set, a huge
     # n_iter must still return the converged answer (and quickly)
     edges = [("n0", "n1"), ("n1", "n2"), ("n2", "n0")]
-    for kw in ({}, {"max_driver_edges": 0},
-               {"max_driver_edges": 0, "engine": "dataset"}):
+    for kw in ({}, {"max_driver_edges": 0}):
         got = _run(edges, n_iter=500, tol=1e-9, **kw)
         for v, r in got.items():
             assert abs(r - 1.0 / 3) < 1e-9, (kw, v, r)
@@ -114,7 +112,7 @@ def _ppr_oracle(edges, seeds, n_iter=6, d=0.85):
     return {v: r[idx[v]] for v in nodes}
 
 
-@pytest.mark.parametrize("mode", ["driver", "actors", "dataset"])
+@pytest.mark.parametrize("mode", ["driver", "actors"])
 def test_personalized_pagerank_all_engines(ray_session, mode):
     seeds = ["a", "f"]
     kw = {} if mode == "driver" else \
@@ -263,7 +261,7 @@ def test_kcore_random_parity(ray_session, forced):
 
 def test_bfs_hops_known_graph_and_engine_parity(ray_session):
     """Crafted graph with known hop distances from the two smallest
-    nodes; driver sweep and the bounded-round Dataset loop must agree
+    nodes; the driver sweep and the distributed engine must agree
     with each other and with the hand-computed answer, including the
     max_hops cutoff and an unreachable component."""
     import pyarrow as pa
@@ -311,3 +309,34 @@ def test_link_prediction_known_graph(ray_session):
     assert got == [(1, 3, 2, 2, 3), (2, 9, 2, 2, 2),
                    (2, 4, 1, 2, 2), (3, 5, 1, 3, 1),
                    (4, 9, 1, 2, 2)]
+
+
+@pytest.mark.parametrize("engine", ["dataset", "actor"])
+@pytest.mark.parametrize("op", ["pagerank", "hits", "kcore",
+                                "label_propagation",
+                                "components_min_label", "bfs_hops"])
+def test_iterative_operators_reject_unknown_engine(ray_session, op,
+                                                   engine):
+    """resolve_engine's contract: an engine name outside
+    auto/driver/actors fails loudly on every iterative operator — a
+    removed engine ("dataset") or a typo never silently runs some
+    default."""
+    from skosconverter_ray.stages.canonicalize import components_min_label
+    from skosconverter_ray.stages.communities import label_propagation
+    from skosconverter_ray.stages.graph import bfs_hops, hits, kcore
+
+    directed = rd.from_items([{"src": s, "dst": t} for s, t in _EDGES])
+    undirected = rd.from_items([{"a": 1, "b": 2}, {"a": 2, "b": 3}])
+    calls = {
+        "pagerank": lambda: pagerank(directed, engine=engine),
+        "hits": lambda: hits(directed, engine=engine),
+        "kcore": lambda: kcore(undirected, k=1, engine=engine),
+        "label_propagation": lambda: label_propagation(directed,
+                                                       engine=engine),
+        "components_min_label": lambda: components_min_label(
+            rd.from_items([{"node": "a", "peer": "b"},
+                           {"node": "b", "peer": "a"}]), engine=engine),
+        "bfs_hops": lambda: bfs_hops(undirected, engine=engine),
+    }
+    with pytest.raises(ValueError, match="unknown engine"):
+        calls[op]()

@@ -146,9 +146,8 @@ def test_distributed_canonicalization_matches_driver_path(
     from skosconverter_ray.stages import canonicalize as cz
 
     monkeypatch.setattr(cz, "_DRIVER_UF_MAX", 0)
-    for engine in ("actors", "dataset"):
-      rng = random.Random(11)
-      for trial in range(3):
+    rng = random.Random(11)
+    for trial in range(3):
         n = 40 + trial * 30
         nodes = [(PREF_NS if rng.random() < 0.3 else ALT_NS) + f"n{i:03d}"
                  for i in range(n)]
@@ -161,12 +160,12 @@ def test_distributed_canonicalization_matches_driver_path(
             continue
         got_ds = canonical_map(rd.from_arrow(_triples_table(rows)),
                                preferred_ns=PREF_NS, num_buckets=8,
-                               engine=engine)
+                               engine="actors")
         got = {r["uri"]: r["canonical_uri"] for r in got_ds.take_all()}
         tbl = canonical_map_table(_triples_table(rows), preferred_ns=PREF_NS)
         expected = dict(zip(tbl["uri"].to_pylist(),
                             tbl["canonical_uri"].to_pylist()))
-        assert got == expected, f"engine {engine} trial {trial}"
+        assert got == expected, f"trial {trial}"
 
 
 def test_distributed_canonicalization_million_nodes(ray_session, monkeypatch):

@@ -1,11 +1,12 @@
 """Task-level exchange primitives: scatter_apply_by_value and
-cogroup_scatter edge cases (empty buckets, schema-less empties,
-zero-block inputs, int vs string keys)."""
+multiway_cogroup_scatter edge cases (empty buckets, schema-less
+empties, zero-block inputs, int vs string keys, two and three
+sides)."""
 
 import pyarrow as pa
 import ray.data as rd
 
-from skosconverter_ray.stages.shardutil import (cogroup_scatter,
+from skosconverter_ray.stages.shardutil import (multiway_cogroup_scatter,
                                                 scatter_apply_by_value)
 
 
@@ -70,8 +71,8 @@ def test_cogroup_scatter_int_keys_joins_all_rows(ray_session):
                       join_type="inner").select(["k", "b"]) \
             .cast(out_schema)
 
-    out = cogroup_scatter(lds, "k", rds, "rk", 6, fn,
-                          empty_result=out_schema.empty_table())
+    out = multiway_cogroup_scatter([(lds, "k"), (rds, "rk")], 6, fn,
+                                   empty_result=out_schema.empty_table())
     rows = sorted((r["k"], r["b"]) for r in out.take_all())
     assert rows == [(i, i * 10) for i in range(0, 100, 2)]
 
@@ -88,9 +89,10 @@ def test_cogroup_scatter_string_keys(ray_session):
         return a.join(b, keys=["k"], right_keys=["rk"],
                       join_type="inner").cast(out_schema)
 
-    out = cogroup_scatter(rd.from_arrow(left).materialize(), "k",
-                          rd.from_arrow(right).materialize(), "rk",
-                          4, fn, empty_result=out_schema.empty_table())
+    out = multiway_cogroup_scatter(
+        [(rd.from_arrow(left).materialize(), "k"),
+         (rd.from_arrow(right).materialize(), "rk")],
+        4, fn, empty_result=out_schema.empty_table())
     rows = sorted((r["k"], r["b"]) for r in out.take_all())
     assert rows == sorted((f"u{i}", i) for i in range(0, 30, 3))
 
@@ -99,9 +101,6 @@ def test_multiway_cogroup_scatter_three_sides(ray_session):
     """One exchange co-partitions ANY number of sides on a shared
     key; fn sees one table (or None) per side per bucket. Result
     must equal the sequential two-join composition."""
-    from skosconverter_ray.stages.shardutil import \
-        multiway_cogroup_scatter
-
     base = pa.table({"k": pa.array(list(range(40)), pa.int64())})
     evens = pa.table({"ek": pa.array(list(range(0, 40, 2)), pa.int64())})
     vals = pa.table({"vk": pa.array(list(range(0, 40, 5)), pa.int64()),

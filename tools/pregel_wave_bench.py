@@ -4,8 +4,10 @@ actor→actor through the object store, but the driver relays O(B²)
 REFS per wave — this pins where that curve starts to matter so the
 multi-node design point is recorded, not guessed).
 
-Method: run the shard-actor PageRank engine on one fixed synthetic
-graph at n_iter=2 and n_iter=22; (T22 - T2) / 20 isolates the
+Method: run the shard-actor PageRank engine (``_pagerank_actors``,
+driven by ``shardutil.ShardGroup`` like every shard-actor engine, so
+its wave cost is the shared runner's) on one fixed synthetic graph at
+n_iter=2 and n_iter=22; (T22 - T2) / 20 isolates the
 steady-state wave latency from actor spawn + load + result costs,
 which are identical between the two runs. Repeated per shard width,
 best-of-N (co-tenant noise on this box is ±30-50%).
