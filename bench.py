@@ -136,6 +136,10 @@ def run_headline() -> None:
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
     from skosconverter_ray.queries import QUERIES
 
+    missing = [n for n in HEADLINE if n not in QUERIES]
+    if missing:
+        raise SystemExit(f"headline queries not registered: {missing}")
+
     # Warm the worker pool before the timed loop: Ray spawns worker
     # processes lazily on first use (~2-4s at 32 cpus), and each
     # worker pays the heavy imports (polars inside hash_strings) on
@@ -152,41 +156,10 @@ def run_headline() -> None:
     _rd.range(NUM_CPUS * 8, override_num_blocks=NUM_CPUS * 8) \
         .map_batches(_warm, batch_size=1).count()
 
-    # Some registered queries wrap their pipeline in oracle-row
-    # verification passes (flagship: P/R mini-run + closure fixpoint
-    # count; pagerank: a second engine + distributed compare; tree
-    # order: a driver-DFS parity recomputation). The bench times the
-    # PIPELINE itself, like-for-like with prior rounds, via shared
-    # helpers.
-    from skosconverter_ray.queries import (
-        _ann_pq_neighbors,
-        _communities_actor_labels,
-        _flagship_graph_outputs,
-        _hits_actor_scores,
-        _kcore_actor_members,
-        _pagerank_actor_ranks,
-        _ppr_actor_ranks,
-        _tree_order_distributed_rows,
-    )
-
-    overrides = {
-        "flagship_graph": lambda sf: _flagship_graph_outputs(sf)["graph"],
-        "graph_pagerank": _pagerank_actor_ranks,
-        "skos_tree_order_distributed": _tree_order_distributed_rows,
-        "graph_communities": _communities_actor_labels,
-        "ann_topk_pq": _ann_pq_neighbors,
-        "graph_ppr": _ppr_actor_ranks,
-        "graph_hits": _hits_actor_scores,
-        "graph_kcore": _kcore_actor_members,
-    }
-
     per_query: dict[str, float] = {}
     for name in HEADLINE:
-        fn = overrides.get(name) or QUERIES.get(name)
-        if fn is None:
-            continue
         t0 = time.perf_counter()
-        _consume(fn(SF_DIR))
+        _consume(QUERIES[name](SF_DIR))
         per_query[name] = round(time.perf_counter() - t0, 3)
     total = round(sum(per_query.values()), 3)
     sf = SF_DIR.rstrip("/").rsplit("sf", 1)[-1]

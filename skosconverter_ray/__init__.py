@@ -37,17 +37,18 @@ def _shim_fsspec_http() -> None:
     escapes the narrow except and kills the pipeline. Registering a
     stub module (its class is never instantiable from a real fs, so
     every isinstance check stays False — exactly the no-aiohttp
-    semantics) removes the race entirely."""
+    semantics) removes the race entirely. The stub goes in only when
+    aiohttp is absent; any other import failure is re-raised."""
+    import importlib.util
     import sys
     import types
 
     try:
         from fsspec.implementations.http import HTTPFileSystem  # noqa
         return
-    except ModuleNotFoundError:
-        pass
     except ImportError:
-        pass
+        if importlib.util.find_spec("aiohttp") is not None:
+            raise
 
     mod = types.ModuleType("fsspec.implementations.http")
 

@@ -360,6 +360,23 @@ def pagerank(edges_ds, *, damping: float = 0.85, n_iter: int = 20,
         num_shards=max(2, min(num_buckets, 8)), seeds=seeds)
 
 
+_SHIFT = np.int64(32)  # packed pair key: lo << 32 | hi
+
+
+def _check_packable(ds, lo_col: str, hi_col: str, op: str) -> None:
+    """Driver-side guard for the packed ``(lo << 32) | hi`` pair key
+    over a materialized id Dataset: every id must lie in [0, 2^31),
+    else keys collide or turn negative. One min/max aggregate; it runs
+    on the driver so the caller gets a plain ValueError (an exception
+    raised inside a map UDF reaches the driver wrapped)."""
+    from ray.data.aggregate import Max, Min
+
+    r = ds.aggregate(Min(lo_col, alias_name="lo"),
+                     Max(hi_col, alias_name="hi"))
+    if r["lo"] is not None and (r["lo"] < 0 or r["hi"] >= 2**31):
+        raise ValueError(f"{op}: node ids must be in [0, 2^31)")
+
+
 def triangle_count(edges_ds, *, num_buckets: int = 16,
                    a_col: str = "a", b_col: str = "b"):
     """Exact triangle count over an undirected simple graph given as
@@ -380,21 +397,23 @@ def triangle_count(edges_ds, *, num_buckets: int = 16,
     from .joinutil import cogroup_join
     from .skew import bucket_aggregate
 
-    _SHIFT = np.int64(32)  # packed pair key: a << 32 | b (ids < 2^31)
-
     def norm(batch: pa.Table) -> pa.Table:
         a = batch[a_col].to_numpy(zero_copy_only=False).astype(np.int64)
         b = batch[b_col].to_numpy(zero_copy_only=False).astype(np.int64)
         keep = a != b
         a, b = a[keep], b[keep]
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        if len(lo) and (hi >> np.int64(31)).any():
-            raise ValueError("triangle_count: node ids must be < 2^31")
+        return pa.table({"lo": np.minimum(a, b), "hi": np.maximum(a, b)})
+
+    def pack(batch: pa.Table) -> pa.Table:
+        lo = batch["lo"].to_numpy(zero_copy_only=False)
+        hi = batch["hi"].to_numpy(zero_copy_only=False)
         return pa.table({"key": (lo << _SHIFT) | hi})
 
+    und = edges_ds.map_batches(norm, batch_format="pyarrow").materialize()
+    _check_packable(und, "lo", "hi", "triangle_count")
     # distinct undirected edges, keyed once
     edges = bucket_aggregate(
-        edges_ds.map_batches(norm, batch_format="pyarrow"),
+        und.map_batches(pack, batch_format="pyarrow"),
         ["key"], [("count", None, "_c")],
         num_buckets=num_buckets).drop_columns(["_c"]).materialize()
     n_edges = edges.count()
@@ -873,15 +892,11 @@ def link_prediction_topk(edges_ds, *, k: int = 20,
     from .joinutil import cogroup_join
     from .skew import bucket_aggregate
 
-    _SHIFT = np.int64(32)
-
     def norm(batch: pa.Table) -> pa.Table:
         a = batch[a_col].to_numpy(zero_copy_only=False).astype(np.int64)
         b = batch[b_col].to_numpy(zero_copy_only=False).astype(np.int64)
         keep = a != b
         a, b = a[keep], b[keep]
-        if len(a) and ((np.maximum(a, b) >> np.int64(31)).any()):
-            raise ValueError("link_prediction: node ids must be < 2^31")
         return pa.table({"x": np.concatenate([a, b]),
                          "y": np.concatenate([b, a])})
 
@@ -895,6 +910,7 @@ def link_prediction_topk(edges_ds, *, k: int = 20,
         import ray.data as rd
 
         return rd.from_arrow(out_schema.empty_table())
+    _check_packable(sym, "x", "x", "link_prediction")
 
     deg = bucket_aggregate(
         sym.map_batches(lambda t: pa.table({"node": t["x"]}),

@@ -18,3 +18,14 @@ def ray_session():
     ctx.execution_options.verbose_progress = False
     yield
     ray.shutdown()
+
+
+@pytest.fixture(scope="session")
+def sf001():
+    """The sf0.01 table directory the correctness gate runs the
+    registered queries on (a sibling of the entry smoke's sf0.001)."""
+    import os
+
+    import __ray_entry__
+
+    return os.path.join(os.path.dirname(__ray_entry__.SF0001), "sf0.01")

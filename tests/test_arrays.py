@@ -78,3 +78,16 @@ def test_pq_topk_exact_on_separable_data(ray_session):
     })).repartition(4)
     got = {r["vec_id"] for r in ann_pq_topk(ds, q, k=10).take_all()}
     assert got == set(range(200, 210))
+
+
+def test_pq_topk_rows_equal_brute_force_sf001(ray_session, sf001):
+    """ann_topk_pq returns exactly ann_topk_cosine's top-10 rows
+    (vec_id and rounded cos_sim) on the sf0.01 embeddings."""
+    from skosconverter_ray.queries import ann_topk_cosine, ann_topk_pq
+
+    def rows(ds):
+        return [(r["vec_id"], r["cos_sim"]) for r in ds.take_all()]
+
+    brute = rows(ann_topk_cosine(sf001))
+    assert len(brute) == 10
+    assert rows(ann_topk_pq(sf001)) == brute

@@ -227,3 +227,39 @@ def test_vocab_closure_matches_inverse_pass(voc, docs_table):
 
     assert key(closed) == key(base)
     assert len(base) == len(key(base))  # still duplicate-free
+
+
+def test_flagship_graph_row_corpus_link_pr_and_inverse_fixpoint(sf001):
+    """The flagship_graph query's corpus: linking P = R = 1.0 (to 4 dp)
+    against exact generator ground truth on the pinned 300-doc /
+    60-concept seed-42 corpus, and the sf0.01 flagship graph is an
+    inverse-consistency fixpoint (re-applying the pass adds nothing)."""
+    import ray
+
+    from skosconverter_ray.queries import _flagship_graph_outputs
+    from skosconverter_ray.stages.linker import link_documents
+    from skosconverter_ray.stages.triples import inverse_consistency
+
+    pinned = vocab.generate_vocab(
+        vocab.VocabSpec(n_schemes=2, n_concepts=60, seed=42))
+    gt = corpus.ground_truth_mentions(300, pinned, seed=42)
+    truth = {
+        (d, s, normalize_surface(t), u)
+        for d, s, t, u in zip(
+            gt["doc_id"].to_pylist(), gt["span_idx"].to_pylist(),
+            gt["surface"].to_pylist(), gt["concept_uri"].to_pylist())
+    }
+    linked = link_documents(
+        corpus.documents_dataset(300, pinned, seed=42,
+                                 override_num_blocks=4),
+        ray.put(build_label_index(pinned.triples)),
+        concurrency=None, batch_size=128)
+    found = {(r["doc_id"], r["span_idx"], r["surface"], r["concept_uri"])
+             for r in linked.take_all()}
+    tp = len(found & truth)
+    assert round(tp / max(1, len(found)), 4) == 1.0
+    assert round(tp / max(1, len(truth)), 4) == 1.0
+
+    graph = _flagship_graph_outputs(sf001)["graph"].materialize()
+    assert graph.count() > 0
+    assert inverse_consistency(graph).count() == graph.count()

@@ -340,3 +340,99 @@ def test_iterative_operators_reject_unknown_engine(ray_session, op,
     }
     with pytest.raises(ValueError, match="unknown engine"):
         calls[op]()
+
+
+@pytest.mark.parametrize("pair", [(-1, 5), (2**31, 5)])
+@pytest.mark.parametrize("op", ["triangle_count", "link_prediction_topk"])
+def test_packed_pair_key_rejects_out_of_range_ids(ray_session, op, pair):
+    """Both packed (lo << 32) | hi key operators refuse ids outside
+    [0, 2^31) instead of building colliding or negative keys."""
+    import pyarrow as pa
+
+    from skosconverter_ray.stages import graph
+
+    ds = rd.from_arrow(pa.table({"a": pa.array([pair[0], 1], pa.int64()),
+                                 "b": pa.array([pair[1], 2], pa.int64())}))
+    with pytest.raises(ValueError, match=r"\[0, 2\^31\)"):
+        getattr(graph, op)(ds)
+
+
+# ---------------------------------------------------------------------------
+# The registered graph queries run each operator once on its default
+# plan; here the same sf0.01 graphs run on both sides of the engine
+# gate (driver vs forced shard actors), plus the sequential oracles.
+# ---------------------------------------------------------------------------
+
+_ACTORS = {"max_driver_edges": 0, "engine": "actors"}
+
+
+def _by_node(ds, *cols):
+    return {r["node"]: tuple(r[c] for c in cols) for r in ds.take_all()}
+
+
+def _str_pairs(ds):
+    return [(str(r["a"]), str(r["b"])) for r in ds.take_all()]
+
+
+def _sf_case(op, sf):
+    """(run(**plan) -> {node: values}, check(driver result) -> bool) on
+    the sf0.01 graph that op's registered query reads; check is the
+    op's sequential oracle or defining property, if it has one."""
+    from skosconverter_ray import queries as q
+    from skosconverter_ray.stages.communities import (
+        label_propagation, label_propagation_sequential)
+    from skosconverter_ray.stages.graph import hits, kcore
+
+    if op in ("pagerank", "ppr", "hits"):
+        edges = q._pagerank_edges(sf)
+    if op == "pagerank":
+        return (lambda **plan: _by_node(pagerank(
+            edges, n_iter=5, num_buckets=16, **plan), "rank")), None
+    if op == "ppr":
+        seeds = list(q._PPR_SEEDS)
+
+        def localized(drv):
+            # the restart concentrates mass on the seed set
+            uni = _by_node(pagerank(edges, n_iter=5), "rank")
+            return sum(drv[s][0] for s in seeds) > \
+                sum(uni[s][0] for s in seeds)
+
+        return (lambda **plan: _by_node(pagerank(
+            edges, n_iter=5, num_buckets=16, seeds=seeds, **plan),
+            "rank")), localized
+    if op == "hits":
+        return (lambda **plan: _by_node(hits(
+            edges, n_iter=5, num_shards=8, **plan), "hub", "auth")), None
+    if op == "kcore":
+        edges = q._copart_supplier_pairs(sf, min_weight=30).materialize()
+        want = {u: (v,) for u, v in
+                _kcore_oracle(_str_pairs(edges), 3).items()}
+        return (lambda **plan: _by_node(kcore(
+            edges, k=3, num_shards=4, **plan), "in_core")), want.__eq__
+    edges = q._copart_supplier_pairs(sf, part_mod=8).materialize()
+    src, dst = zip(*_str_pairs(edges))
+    want = {u: (v,) for u, v in label_propagation_sequential(
+        list(src), list(dst), n_iter=5).items()}
+    return (lambda **plan: _by_node(label_propagation(
+        edges, n_iter=5, src_col="a", dst_col="b", num_shards=4, **plan),
+        "label")), want.__eq__
+
+
+@pytest.mark.parametrize("op", ["pagerank", "ppr", "hits", "kcore",
+                                "label_propagation"])
+def test_sf001_driver_matches_forced_actors(ray_session, sf001, op):
+    """Driver engine vs forced shard actors on the sf0.01 graph of each
+    registered graph query: per-node |Δ| < 1e-9 for scores, exact
+    equality for labels and core membership; plus the kcore and LPA
+    sequential oracles and PPR seed localization."""
+    run, check = _sf_case(op, sf001)
+    drv, act = run(), run(**_ACTORS)
+    assert drv and drv.keys() == act.keys()
+    if op in ("kcore", "label_propagation"):
+        assert act == drv
+    else:
+        bad = [v for v in drv
+               if any(abs(x - y) >= 1e-9 for x, y in zip(drv[v], act[v]))]
+        assert not bad, bad[:5]
+    if check is not None:
+        assert check(drv) is True

@@ -1,7 +1,9 @@
 """Local mimic of the driver's correctness gate: run every queries()
 entry at a given sf_dir, run its oracle_sql() in DuckDB over the same
 parquet tables, compare row count + column names + order-insensitive
-value hash. Usage: python tools/check_queries.py [sf_dir]
+value hash. The summary line also gives the summed wall of the queries
+run (query calls only; oracle SQL and comparison excluded).
+Usage: python tools/check_queries.py [sf_dir] [name1,name2,...]
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ def main():
     qs, oracles = e.queries(), e.oracle_sql()
     only = sys.argv[2].split(",") if len(sys.argv) > 2 else None
     n_pass = n_fail = 0
+    wall = 0.0
     for name, fn in qs.items():
         if only and name not in only:
             continue
@@ -73,7 +76,9 @@ def main():
             print(f"FAIL {name}: query raised {type(ex).__name__}: {ex}")
             n_fail += 1
             continue
-        dt = time.monotonic() - t0
+        finally:
+            dt = time.monotonic() - t0
+            wall += dt
         if name not in oracles:
             print(f"ok?  {name}: rows-only, {len(mine)} rows  ({dt:.1f}s)")
             n_pass += 1
@@ -101,7 +106,7 @@ def main():
         else:
             print(f"PASS {name}: {len(mine)} rows  ({dt:.1f}s)")
             n_pass += 1
-    print(f"\n{n_pass} pass, {n_fail} fail")
+    print(f"\n{n_pass} pass, {n_fail} fail, query wall {wall:.1f}s")
     ray.shutdown()
     sys.exit(1 if n_fail else 0)
 
