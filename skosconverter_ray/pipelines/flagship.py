@@ -187,6 +187,38 @@ class EmitTriples:
         return pa.concat_tables([mentions, subgraph])
 
 
+def link_plan(n_entries: int, total_cpus: int):
+    """The linker's physical plan for ``link_concurrency="auto"``:
+    ``None`` (elastic tasks) or a ``(min, max)`` actor-pool spec, from
+    the label-index size and the session width."""
+    # CPU budgeting: fixed full-width actor pools live-lock — actors
+    # RESERVE their CPUs, and two full-width pools plus the downstream
+    # shuffle tasks starve each other (observed: 4+4 actors on 8 CPUs
+    # = zero progress). So (a) only the linker is an actor pool; the
+    # triple emission runs as elastic tasks (its state is the broadcast
+    # subgraph ref, cheap to re-get per task), and (b) the pool
+    # AUTOSCALES between 1 and (cpus - 2): linking dominates the
+    # pipeline's compute, so it deserves nearly the full width, and
+    # autoscaling releases actors when the pool idles so the dedup
+    # shuffle gets the CPUs back (a fixed half-width pool left ~45% of
+    # the cluster idle in the 16-cpu utilization trace).
+    # min = half width (autoscale-up hysteresis otherwise idles the
+    # pool at 1 actor on narrow sessions), max = width - 2
+    pool = (max(1, total_cpus // 2), max(2, total_cpus - 2))
+    # A pool whose max claims every CPU (1-2 cpus) leaves none for the
+    # downstream tasks and stalls the job (1 cpu: ~25 s vs ~5 s tasks).
+    if pool[1] >= total_cpus:
+        return None
+    # physical-plan choice, measured at 1M docs: on WIDE sessions a
+    # small index runs best as elastic tasks (full-width scheduling;
+    # 16 cpus: 42s tasks vs 63s pool), on NARROW ones the actor pool
+    # wins via stage overlap (4 cpus: 118s pool vs 261s fused tasks).
+    # A big index always uses the pool (per-worker load amortization).
+    if n_entries < 50_000 and total_cpus >= 8:
+        return None
+    return pool
+
+
 def run_flagship(docs_ds, vocab_triples: pa.Table, *,
                  doc_ns: str = "http://skosconverter-ray.example.org/doc/",
                  preferred_ns: str | None = None,
@@ -196,8 +228,9 @@ def run_flagship(docs_ds, vocab_triples: pa.Table, *,
     """documents Dataset + vocabulary triples -> canonical graph Dataset.
 
     When ``out_dir`` is set, also materializes the graph as
-    adjacency-partitioned parquet (``part=<crc32(subj)%n_parts>``) with
-    a resumable manifest, and returns the written dataset path info.
+    adjacency-partitioned parquet (``part=<partition_id_array(subj)>``,
+    one file per partition; see state/manifest.write_partitioned) with
+    a resumable manifest.
 
     ``link_concurrency``: "auto" (default) picks the measured-best
     physical plan (elastic tasks vs autoscaling actor pool) from the
@@ -215,29 +248,9 @@ def run_flagship(docs_ds, vocab_triples: pa.Table, *,
     index_ref = ray.put(label_index)
     sub_ref = ray.put(_vocab_subgraph(vocab_triples))
 
-    # CPU budgeting: fixed full-width actor pools live-lock — actors
-    # RESERVE their CPUs, and two full-width pools plus the downstream
-    # shuffle tasks starve each other (observed: 4+4 actors on 8 CPUs
-    # = zero progress). So (a) only the linker is an actor pool; the
-    # triple emission runs as elastic tasks (its state is the broadcast
-    # subgraph ref, cheap to re-get per task), and (b) the pool
-    # AUTOSCALES between 1 and (cpus - 2): linking dominates the
-    # pipeline's compute, so it deserves nearly the full width, and
-    # autoscaling releases actors when the pool idles so the dedup
-    # shuffle gets the CPUs back (a fixed half-width pool left ~45% of
-    # the cluster idle in the 16-cpu utilization trace).
     total_cpus = int(ray.cluster_resources().get("CPU", 8))
-    # min = half width (autoscale-up hysteresis otherwise idles the
-    # pool at 1 actor on narrow sessions), max = width - 2
-    pool = (max(1, total_cpus // 2), max(2, total_cpus - 2))
-    # physical-plan choice, measured at 1M docs: on WIDE sessions a
-    # small index runs best as elastic tasks (full-width scheduling;
-    # 16 cpus: 42s tasks vs 63s pool), on NARROW ones the actor pool
-    # wins via stage overlap (4 cpus: 118s pool vs 261s fused tasks).
-    # A big index always uses the pool (per-worker load amortization).
     if link_concurrency == "auto":
-        link_concurrency = (None if len(label_index) < 50_000
-                            and total_cpus >= 8 else pool)
+        link_concurrency = link_plan(len(label_index), total_cpus)
 
     mentions = link_documents(docs_ds, index_ref,
                               concurrency=link_concurrency,

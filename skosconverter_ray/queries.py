@@ -4744,9 +4744,9 @@ def media_dedup_phash(sf_dir: str):
     refs = rd.from_arrow(store.select(["media_ref"]))
 
     class PHasher:
-        """Per-actor: media store resolved once; per batch: decode,
-        8×8 box-average, grayscale, mean-threshold -> 64-bit aHash
-        plus an exact pixel checksum for the group-purity bit."""
+        """Per-actor: media store resolved once; per batch: decode ->
+        64-bit aHash (multimodal.average_hash) plus an exact pixel
+        checksum for the group-purity bit."""
 
         def __init__(self, store_ref):
             from .stages.multimodal import _resolve_store
@@ -4754,7 +4754,7 @@ def media_dedup_phash(sf_dir: str):
             self.store = _resolve_store(store_ref)
 
         def __call__(self, batch: pa.Table) -> pa.Table:
-            from .stages.multimodal import box_resize, decode_bmp
+            from .stages.multimodal import average_hash, decode_bmp
 
             import zlib
 
@@ -4762,14 +4762,7 @@ def media_dedup_phash(sf_dir: str):
             for ref in batch["media_ref"].to_pylist():
                 _fmt, payload = self.store[ref]
                 img = decode_bmp(payload)
-                small = box_resize(img, 8, 8)  # (8, 8, 3) uint8
-                gray = small.astype(np.int64).sum(axis=2)  # 3x lum
-                bits = (gray.reshape(-1) >
-                        gray.mean()).astype(np.uint64)
-                h = np.uint64(0)
-                for i, b in enumerate(bits):
-                    h |= b << np.uint64(i)
-                hashes.append(int(h & np.uint64((1 << 63) - 1)))
+                hashes.append(average_hash(img))
                 # exact-pixel identity: shape-tagged CRC (a plain
                 # pixel SUM collides across transposed gradients)
                 keys.append((zlib.crc32(img.tobytes()) << 16)

@@ -275,8 +275,9 @@ def ingest_near_dup(docs_ds, store_dir: str, *, text_col: str = "text",
     The append path folds the ROUND's novel ids/blobs through the
     driver (like append_fingerprints — bounded by the ingest round,
     never the accumulated corpus); a crawl whose single round exceeds
-    driver memory writes shards from map tasks instead, exactly like
-    state/manifest.write_partitioned."""
+    driver memory writes shards from tasks instead, like
+    state/manifest.write_partitioned (one keyed exchange; each gather
+    task writes its partition's file)."""
     import ray
     import ray.data as rd
 

@@ -414,6 +414,16 @@ def box_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return (blocks.sum(axis=(1, 3)) // (bh * bw)).astype(np.uint8)
 
 
+def average_hash(img: np.ndarray) -> int:
+    """64-bit aHash of an image: 8×8 box-average, grayscale (3×
+    luminance), one bit per cell above the mean, cell i -> bit i in
+    row-major order. All 64 bits survive: the value is the int64 with
+    that bit pattern, so bit 63 is the sign."""
+    gray = box_resize(img, 8, 8).astype(np.int64).sum(axis=2)
+    bits = (gray.reshape(-1) > gray.mean()).astype(np.uint8)
+    return int(np.packbits(bits, bitorder="little").view("<i8")[0])
+
+
 class ImageResizer:
     """Image spans -> fixed-size thumbnail rows.
 

@@ -4,9 +4,10 @@ Ray Data has no mid-shuffle checkpointing, so resumability is
 implemented at *stage boundaries* (SURVEY.md §7.3): output is written
 as one directory per hash partition, and a ``manifest.jsonl`` records
 ``(partition_id, stage, row_count, input_lineage, status, wall_s)``.
-A rerun loads the manifest, filters already-``done`` partitions out of
-the dataset *before* the write, and only produces the missing ones —
-idempotent because partition assignment is a pure function of the key.
+A rerun loads the manifest, skips already-``done`` partitions at the
+write, and only produces the missing ones — idempotent because
+partition assignment is a pure function of the key and each
+partition's file name a pure function of (partition, stage).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import time
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 
 def partitioner_algo() -> str:
@@ -102,38 +104,49 @@ class Manifest:
 
 def write_partitioned(ds, out_dir: str, *, key_col: str, n_parts: int,
                       stage: str, lineage: str = ""):
-    """Adjacency-partitioned, resumable sink.
+    """Adjacency-partitioned, resumable sink, in one pass over ``ds``.
 
-    Adds ``part = crc32(key) % n_parts``, drops partitions already in
-    the manifest, writes ``part=<i>/`` parquet directories, then
-    appends manifest rows (counts from a small groupby). Returns the
-    manifest path.
+    One keyed exchange (shardutil.multiway_cogroup_scatter, bucket =
+    ``partition_id_array(key)``) hands each partition's rows to one
+    task. That task writes them as ONE file, ``part=<i>/<stage>.parquet``
+    (temp name, then rename), and returns its row count and its own
+    write wall; the driver appends one manifest row per non-empty
+    partition from those returns. Partitions already in the manifest
+    are neither written nor recorded again. The file name depends only
+    on (partition, stage), so a rerun after a write whose manifest
+    append was lost replaces the file instead of adding a copy.
+    Returns the manifest path.
     """
-    from ray.data.aggregate import Count
+    from ..stages.shardutil import multiway_cogroup_scatter
 
     mani = Manifest(out_dir, stage)
     done = mani.done_partitions()
+    result_schema = pa.schema([("part", pa.int32()), ("rows", pa.int64()),
+                               ("wall_s", pa.float64())])
 
-    def add_part(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "part", partition_id_array(batch[key_col], n_parts))
+    def write_one(tbl: pa.Table) -> pa.Table:
+        part = partition_id_array(tbl[key_col].slice(0, 1),
+                                  n_parts)[0].as_py()
+        if part in done:
+            return result_schema.empty_table()
+        t0 = time.monotonic()
+        part_dir = os.path.join(out_dir, f"part={part}")
+        os.makedirs(part_dir, exist_ok=True)
+        # '.'-prefixed temp name: dataset discovery skips it, and the
+        # rename makes the file appear whole or not at all
+        tmp = os.path.join(part_dir, f".{stage}.parquet.tmp")
+        pq.write_table(tbl, tmp)
+        os.replace(tmp, os.path.join(part_dir, f"{stage}.parquet"))
+        return pa.table({"part": [part], "rows": [tbl.num_rows],
+                         "wall_s": [time.monotonic() - t0]},
+                        schema=result_schema)
 
-    parted = ds.map_batches(add_part, batch_format="pyarrow")
-    if done:
-        done_arr = pa.array(sorted(done), pa.int32())
-
-        def drop_done(batch: pa.Table) -> pa.Table:
-            return batch.filter(
-                pc.invert(pc.is_in(batch["part"], value_set=done_arr)))
-
-        parted = parted.map_batches(drop_done, batch_format="pyarrow")
-
-    t0 = time.monotonic()
-    parted.write_parquet(out_dir, partition_cols=["part"])
-    wall = time.monotonic() - t0
-
-    counts = parted.groupby("part").aggregate(Count(alias_name="n")).take_all()
-    for rec in counts:
-        mani.record(int(rec["part"]), int(rec["n"]), lineage, "done",
-                    wall / max(1, len(counts)))
+    written = multiway_cogroup_scatter(
+        [(ds, key_col)], n_parts, write_one,
+        key_to_bucket=lambda keys: partition_id_array(
+            keys, n_parts).to_numpy(),
+        empty_result=result_schema.empty_table())
+    for rec in written.take_all():
+        mani.record(int(rec["part"]), int(rec["rows"]), lineage, "done",
+                    float(rec["wall_s"]))
     return mani.path

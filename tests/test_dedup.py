@@ -180,6 +180,36 @@ def test_media_features_plumbing(ray_session):
     assert plan.num_rows <= n_media * 4
 
 
+def test_average_hash_keeps_bit_63():
+    """Two 8×8 patterns that differ only in the last cell (bit 63)
+    must hash differently; the sign bit of the int64 is a hash bit."""
+    from skosconverter_ray.stages.multimodal import (average_hash,
+                                                     box_resize)
+
+    cells = np.zeros(64, np.uint8)
+    cells[::3] = 255
+    cells[63] = 0
+    low = np.repeat(cells.reshape(8, 8, 1), 3, axis=2)
+    high = low.copy()
+    high[7, 7] = 255
+    h_low, h_high = average_hash(low), average_hash(high)
+    assert h_low != h_high
+    assert (h_low ^ h_high) & ((1 << 64) - 1) == 1 << 63
+    assert h_high < 0 <= h_low
+    # cell i is bit i
+    want = sum(1 << i for i in range(0, 63, 3))
+    assert h_low == want
+    # the per-bit loop as the reference, on random 16x16 images
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        img = rng.integers(0, 256, (16, 16, 3), dtype=np.uint8)
+        gray = box_resize(img, 8, 8).astype(np.int64).sum(axis=2)
+        ref = 0
+        for i, b in enumerate(gray.reshape(-1) > gray.mean()):
+            ref |= int(b) << i
+        assert average_hash(img) == ref - (ref >> 63 << 64)
+
+
 def test_embedding_lsh_allpairs_recall(ray_session):
     """Sign-LSH bucketed all-pairs path: precision must be exact
     (cosine verified in-bucket), recall >= 0.9 vs brute force on

@@ -18,7 +18,7 @@ from skosconverter_ray.config import (
     SKOS_EXACT_MATCH,
 )
 from skosconverter_ray.functions.text import normalize_surface
-from skosconverter_ray.pipelines.flagship import run_flagship
+from skosconverter_ray.pipelines.flagship import link_plan, run_flagship
 from skosconverter_ray.stages.linker import LinkerStage, build_label_index
 
 N_DOCS = 200
@@ -46,6 +46,19 @@ def result(voc, docs_table):
         "graph": out["graph"].to_pandas(),
         "canon": out["canon_map"].to_pandas(),
     }
+
+
+@pytest.mark.parametrize("n_entries,total_cpus,plan", [
+    (1_000, 1, None),
+    (1_000, 2, None),
+    (1_000, 4, (2, 2)),
+    (1_000, 16, None),
+    (60_000, 16, (8, 14)),
+])
+def test_auto_link_plan(n_entries, total_cpus, plan):
+    """A pool whose max would hold every CPU (1-2 cpus) falls back to
+    tasks; 4 cpus and wide sessions keep their measured choices."""
+    assert link_plan(n_entries, total_cpus) == plan
 
 
 def test_linking_precision_recall(voc, result):

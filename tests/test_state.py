@@ -3,6 +3,7 @@
 import glob
 import json
 import os
+import time
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -21,16 +22,35 @@ def _triples(n=200):
     ])
 
 
+def _data_files(part_dir):
+    return [f for f in os.listdir(part_dir) if not f.startswith((".", "_"))]
+
+
 def test_write_partitioned_layout(ray_session, tmp_path):
     out = str(tmp_path / "graph")
+    t0 = time.monotonic()
     path = write_partitioned(_triples(), out, key_col="subj", n_parts=8,
                              stage="graph", lineage="test")
+    elapsed = time.monotonic() - t0
     parts = sorted(glob.glob(os.path.join(out, "part=*")))
     assert parts, "no partition directories written"
     recs = [json.loads(l) for l in open(path)]
     assert all(r["status"] == "done" and r["stage"] == "graph" for r in recs)
     assert sum(r["row_count"] for r in recs) == 200
     assert all(r["input_lineage"] == "test" for r in recs)
+    # one data file per partition, and the manifest counts what it holds
+    assert len(recs) == len(parts)
+    for r in recs:
+        part_dir = os.path.join(out, f"part={r['partition_id']}")
+        files = _data_files(part_dir)
+        assert len(files) == 1, f"{part_dir} holds {files}"
+        assert pq.read_table(os.path.join(part_dir, files[0])).num_rows \
+            == r["row_count"]
+    # each wall_s is that partition's own write time: positive, inside
+    # the call, and not one total shared out evenly
+    walls = [r["wall_s"] for r in recs]
+    assert all(0 < w <= elapsed for w in walls)
+    assert len(set(walls)) > 1, f"one shared wall_s for all rows: {walls}"
     # partition assignment is content-addressed: re-derivable anywhere
     back = pq.read_table(out)
     pids = partition_id_array(back["subj"], 8).to_pylist()
@@ -51,6 +71,20 @@ def test_resume_skips_done_partitions(ray_session, tmp_path):
     assert written & {4, 5, 6, 7}, "remaining partitions not written"
     assert not (written & {0, 1, 2, 3}), (
         f"done partitions rewritten: {written}")
+
+
+def test_rerun_after_unrecorded_write_does_not_duplicate(ray_session,
+                                                        tmp_path):
+    """A run killed after the parquet write but before the manifest
+    append leaves files no manifest row covers; the rerun must replace
+    them, not write a second copy beside them."""
+    out = str(tmp_path / "graph")
+    path = write_partitioned(_triples(), out, key_col="subj", n_parts=8,
+                             stage="graph", lineage="test")
+    os.remove(path)
+    write_partitioned(_triples(), out, key_col="subj", n_parts=8,
+                      stage="graph", lineage="test")
+    assert pq.read_table(out).num_rows == 200
 
 
 def test_resumed_run_completes_identically(ray_session, tmp_path):
