@@ -77,10 +77,9 @@ def _validate_gate(triples_ds, args) -> bool:
     --skip-validation/--force."""
     if args.skip_validation:
         return True
-    from .stages.validate import validate
+    from .stages.validate import errors as error_rows, validate
 
-    issues = validate(triples_ds)
-    errors = issues.filter(lambda r: r["severity"] == "error")
+    errors = error_rows(validate(triples_ds)).materialize()
     n_err = errors.count()
     if n_err and not args.force:
         # truncated diagnostics (O2, ref 152-155, 267-270): first 5
@@ -101,7 +100,8 @@ def _validate_gate(triples_ds, args) -> bool:
 def _convert_one(in_path: str, out_path: str, fmt: str, args) -> None:
     from .pipelines import skos2notion as p
 
-    ds = _read_triples(in_path)
+    # one parse: the gate and the render share the materialized triples
+    ds = _read_triples(in_path).materialize()
     if not _validate_gate(ds, args):
         raise SystemExit(2)
     cfg = _cfg(args)

@@ -17,16 +17,15 @@ from ..stages.triples import inverse_consistency
 
 
 def tree_rows_pipeline(triples_ds, cfg: EngineConfig | None = None,
-                       *, orderer=build_tree_rows):
+                       *, engine: str = "auto"):
     from ..stages.triples import dedup_triples
 
     # U4 set semantics first; the closure's edge anti-join assumes a
     # deduped input (stages/triples.py inverse_consistency)
     closed = inverse_consistency(dedup_triples(triples_ds))
-    # orderer: build_tree_rows (driver DFS over the dimension-sized
-    # skeleton, default) or build_tree_rows_distributed (min-path
-    # propagation; vocabularies beyond driver memory)
-    return orderer(closed, cfg)
+    # engine: where the tree-order kernels run (graph.resolve_engine
+    # contract; "auto" = the SKOS size gate in stages/concepts.py)
+    return build_tree_rows(closed, cfg, engine=engine)
 
 
 def to_csv(triples_ds, cfg=None) -> str:

@@ -1283,19 +1283,17 @@ def skos_tree_rows(sf_dir: str):
 
 @_q("skos_tree_order_distributed", _TREE_ORDER_SQL)
 def skos_tree_order_distributed(sf_dir: str):
-    """The same pipeline and row as skos_tree_rows, ordered by the
-    distributed DFS-preorder (iterative min-path propagation, no
-    driver-side skeleton): it must hash to the driver-DFS order.
-    Row-level parity with build_tree_rows is pytest-checked
-    (tests/test_hierarchy_distributed.py)."""
+    """The same pipeline and row as skos_tree_rows, forced onto the
+    above-gate placement (per-bucket kernels, min-path propagation on
+    shard actors, no driver-side skeleton): it must hash to the same
+    order. Both placements are pytest-checked row for row against a
+    reference DFS (tests/test_hierarchy_distributed.py)."""
     import ray.data as rd
 
     from .pipelines.skos2notion import tree_rows_pipeline
-    from .stages.hierarchy import build_tree_rows_distributed
 
     return _tree_order_row(tree_rows_pipeline(
-        rd.from_arrow(_tree_vocab_triples()),
-        orderer=build_tree_rows_distributed))
+        rd.from_arrow(_tree_vocab_triples()), engine="actors"))
 
 
 @_q(

@@ -1,10 +1,13 @@
-"""Concept pivot + label resolution (SURVEY.md A5/A6/J4).
+"""Concept pivot + label resolution (SURVEY.md A5/A6/J4), and the SKOS
+size gate every table-kernel stage runs behind.
 
 Replaces the reference's per-concept getter cluster
 (skos_converter.py:623-657) and its language-preference chain
-(437-451) with ONE groupby-pivot over the triples table: shuffle on
-``subj``, then a per-group aggregation that applies the reference's
-selection rules deterministically.
+(437-451) with one Arrow kernel, ``pivot_table``: a vectorized
+language rank, one ``group_by(subj, pred, key)`` for set semantics, one
+ordered ``group_by(subj, pred)`` into sorted value lists, and one
+``index_in`` per predicate to lay each list out against the subject
+column. No Python runs per subject or per row.
 
 Reference "first" semantics (``definitions[0]`` at 631, first-wins
 scheme assignment at 711) are nondeterministic under rdflib iteration;
@@ -14,12 +17,21 @@ here every "first" is min() under an explicit total order
 Label fallback chain (ref 420-451, 376-394):
 prefLabel@preferred > prefLabel@fallback_i > prefLabel@any >
 altLabel > rdfs:label > URI tail.
+
+Placement (``run_stage``): at or below ``DRIVER_MAX_TRIPLES`` input rows
+a kernel runs in-process on one table and the result comes back as
+``rd.from_arrow``; above it the same kernel runs per key bucket after
+one ``shardutil.multiway_cogroup_scatter``. ``build_tree_rows`` makes
+the same decision, overridable through its ``engine`` keyword
+(``graph.resolve_engine`` contract).
 """
 
 from __future__ import annotations
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
+from .. import schemas
 from ..config import (
     RDF_TYPE,
     RDFS_LABEL,
@@ -37,120 +49,147 @@ from ..config import (
     OWL_SAME_AS,
     EngineConfig,
 )
-from ..functions.text import normalize_surface  # noqa: F401  (re-export convenience)
+
+# The SKOS size gate: input triples at or below which a stage runs its
+# kernels in-process (measurement in BASELINE.md, round 6).
+DRIVER_MAX_TRIPLES = 1_000_000
+
+# the triple columns the SKOS kernels read
+TRIPLE_COLS = pa.schema([("subj", pa.string()), ("pred", pa.string()),
+                         ("obj", pa.string()), ("lang", pa.string())])
+
+PIVOT_SCHEMA = schemas.CONCEPTS.append(
+    pa.field("is_concept", pa.bool_())).append(
+    pa.field("is_scheme", pa.bool_()))
 
 
-def _lang_rank(lang, cfg: EngineConfig) -> int:
-    if lang == cfg.preferred_language:
-        return 0
-    if lang in cfg.fallback_languages:
-        return 1 + cfg.fallback_languages.index(lang)
-    if lang is None or lang == "":
-        return 98
-    return 99
+def _lang_rank(lang, cfg: EngineConfig) -> pa.Array:
+    """0 = preferred language, 1 + i = fallback i, 98 = untagged,
+    99 = any other tag (ref 437-451)."""
+    lang = pc.cast(lang, pa.string())
+    fb = pc.cast(pc.index_in(lang, value_set=pa.array(
+        list(cfg.fallback_languages), pa.string())), pa.int64())
+    rank = pc.if_else(pc.fill_null(pc.equal(lang, ""), True), 98, 99)
+    rank = pc.if_else(pc.is_valid(fb), pc.add(fb, 1), rank)
+    pref = (pc.is_null(lang) if cfg.preferred_language is None
+            else pc.fill_null(pc.equal(lang, cfg.preferred_language),
+                              False))
+    return pc.if_else(pref, 0, rank)
 
 
-def _uri_tail(uri: str) -> str:
-    return uri.rsplit("/", 1)[-1].rsplit("#", 1)[-1]
+def pivot_table(triples: pa.Table, cfg: EngineConfig) -> pa.Table:
+    """triples -> one PIVOT_SCHEMA row per distinct subject, ordered by
+    uri. prefLabel values are keyed ``rank(3 digits) + label`` so one
+    string min picks the best language, then the smallest label."""
+    subj, pred, obj = triples["subj"], triples["pred"], triples["obj"]
+    rank = pc.utf8_lpad(pc.cast(_lang_rank(triples["lang"], cfg),
+                                pa.string()), 3, "0")
+    key = pc.if_else(pc.equal(pred, SKOS_PREF_LABEL),
+                     pc.binary_join_element_wise(rank, obj, ""), obj)
+    groups = (pa.table({"subj": subj, "pred": pred, "key": key})
+              .group_by(["subj", "pred", "key"]).aggregate([])
+              .sort_by([("subj", "ascending"), ("pred", "ascending"),
+                        ("key", "ascending")])
+              .group_by(["subj", "pred"], use_threads=False)
+              .aggregate([("key", "list")]))
+    uris = pc.unique(subj)
+    uris = uris.take(pc.sort_indices(uris))
+
+    def values(p: str) -> pa.Array:
+        """Sorted distinct values of predicate ``p`` per uri (null
+        where the subject has none)."""
+        g = groups.filter(pc.equal(groups["pred"], p))
+        return g["key_list"].combine_chunks().take(
+            pc.index_in(uris, value_set=g["subj"].combine_chunks()))
+
+    def first(p: str) -> pa.Array:
+        return pc.list_element(values(p), 0)
+
+    def value_set(p: str) -> pa.Array:
+        return pc.fill_null(values(p), pa.scalar([], pa.list_(pa.string())))
+
+    def typed(cls: str) -> pa.Array:
+        t = triples.filter(pc.and_(pc.equal(pred, RDF_TYPE),
+                                   pc.equal(obj, cls)))
+        return pc.is_in(uris, value_set=t["subj"].combine_chunks())
+
+    tail = pc.replace_substring_regex(
+        pc.replace_substring_regex(uris, "^.*/", ""), "^.*#", "")
+    top = first(SKOS_TOP_CONCEPT_OF)
+    return pa.table({
+        "uri": uris,
+        "pref_label": pc.coalesce(
+            pc.utf8_slice_codeunits(first(SKOS_PREF_LABEL), 3),
+            first(SKOS_ALT_LABEL), first(RDFS_LABEL), tail),
+        "alt_labels": value_set(SKOS_ALT_LABEL),
+        "hidden_labels": value_set(SKOS_HIDDEN_LABEL),
+        # definition falls back to scopeNote (ref 633-636)
+        "definition": pc.coalesce(first(SKOS_DEFINITION),
+                                  first(SKOS_SCOPE_NOTE), ""),
+        "notation": pc.coalesce(first(SKOS_NOTATION), ""),
+        "same_as": value_set(OWL_SAME_AS),
+        "related": value_set(SKOS_RELATED),
+        # topConceptOf wins over inScheme (ref 685-714)
+        "scheme": pc.coalesce(top, first(SKOS_IN_SCHEME), ""),
+        "is_top": pc.is_valid(top),
+        "is_concept": typed(SKOS_CONCEPT),
+        "is_scheme": typed(SKOS_CONCEPT_SCHEME),
+    }, schema=PIVOT_SCHEMA)
 
 
-def pivot_concepts(triples_ds, cfg: EngineConfig | None = None,
-                   *, num_buckets: int = 32):
-    """triples Dataset -> concepts wide Dataset (schema CONCEPTS plus
-    ``is_scheme``). The one wide shuffle is a groupby on
-    ``crc32(subj) % num_buckets``: all of one subject's rows land in
-    one cogroup (like a groupby(subj)) but the per-group Python cost is
-    paid num_buckets times, not once per concept."""
+def materialize_and_place(ds, engine: str):
+    """-> (materialized ds, "driver" | "actors") by its row count
+    against DRIVER_MAX_TRIPLES (graph.resolve_engine contract)."""
+    from .graph import resolve_engine
+
+    ds = ds.materialize()
+    return ds, resolve_engine(engine, ds.count(), DRIVER_MAX_TRIPLES)
+
+
+def n_buckets(ds) -> int:
+    """Bucket (and shard) count above the gate: one per 250k rows,
+    clamped to [2, 32]."""
+    return max(2, min(32, ds.count() // 250_000))
+
+
+def table_of(ds, schema: pa.Schema) -> pa.Table:
+    """Materialized Dataset -> one in-process table of ``schema``'s
+    columns, skipping the schema-less empty blocks groupby/map_groups
+    can leave."""
+    import ray
+
+    return conform(ray.get(ds.to_arrow_refs()), schema)
+
+
+def conform(tables, schema: pa.Schema) -> pa.Table:
+    """Tables (``None`` allowed) -> one table of ``schema``'s columns."""
+    parts = [t.select(schema.names).cast(schema) for t in tables
+             if t is not None and t.num_rows]
+    return (pa.concat_tables(parts).combine_chunks() if parts
+            else schema.empty_table())
+
+
+def run_stage(ds, key: str, in_schema: pa.Schema, fn,
+              out_schema: pa.Schema):
+    """Table kernel ``fn`` over a Dataset, fed ``in_schema``'s columns:
+    on one in-process table at or below the gate, per ``key`` bucket
+    above it."""
+    import ray.data as rd
+
+    from .shardutil import multiway_cogroup_scatter
+
+    ds, placement = materialize_and_place(ds, "auto")
+    if placement == "driver":
+        return rd.from_arrow(fn(table_of(ds, in_schema)))
+    return multiway_cogroup_scatter(
+        [(ds, key)], n_buckets(ds), lambda t: fn(conform([t], in_schema)),
+        empty_result=out_schema.empty_table())
+
+
+def pivot_concepts(triples_ds, cfg: EngineConfig | None = None):
+    """triples Dataset -> concepts wide Dataset (PIVOT_SCHEMA: the
+    CONCEPTS schema plus ``is_concept`` and ``is_scheme``), one row per
+    subject; above the gate the triples are bucketed on ``subj``."""
     cfg = cfg or EngineConfig()
-
-    def per_subject(subj: str, rows: list[tuple]) -> pa.Table:
-        rows = sorted(rows, key=lambda r: (r[0], r[2] or "", r[1]))
-        is_concept = is_scheme = is_top = False
-        pref_cands: list[tuple[int, str, str]] = []  # (lang_rank, label, lang)
-        alt, hidden, same_as, related, defs, scopes, notations = \
-            [], [], [], [], [], [], []
-        rdfs_labels = []
-        schemes = []
-        top_schemes = []  # topConceptOf wins over inScheme (ref 685-714)
-        for pred, obj, lang in rows:
-            if pred == RDF_TYPE:
-                is_concept |= obj == SKOS_CONCEPT
-                is_scheme |= obj == SKOS_CONCEPT_SCHEME
-            elif pred == SKOS_PREF_LABEL:
-                pref_cands.append((_lang_rank(lang, cfg), obj, lang or ""))
-            elif pred == SKOS_ALT_LABEL:
-                alt.append(obj)
-            elif pred == SKOS_HIDDEN_LABEL:
-                hidden.append(obj)
-            elif pred == RDFS_LABEL:
-                rdfs_labels.append(obj)
-            elif pred == SKOS_DEFINITION:
-                defs.append(obj)
-            elif pred == SKOS_SCOPE_NOTE:
-                scopes.append(obj)
-            elif pred == SKOS_NOTATION:
-                notations.append(obj)
-            elif pred == OWL_SAME_AS:
-                same_as.append(obj)
-            elif pred == SKOS_RELATED:
-                related.append(obj)
-            elif pred == SKOS_IN_SCHEME:
-                schemes.append(obj)
-            elif pred == SKOS_TOP_CONCEPT_OF:
-                is_top = True
-                top_schemes.append(obj)
-        # label fallback chain; deterministic min at every step
-        if pref_cands:
-            pref = min(pref_cands)[1]
-        elif alt:
-            pref = min(alt)
-        elif rdfs_labels:
-            pref = min(rdfs_labels)
-        else:
-            pref = _uri_tail(subj)
-        # definition falls back to scopeNote (ref 633-636); first ->
-        # deterministic min
-        definition = min(defs) if defs else (min(scopes) if scopes else "")
-        return pa.table({
-            "uri": pa.array([subj], pa.string()),
-            "pref_label": pa.array([pref], pa.string()),
-            "alt_labels": pa.array([sorted(set(alt))], pa.list_(pa.string())),
-            "hidden_labels": pa.array([sorted(set(hidden))],
-                                      pa.list_(pa.string())),
-            "definition": pa.array([definition], pa.string()),
-            "notation": pa.array([min(notations) if notations else ""],
-                                 pa.string()),
-            "same_as": pa.array([sorted(set(same_as))], pa.list_(pa.string())),
-            "related": pa.array([sorted(set(related))], pa.list_(pa.string())),
-            "scheme": pa.array(
-                [min(top_schemes) if top_schemes
-                 else (min(schemes) if schemes else "")], pa.string()),
-            "is_top": pa.array([is_top], pa.bool_()),
-            "is_concept": pa.array([is_concept], pa.bool_()),
-            "is_scheme": pa.array([is_scheme], pa.bool_()),
-        })
-
-    import zlib
-
-    from ..config import use_hash_shuffle
-    use_hash_shuffle()
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        b = pa.array([zlib.crc32(s.encode()) % num_buckets
-                      for s in batch["subj"].to_pylist()], pa.int32())
-        return batch.append_column("_bucket", b)
-
-    def per_bucket(group: pa.Table) -> pa.Table:
-        by_subj: dict[str, list[tuple]] = {}
-        for s, p, o, lang in zip(group["subj"].to_pylist(),
-                                 group["pred"].to_pylist(),
-                                 group["obj"].to_pylist(),
-                                 group["lang"].to_pylist()):
-            by_subj.setdefault(s, []).append((p, o, lang))
-        tables = [per_subject(s, rows)
-                  for s, rows in sorted(by_subj.items())]
-        return pa.concat_tables(tables)
-
-    bucketed = triples_ds.map_batches(add_bucket, batch_format="pyarrow")
-    return bucketed.groupby("_bucket").map_groups(
-        per_bucket, batch_format="pyarrow")
+    return run_stage(triples_ds, "subj", TRIPLE_COLS,
+                     lambda t: pivot_table(t, cfg), PIVOT_SCHEMA)

@@ -118,22 +118,20 @@ def dedup_triples(triples_ds, *, num_buckets: int = 64,
     return out.drop_columns(["_h1", "_h2", "_bucket"])
 
 
-def inverse_consistency(triples_ds, *, assume_deduped: bool = True,
-                        num_buckets: int = 32):
+def inverse_consistency(triples_ds, *, num_buckets: int = 32):
     """Emit the inverse of every hierarchical edge and the mirror of
     every symmetric edge — an idempotent closure.
 
     broader⇔narrower + hasTopConcept⇔topConceptOf per INVERSE_PAIRS;
     related / exactMatch / sameAs mirrored per SYMMETRIC_PREDS.
 
-    With ``assume_deduped`` (the flagship path — dedup_triples runs
-    upstream), the pass never re-shuffles the full graph: only the
-    EDGE SUBSET (hierarchical + symmetric, a small fraction of a real
-    graph's rows) is flipped, bucket-cogrouped against the original
-    edge set, and the flips not already present are unioned back.
-    Distinct deduped edges flip to distinct edges, so the anti-join on
-    the edge keys is the whole dedup. With ``assume_deduped=False``
-    the closure falls back to flip-everything + full dedup."""
+    The input must be deduped (dedup_triples runs upstream). The pass
+    never re-shuffles the full graph: only the EDGE SUBSET
+    (hierarchical + symmetric, a small fraction of a real graph's rows)
+    is flipped, bucket-cogrouped against the original edge set, and the
+    flips not already present are unioned back. Distinct deduped edges
+    flip to distinct edges, so the anti-join on the edge keys is the
+    whole dedup."""
     inv_map = dict(INVERSE_PAIRS)
     sym = set(SYMMETRIC_PREDS)
 
@@ -153,17 +151,6 @@ def inverse_consistency(triples_ds, *, assume_deduped: bool = True,
              "obj_is_literal": t["obj_is_literal"], "lang": t["lang"],
              "source_doc": t["source_doc"]},
             schema=schema)
-
-    if not assume_deduped:
-        def emit(batch: pa.Table) -> pa.Table:
-            flipped = batch.filter(edge_mask(batch))
-            if flipped.num_rows:
-                return pa.concat_tables(
-                    [batch, flip(flipped, batch.schema)])
-            return batch
-
-        return dedup_triples(
-            triples_ds.map_batches(emit, batch_format="pyarrow"))
 
     # The union below consumes triples_ds through TWO lineages; left
     # lazy, the streaming executor would execute the entire upstream

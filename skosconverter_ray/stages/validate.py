@@ -98,7 +98,6 @@ def _node_facts(batch: pa.Table, num_buckets: int) -> pa.Table:
     from ..functions.hashing import bucket_of
 
     preds = batch["pred"]
-    objs = batch["obj"]
     uris, kinds, payloads = [], [], []
 
     def emit(uri_arr, kind, payload_arr=None):
@@ -132,14 +131,12 @@ def _node_facts(batch: pa.Table, num_buckets: int) -> pa.Table:
     if not uris:
         return _FACTS_SCHEMA.empty_table()
     uri_col = pa.concat_arrays([a for a in uris])
-    t = pa.table({
+    return pa.table({
         "_bucket": bucket_of(uri_col, num_buckets),
         "uri": uri_col,
         "kind": pa.array(np.concatenate(kinds)),
         "payload": pa.concat_arrays([p for p in payloads]),
     }, schema=_FACTS_SCHEMA)
-    _ = objs  # objs consumed via filters above
-    return t
 
 
 def _node_issues(group: pa.Table) -> pa.Table:
@@ -383,8 +380,17 @@ def validate(triples_ds, *, num_buckets: int = 16):
             .union(graph_issues))
 
 
+def errors(issues_ds):
+    """The severity == "error" rows of an issues Dataset (one
+    vectorized filter per batch)."""
+    def keep(b: pa.Table) -> pa.Table:
+        return b.filter(pc.equal(b["severity"], "error")) if b.num_rows \
+            else ISSUES_SCHEMA.empty_table()
+
+    return issues_ds.map_batches(keep, batch_format="pyarrow")
+
+
 def gate(issues_ds, *, force: bool = False) -> bool:
     """Conversion gate (ref 1788-1798): False (abort) when errors exist
     and not forced."""
-    n_err = issues_ds.filter(lambda r: r["severity"] == "error").count()
-    return force or n_err == 0
+    return force or errors(issues_ds).count() == 0
