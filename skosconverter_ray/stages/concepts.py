@@ -147,9 +147,11 @@ def materialize_and_place(ds, engine: str):
 
 
 def n_buckets(ds) -> int:
-    """Bucket (and shard) count above the gate: one per 250k rows,
-    clamped to [2, 32]."""
-    return max(2, min(32, ds.count() // 250_000))
+    """Bucket (and shard) count above the gate: 8, the shard count the
+    graph operators' actor engines use. Small inputs forced onto the
+    actors get one per 4,096 rows (about 500 subjects at the ~10
+    triples per subject of the generator vocabularies), at least 2."""
+    return max(2, min(8, ds.count() // 4_096 + 1))
 
 
 def table_of(ds, schema: pa.Schema) -> pa.Table:

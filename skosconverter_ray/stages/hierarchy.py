@@ -14,8 +14,9 @@ header rows. Where the kernels run is the SKOS size gate
 (``concepts.DRIVER_MAX_TRIPLES``, ``graph.resolve_engine`` contract):
 
 - ``driver``: one materialize, one Arrow table, every kernel
-  in-process, ``_TreeShard(0, 1)`` iterating ``emit``/``apply`` on the
-  driver, and the sorted result returned as ``rd.from_arrow``;
+  in-process, ``_TreeShard(0, 1, max_depth)`` iterating
+  ``emit``/``apply`` on the driver, and the sorted result returned as
+  ``rd.from_arrow``;
 - ``actors``: the skeleton kernel runs per uri bucket after one
   ``shardutil.multiway_cogroup_scatter`` of triples (on ``subj``) and
   edges (on ``child``), the edges move once more to their parent's
@@ -24,14 +25,21 @@ header rows. Where the kernels run is the SKOS size gate
   tables as object refs). No driver-sized state.
 
 Why propagation equals the reference DFS: each concept has exactly one
-display parent (min parent URI), so the hierarchy is a functional graph
-and the DFS's "first visit wins" is "lexicographically smallest root
-path wins". A round extends every improved node's path to its
-children and keeps the per-node minimum; cycles terminate because a
-path through a cycle strictly extends the node's existing path; the
-round count is capped at ``cfg.max_hierarchy_depth`` (the reference's
-recursion bound). The path is the row's ``sort_key``, so one sort
-gives DFS preorder.
+display parent (min parent URI), so the hierarchy is a functional
+graph, and the DFS visits placements in lexicographic order of their
+paths. A concept's placement is therefore the smaller of its own root
+placement (top or orphan) and its display parent's final placement
+extended by its segment, the latter only while the parent sits above
+``cfg.max_hierarchy_depth`` (the reference's recursion bound; a visit
+cut off there does not mark the node, so a later root may still place
+it). A round re-applies that rule to every node whose parent changed,
+until no node changes. It re-derives rather than min-merges: a parent
+that later finds a smaller path at the depth cap takes its children's
+earlier placement away. A value depends only on its parent's, so a
+chain settles downward from the nearest root that keeps its root
+placement; on a cycle the root with the smallest root path is one, so
+the rounds end. The path is the row's ``sort_key``, so one sort gives
+DFS preorder.
 
 Determinism decisions (SURVEY.md D5): display parent = min(parent URI);
 sibling order = (label, uri); schemes ordered by (label, uri);
@@ -165,22 +173,25 @@ class _TreeShard:
     plus every display-parent edge whose PARENT hashes to ``b``, so a
     node's state and its out-edges co-locate.
 
-    A round: ``emit`` extends the frontier's paths along local edges
-    into one candidate table per target shard; ``apply`` min-merges
-    incoming candidates (strict ``<`` keeps the incumbent on ties) and
-    returns the improved count, 0 meaning done. Works on tables only:
-    run in-process as ``_TreeShard(0, 1)`` or on ``ShardGroup`` through
+    A round: ``emit`` sends every frontier node's current placement,
+    extended by one segment, to its children as one candidate table per
+    target shard (a null path when the node is unplaced or at the depth
+    cap); ``apply`` sets each receiving node to the smaller of its own
+    root placement and the candidate and returns the changed count, 0
+    meaning done. Works on tables only: run in-process as
+    ``_TreeShard(0, 1, max_depth)`` or on ``ShardGroup`` through
     ``_TreeActor``."""
 
-    def __init__(self, bucket: int, n_buckets: int):
-        self.b, self.B = bucket, n_buckets
+    def __init__(self, bucket: int, n_buckets: int, max_depth: int):
+        self.b, self.B, self.max_depth = bucket, n_buckets, max_depth
 
     def load(self, skel: pa.Table, edges: pa.Table,
              schemes: pa.Table) -> int:
         """Roots are this bucket's tops (level 1, under their scheme
-        header) and orphans (level 2, under the scheme's container);
-        edges become a CSR adjacency from one sort, child routing
-        buckets hashed in the same (CSR) order they are emitted in."""
+        header) and orphans (level 2, under the scheme's container),
+        both at depth 1; edges become a CSR adjacency from one sort,
+        child routing buckets hashed in the same (CSR) order they are
+        emitted in."""
         from ..functions.hashing import bucket_of
 
         c = self.skel = skel.filter(skel["is_concept"])
@@ -192,19 +203,24 @@ class _TreeShard:
         top = pc.and_(pc.is_valid(pos), c["is_top"])
         orphan = pc.and_(pc.and_(pc.is_valid(pos), pc.invert(c["is_top"])),
                          pc.is_null(c["parent"]))
-        # state: parallel arrays; unplaced nodes have path None
-        path = pc.if_else(top, _cat(s_seg, c["seg"]),
-                          _cat(s_seg, _CONTAINER_MARK, c["seg"]))
-        ptitle = pc.if_else(top, _cat("[SCHEME] ", s_label),
-                            _cat("[Other Concepts in ", s_label, "]"))
         root = pc.or_(top, orphan).to_numpy(zero_copy_only=False)
-        self.path = np.where(root, path.to_numpy(zero_copy_only=False), None)
-        self.level = np.where(top.to_numpy(zero_copy_only=False), 1, 2) \
-            .astype(np.int32)
-        self.ptitle = np.where(root, ptitle.to_numpy(zero_copy_only=False),
-                               None)
-        self.slabel = np.where(root, s_label.to_numpy(zero_copy_only=False),
-                               None)
+
+        def np_col(a):
+            return np.where(root, a.to_numpy(zero_copy_only=False), None)
+
+        # each node's own root placement (path None = not a root); the
+        # current placement starts there
+        self.root = {
+            "path": np_col(pc.if_else(top, _cat(s_seg, c["seg"]), _cat(
+                s_seg, _CONTAINER_MARK, c["seg"]))),
+            "level": np.where(top.to_numpy(zero_copy_only=False), 1, 2)
+            .astype(np.int32),
+            "depth": np.ones(n, np.int32),
+            "parent_title": np_col(pc.if_else(
+                top, _cat("[SCHEME] ", s_label),
+                _cat("[Other Concepts in ", s_label, "]"))),
+            "scheme_label": np_col(s_label)}
+        self.cur = {k: v.copy() for k, v in self.root.items()}
         self.label = c["pref_label"].to_numpy(zero_copy_only=False)
         self.frontier = np.flatnonzero(root)
         o = pa.table({"k": _cat(s_seg, _CONTAINER_MARK),
@@ -232,32 +248,25 @@ class _TreeShard:
         return n
 
     def _merge(self, t: pa.Table) -> int:
-        """Vectorized min-merge of candidate rows into the state
-        arrays; extends the frontier and returns the improved count."""
+        """Each candidate row's node becomes min(own root placement,
+        candidate); a null candidate path leaves the root placement (or
+        none). Changed nodes join the frontier; returns their count.
+        One display parent per node, so one candidate per node."""
         ii = pc.index_in(t["uri"], value_set=self.nodes) \
             .to_numpy(zero_copy_only=False).astype(np.int64)
-        path = t["path"].to_numpy(zero_copy_only=False)
-        # duplicate candidate uris within one wave: keep the min path
-        # (lexsort by (path, idx), first row per idx wins)
-        o = np.lexsort((path, ii))
-        ii_u, st = np.unique(ii[o], return_index=True)
-        sel = o[st]
-        cur = self.path[ii_u]
-        placed = np.not_equal(cur, None)
-        take = ~placed
-        if placed.any():
-            better = np.zeros(len(ii_u), bool)
-            better[placed] = path[sel][placed] < cur[placed]
-            take |= better
-        tgt, src = ii_u[take], sel[take]
-        self.path[tgt] = path[src]
-        self.level[tgt] = t["level"].to_numpy(zero_copy_only=False)[src]
-        self.ptitle[tgt] = t["parent_title"].to_numpy(
-            zero_copy_only=False)[src]
-        self.slabel[tgt] = t["scheme_label"].to_numpy(
-            zero_copy_only=False)[src]
+        cand = {k: t[k].to_numpy(zero_copy_only=False) for k in self.root}
+        rp, cp = self.root["path"][ii], cand["path"]
+        use_root = np.equal(cp, None)
+        both = ~use_root & np.not_equal(rp, None)
+        use_root[both] = rp[both] < cp[both]
+        new = {k: np.where(use_root, v[ii], cand[k])
+               for k, v in self.root.items()}
+        changed = np.not_equal(new["path"], self.cur["path"][ii])
+        tgt = ii[changed]
+        for k, v in self.cur.items():
+            v[tgt] = new[k][changed]
         self.frontier = np.unique(np.concatenate((self.frontier, tgt)))
-        return int(take.sum())
+        return int(changed.sum())
 
     def emit(self) -> list:
         """One candidate table per target shard (``None`` = nothing)."""
@@ -270,15 +279,20 @@ class _TreeShard:
         # CSR expansion of every out-edge of the frontier
         idx = (np.repeat(self.off[ch], cnt) + np.arange(total)
                - np.repeat(np.cumsum(cnt) - cnt, cnt))
+        src = np.repeat(ch, cnt)
+        cur = {k: v[src] for k, v in self.cur.items()}
+        # a child past max_depth is cut off (the reference dfs bound)
+        ok = np.not_equal(cur["path"], None) \
+            & (cur["depth"] < self.max_depth)
+        path = np.full(total, None, object)
+        path[ok] = cur["path"][ok] + self.e_seg[idx[ok]]
         cand = pa.table({
             "uri": pa.array(self.e_child[idx], pa.string()),
-            "path": pa.array(np.repeat(self.path[ch], cnt) + self.e_seg[idx],
-                             pa.string()),
-            "level": pa.array(np.repeat(self.level[ch] + 1, cnt), pa.int32()),
-            "parent_title": pa.array(np.repeat(self.label[ch], cnt),
-                                     pa.string()),
-            "scheme_label": pa.array(np.repeat(self.slabel[ch], cnt),
-                                     pa.string()),
+            "path": pa.array(path, pa.string()),
+            "level": pa.array(cur["level"] + 1, pa.int32()),
+            "depth": pa.array(cur["depth"] + 1, pa.int32()),
+            "parent_title": pa.array(self.label[src], pa.string()),
+            "scheme_label": pa.array(cur["scheme_label"], pa.string()),
         })
         bks = self.e_cbk[idx]
         for b in np.unique(bks):
@@ -290,30 +304,32 @@ class _TreeShard:
 
     def result(self) -> pa.Table:
         """TREE_ROWS of this shard's concepts; the never-placed ones
-        render flat under [UNASSIGNED CONCEPTS] (cycles and detached
-        subtrees, ref 866-879)."""
-        c = self.skel
+        render flat under [UNASSIGNED CONCEPTS] (cycles, detached
+        subtrees and nodes below the depth cap, ref 866-879)."""
+        c, cur = self.skel, self.cur
+        unplaced = np.equal(cur["path"], None)
 
         def joined(col):
             return pc.fill_null(pc.binary_join(c[col], ", "), "")
 
         return _tree_table(
             c.num_rows,
-            sort_key=pc.coalesce(pa.array(self.path, pa.string()),
+            sort_key=pc.coalesce(pa.array(cur["path"], pa.string()),
                                  _cat(_UNASSIGNED_MARK, c["seg"])),
             title=c["pref_label"],
-            parent=pc.coalesce(pa.array(self.ptitle, pa.string()),
+            parent=pc.coalesce(pa.array(cur["parent_title"], pa.string()),
                                UNASSIGNED_TITLE),
-            scheme=pc.coalesce(pa.array(self.slabel, pa.string()), ""),
+            scheme=pc.coalesce(pa.array(cur["scheme_label"], pa.string()),
+                               ""),
             definition=c["definition"], alt_labels=joined("alt_labels"),
             notation=c["notation"], uri=c["uri"],
-            level=np.where(np.equal(self.path, None), 1, self.level),
+            level=np.where(unplaced, 1, cur["level"]),
             same_as=joined("same_as"), related=joined("related"))
 
     def headers(self) -> pa.Table:
         """Container headers for this shard's orphans' schemes, plus
         the unassigned header if it holds a never-placed concept."""
-        if not np.equal(self.path, None).any():
+        if not np.equal(self.cur["path"], None).any():
             return self.containers
         return pa.concat_tables([self.containers, _tree_table(
             1, sort_key=_UNASSIGNED_MARK, title=UNASSIGNED_TITLE,
@@ -349,11 +365,10 @@ def build_tree_rows(triples_ds, cfg: EngineConfig | None = None,
     t = table_of(triples, TRIPLE_COLS)
     skel = skeleton(t, edge_table(t), cfg)
     schemes = scheme_table(skel)
-    shard = _TreeShard(0, 1)
+    shard = _TreeShard(0, 1, cfg.max_hierarchy_depth)
     shard.load(skel, child_edges(skel), schemes)
-    for _round in range(cfg.max_hierarchy_depth - 1):
-        if not shard.apply([m for m in shard.emit() if m is not None]):
-            break
+    while shard.apply([m for m in shard.emit() if m is not None]):
+        pass
     rows = pa.concat_tables([shard.result(),
                              _headers(schemes, [shard.headers()])])
     return rd.from_arrow(rows.sort_by("sort_key"))
@@ -384,11 +399,10 @@ def _build_on_actors(triples, cfg: EngineConfig):
     if not len(skel_refs) == len(edge_refs) == B:
         raise RuntimeError("bucket exchange lost its one-block-per-bucket "
                            "layout")
-    with ShardGroup(_TreeActor, B) as g:
+    with ShardGroup(_TreeActor, B, cfg.max_hierarchy_depth) as g:
         g.wave("load", skel_refs, edge_refs, schemes=ray.put(schemes))
-        for _round in range(cfg.max_hierarchy_depth - 1):
-            if not sum(g.wave("apply", g.relay(g.wave("emit")))):
-                break
+        while sum(g.wave("apply", g.relay(g.wave("emit")))):
+            pass
         heads = g.wave("headers")
         rows = g.collect()
     return rows.union(rd.from_arrow(_headers(schemes, heads))) \

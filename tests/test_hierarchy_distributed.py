@@ -10,7 +10,9 @@ comparing them only with each other would miss a kernel bug.
 Fixtures are adversarial: multi-scheme, a top that is also a child of
 another scheme's subtree (first-visit-wins), a cycle reachable from a
 root, a detached cycle (must land in [UNASSIGNED CONCEPTS]), orphans,
-and a chain deeper than max_hierarchy_depth (truncation).
+a chain deeper than max_hierarchy_depth (truncation), a top that
+another scheme's chain reaches at the depth cap, and seeded random
+vocabularies.
 """
 
 from __future__ import annotations
@@ -273,6 +275,29 @@ def test_parity_depth_truncation(ray_session):
                       "[UNASSIGNED CONCEPTS]", "C4", "C5", "C6", "C7"]
 
 
+def test_parity_cross_scheme_top_at_depth_cap(ray_session):
+    # r2 is a top of B but also the end of A's chain r1 -> c2 -> c3 ->
+    # r2, which reaches it first, at the depth cap. Its children are
+    # then cut off from r2: x is a top of C, so it renders as C's root
+    # with its child y under it; w is no root and goes unassigned.
+    # Neither may keep the placement it first got through r2 as B's
+    # root.
+    cfg = EngineConfig(max_hierarchy_depth=4)
+    rows = (scheme("sa", "A") + scheme("sb", "B") + scheme("sc", "C")
+            + concept("r1", "R1", "sa", top=True)
+            + concept("c2", "C2", "sa", broader="r1")
+            + concept("c3", "C3", "sa", broader="c2")
+            + concept("r2", "R2", "sb", top=True, broader="c3")
+            + concept("x", "X", "sc", top=True, broader="r2")
+            + concept("y", "Y", "sc", broader="x")
+            + concept("w", "W", "sb", broader="r2"))
+    order = _assert_matches_reference(_triples_table(rows), cfg)
+    assert [(t, lvl) for t, _, _, lvl, _ in order] == [
+        ("[SCHEME] A", 0), ("R1", 1), ("C2", 2), ("C3", 3), ("R2", 4),
+        ("[SCHEME] B", 0), ("[SCHEME] C", 0), ("X", 1), ("Y", 2),
+        ("[UNASSIGNED CONCEPTS]", 0), ("W", 1)]
+
+
 def test_parity_sibling_label_ties_break_on_uri(ray_session):
     rows = (scheme("s1", "S")
             + concept("r", "Root", "s1", top=True)
@@ -281,6 +306,42 @@ def test_parity_sibling_label_ties_break_on_uri(ray_session):
     order = _assert_matches_reference(_triples_table(rows))
     uris = [u for *_, u in order]
     assert uris.index(NS + "k1") < uris.index(NS + "k2")
+
+
+def _random_vocabulary(seed):
+    """Up to 3 schemes with colliding labels, 4-40 concepts with random
+    labels, schemes, tops and 0-2 broader edges each (so cycles,
+    cross-scheme tops and chains past the cap all occur), and a depth
+    cap of 2-4."""
+    import random
+
+    r = random.Random(seed)
+    ns, nc = r.randint(1, 3), r.randint(4, 40)
+    rows = []
+    for i in range(ns):
+        rows += scheme(f"s{i}", r.choice("ABC"))
+    for i in range(nc):
+        sch = f"s{r.randrange(ns)}" if r.random() < 0.85 else None
+        rows += concept(f"c{i}", r.choice("PQRS"), sch, top=r.random() < 0.3)
+        for _ in range(r.choice([0, 1, 1, 1, 1, 2])):
+            rows.append((f"c{i}", SKOS_BROADER, f"c{r.randrange(nc)}", False))
+    return (_triples_table(rows),
+            EngineConfig(max_hierarchy_depth=r.randint(2, 4)))
+
+
+def test_parity_random_vocabularies(ray_session):
+    """Seeded random vocabularies against the reference DFS: every
+    seed in-process, two of them on the shard actors too."""
+    import ray.data as rd
+
+    for seed in range(40):
+        table, cfg = _random_vocabulary(seed)
+        want = _reference_order(_skeleton(table, cfg),
+                                cfg.max_hierarchy_depth)
+        for engine in ENGINES if seed < 2 else ENGINES[:1]:
+            got = _rows(build_tree_rows(rd.from_arrow(table), cfg,
+                                        engine=engine))
+            assert got == want, f"seed {seed}, engine={engine}"
 
 
 def _pinned_closed():
