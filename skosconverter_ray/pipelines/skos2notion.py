@@ -2,10 +2,10 @@
 ``to-markdown`` / ``to-json`` / ``to-xml`` skeleton,
 skos_converter.py:1704-1820 / §3.1).
 
-Engine shape (SURVEY.md §3.1): triples -> inverse-consistency closure
-(so one-sided hasTopConcept/broader still render, matching the
-reference's union of both directions at 697-707/716-733) -> concept
-pivot + hierarchy ordering -> ordered tree_rows -> render sink.
+Engine shape (SURVEY.md §3.1): triples -> dedup + inverse closure
+(one kernel, so one-sided hasTopConcept/broader still render, matching
+the reference's union of both directions at 697-707/716-733) ->
+concept pivot + hierarchy ordering -> ordered tree_rows -> render sink.
 """
 
 from __future__ import annotations
@@ -18,14 +18,12 @@ from ..stages.triples import inverse_consistency
 
 def tree_rows_pipeline(triples_ds, cfg: EngineConfig | None = None,
                        *, engine: str = "auto"):
-    from ..stages.triples import dedup_triples
-
-    # U4 set semantics first; the closure's edge anti-join assumes a
-    # deduped input (stages/triples.py inverse_consistency)
-    closed = inverse_consistency(dedup_triples(triples_ds))
-    # engine: where the tree-order kernels run (graph.resolve_engine
-    # contract; "auto" = the SKOS size gate in stages/concepts.py)
-    return build_tree_rows(closed, cfg, engine=engine)
+    # one closure kernel: set semantics (U4), then the inverse closure;
+    # both it and the tree-order kernels sit behind the SKOS size gate
+    # (stages/concepts.py); ``engine`` overrides the tree order's
+    # placement (graph.resolve_engine contract)
+    return build_tree_rows(inverse_consistency(triples_ds), cfg,
+                           engine=engine)
 
 
 def to_csv(triples_ds, cfg=None) -> str:

@@ -19,11 +19,13 @@ prefLabel@preferred > prefLabel@fallback_i > prefLabel@any >
 altLabel > rdfs:label > URI tail.
 
 Placement (``run_stage``): at or below ``DRIVER_MAX_TRIPLES`` input rows
-a kernel runs in-process on one table and the result comes back as
-``rd.from_arrow``; above it the same kernel runs per key bucket after
-one ``shardutil.multiway_cogroup_scatter``. ``build_tree_rows`` makes
-the same decision, overridable through its ``engine`` keyword
-(``graph.resolve_engine`` contract).
+a kernel runs in-process on one table per side and the result comes
+back as ``rd.from_arrow``; above it the same kernel runs per key bucket
+after one ``shardutil.multiway_cogroup_scatter`` of its sides (the
+inverse closure sends the triples on ``subj`` and on ``obj``).
+``validate`` and ``build_tree_rows`` make the same decision, the latter
+overridable through its ``engine`` keyword (``graph.resolve_engine``
+contract).
 """
 
 from __future__ import annotations
@@ -171,20 +173,25 @@ def conform(tables, schema: pa.Schema) -> pa.Table:
             else schema.empty_table())
 
 
-def run_stage(ds, key: str, in_schema: pa.Schema, fn,
-              out_schema: pa.Schema):
-    """Table kernel ``fn`` over a Dataset, fed ``in_schema``'s columns:
-    on one in-process table at or below the gate, per ``key`` bucket
-    above it."""
+def run_stage(sides, in_schema: pa.Schema, fn, out_schema: pa.Schema):
+    """Table kernel ``fn(t0, t1, ...)`` over ``sides``, the
+    ``multiway_cogroup_scatter`` list of ``(dataset, key)``, every side
+    fed ``in_schema``'s columns: on one in-process table per side at or
+    below the gate (placed by the first side's row count), per bucket
+    of each side's ``key`` above it. A Dataset listed twice must be
+    materialized."""
     import ray.data as rd
 
     from .shardutil import multiway_cogroup_scatter
 
-    ds, placement = materialize_and_place(ds, "auto")
+    first, placement = materialize_and_place(sides[0][0], "auto")
+    sides = [(first, sides[0][1])] + [(d.materialize(), k)
+                                      for d, k in sides[1:]]
     if placement == "driver":
-        return rd.from_arrow(fn(table_of(ds, in_schema)))
+        return rd.from_arrow(fn(*(table_of(d, in_schema) for d, _ in sides)))
     return multiway_cogroup_scatter(
-        [(ds, key)], n_buckets(ds), lambda t: fn(conform([t], in_schema)),
+        sides, n_buckets(first),
+        lambda *ts: fn(*(conform([t], in_schema) for t in ts)),
         empty_result=out_schema.empty_table())
 
 
@@ -193,5 +200,5 @@ def pivot_concepts(triples_ds, cfg: EngineConfig | None = None):
     CONCEPTS schema plus ``is_concept`` and ``is_scheme``), one row per
     subject; above the gate the triples are bucketed on ``subj``."""
     cfg = cfg or EngineConfig()
-    return run_stage(triples_ds, "subj", TRIPLE_COLS,
+    return run_stage([(triples_ds, "subj")], TRIPLE_COLS,
                      lambda t: pivot_table(t, cfg), PIVOT_SCHEMA)

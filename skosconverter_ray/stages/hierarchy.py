@@ -113,7 +113,7 @@ def display_parents(triples_ds):
     """Dataset form of ``min_parent`` (edges bucketed on ``child``
     above the gate)."""
     edges = triples_ds.map_batches(_edges_batch, batch_format="pyarrow")
-    return run_stage(edges, "child", EDGE_SCHEMA, min_parent, EDGE_SCHEMA)
+    return run_stage([(edges, "child")], EDGE_SCHEMA, min_parent, EDGE_SCHEMA)
 
 
 def skeleton(triples: pa.Table, edges: pa.Table,

@@ -3,8 +3,14 @@ inverse-relation consistency pass (the engine generalization of the
 reference's paired emission at skos_converter.py:1540-1541, 1545-1546
 and its one-sided-pair validator at 209-238).
 
-All ops are Dataset -> Dataset; the only shuffle is the dedup groupby,
-keyed on a single content-hash column so Ray hash-partitions evenly.
+``dedup_triples`` is the corpus-scale Dataset op: a vectorized
+per-batch pre-dedup, then one exchange on the content-hash bucket.
+The SKOS path runs table kernels instead: ``dedup_table`` and
+``closure_table`` (dedup, flip, anti-join on the content hash) on one
+in-process table at or below the SKOS size gate
+(``concepts.DRIVER_MAX_TRIPLES``), per bucket above it
+(``concepts.run_stage``); both reuse ``_hash_key_batch`` /
+``_first_per_hash``, so every path keeps the same witness row.
 """
 
 from __future__ import annotations
@@ -118,80 +124,59 @@ def dedup_triples(triples_ds, *, num_buckets: int = 64,
     return out.drop_columns(["_h1", "_h2", "_bucket"])
 
 
-def inverse_consistency(triples_ds, *, num_buckets: int = 32):
-    """Emit the inverse of every hierarchical edge and the mirror of
-    every symmetric edge — an idempotent closure.
+def _dedup_keyed(t: pa.Table) -> pa.Table:
+    return _first_per_hash(_hash_key_batch(t, 1))
 
-    broader⇔narrower + hasTopConcept⇔topConceptOf per INVERSE_PAIRS;
-    related / exactMatch / sameAs mirrored per SYMMETRIC_PREDS.
 
-    The input must be deduped (dedup_triples runs upstream). The pass
-    never re-shuffles the full graph: only the EDGE SUBSET
-    (hierarchical + symmetric, a small fraction of a real graph's rows)
-    is flipped, bucket-cogrouped against the original edge set, and the
-    flips not already present are unioned back. Distinct deduped edges
-    flip to distinct edges, so the anti-join on the edge keys is the
-    whole dedup."""
-    inv_map = dict(INVERSE_PAIRS)
-    sym = set(SYMMETRIC_PREDS)
+def dedup_table(t: pa.Table) -> pa.Table:
+    """``dedup_triples`` on one in-process table."""
+    return _dedup_keyed(t).drop_columns(["_h1", "_h2", "_bucket"])
 
-    def edge_mask(batch: pa.Table):
-        preds = batch["pred"]
-        mask_inv = pc.is_in(preds, value_set=pa.array(list(inv_map)))
-        mask_sym = pc.is_in(preds, value_set=pa.array(list(sym)))
-        return pc.and_(pc.or_(mask_inv, mask_sym),
-                       pc.invert(batch["obj_is_literal"]))
 
-    def flip(t: pa.Table, schema: pa.Schema) -> pa.Table:
-        new_pred = pa.array(
-            [inv_map.get(p, p) for p in t["pred"].to_pylist()],
-            pa.string())
-        return pa.table(
-            {"subj": t["obj"], "pred": new_pred, "obj": t["subj"],
-             "obj_is_literal": t["obj_is_literal"], "lang": t["lang"],
-             "source_doc": t["source_doc"]},
-            schema=schema)
+def _flip(t: pa.Table) -> pa.Table:
+    """The inverse of every non-literal hierarchical edge and the
+    mirror of every non-literal symmetric edge of ``t``."""
+    inv = {**INVERSE_PAIRS, **{p: p for p in SYMMETRIC_PREDS}}
+    src, dst = pa.array(list(inv)), pa.array(list(inv.values()))
+    e = t.filter(pc.and_(pc.is_in(t["pred"], value_set=src),
+                         pc.invert(t["obj_is_literal"])))
+    cols = dict(zip(e.column_names, e.columns))
+    cols.update(subj=e["obj"], obj=e["subj"],
+                pred=dst.take(pc.index_in(e["pred"], value_set=src)))
+    return pa.table(cols, schema=e.schema)
 
-    # The union below consumes triples_ds through TWO lineages; left
-    # lazy, the streaming executor would execute the entire upstream
-    # chain twice CONCURRENTLY (two copies of any actor-pool stage =
-    # CPU starvation; observed as a full stall at 8 cpus). This is a
-    # natural stage boundary (the checkpoint sits here too), so pin it.
-    triples_ds = triples_ds.materialize()
 
-    # edge-only anti-join path: rows tagged 0 = existing edge,
-    # 1 = flipped candidate; a flip survives iff no existing edge in
-    # its bucket shares its content hash
-    def edges_tagged(batch: pa.Table) -> pa.Table:
-        e = batch.filter(edge_mask(batch))
-        if e.num_rows == 0:
-            e = batch.schema.empty_table()
-        f = flip(e, batch.schema) if e.num_rows else e
-        both = pa.concat_tables([e, f]) if e.num_rows else e
-        tag = pa.array([0] * e.num_rows + [1] * (both.num_rows - e.num_rows),
-                       pa.int8())
-        keyed = _hash_key_batch(both, num_buckets)
-        return keyed.append_column("_flip", tag)
+def closure_table(triples: pa.Table, flip_src: pa.Table) -> pa.Table:
+    """Set semantics plus the inverse closure (schemas.TRIPLES in and
+    out): ``triples`` deduped with the min-``source_doc`` witness, plus
+    every flip of a ``flip_src`` edge not already among them. In-process
+    both are the whole table; per bucket ``triples`` holds the rows
+    whose ``subj`` hashes to it and ``flip_src`` those whose ``obj``
+    does, so each flip meets the rows of its own subject. Distinct
+    edges flip to distinct edges, so deduping the flips and one
+    anti-join on the content hash is the whole closure; a second pass
+    adds nothing."""
+    d = _dedup_keyed(triples)
+    f = _dedup_keyed(_flip(flip_src))
+    new = f.join(d.select(["_h1", "_h2"]), ["_h1", "_h2"],
+                 join_type="left anti")
+    return pa.concat_tables([d, new.select(d.column_names)]) \
+        .drop_columns(["_h1", "_h2", "_bucket"])
 
-    def survivors(group: pa.Table) -> pa.Table:
-        h1 = group["_h1"].to_numpy(zero_copy_only=False)
-        h2 = group["_h2"].to_numpy(zero_copy_only=False)
-        fl = group["_flip"].to_numpy(zero_copy_only=False)
-        existing = set(zip(h1[fl == 0].tolist(), h2[fl == 0].tolist()))
-        keep_idx, seen = [], set()
-        for i in np.flatnonzero(fl == 1):
-            key = (int(h1[i]), int(h2[i]))
-            if key not in existing and key not in seen:
-                seen.add(key)
-                keep_idx.append(i)
-        t = group.take(pa.array(keep_idx, pa.int64()))
-        return t.drop_columns(["_h1", "_h2", "_bucket", "_flip"])
 
-    new_edges = (triples_ds
-                 .map_batches(edges_tagged, batch_format="pyarrow")
-                 .groupby("_bucket")
-                 .map_groups(survivors, batch_format="pyarrow"))
-    return triples_ds.union(new_edges)
+def inverse_consistency(triples_ds):
+    """Dataset form of ``closure_table``: dedup, then emit the inverse
+    of every hierarchical edge (broader⇔narrower, hasTopConcept⇔
+    topConceptOf per INVERSE_PAIRS) and the mirror of every symmetric
+    edge (related / exactMatch / sameAs per SYMMETRIC_PREDS). In-process
+    at or below the SKOS size gate; above it the triples are bucketed
+    once on ``subj`` and once on ``obj`` (the flips' new subject)."""
+    from .. import schemas
+    from .concepts import run_stage
+
+    ds = triples_ds.materialize()
+    return run_stage([(ds, "subj"), (ds, "obj")], schemas.TRIPLES,
+                     closure_table, schemas.TRIPLES)
 
 
 def triple_counts(triples_ds):

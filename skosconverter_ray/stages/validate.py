@@ -3,9 +3,9 @@
 
 Every check emits rows into one ``issues`` table
 ``(severity, check, subject, detail)`` instead of printed strings —
-the distributed replacement for the reference's issue/warning lists
-(101-102). The conversion gate (ref 1788-1798) becomes: count rows
-with severity == "error" and branch.
+the replacement for the reference's issue/warning lists (101-102). The
+conversion gate (ref 1788-1798) becomes: count rows with
+severity == "error" and branch.
 
 Check inventory (reference file:line):
 - duplicate_uri        concept typed as both Concept and Scheme (129-139)
@@ -20,28 +20,33 @@ Check inventory (reference file:line):
 - orphan_no_scheme     concept with no scheme at all (311-338)
 - depth_exceeded       hierarchy deeper than 7 levels (340-374) [warning]
 
-Execution shape (all set logic DISTRIBUTED):
-- node-scoped checks (duplicate_uri, missing_label, both orphan
-  checks) ride ONE bucket-cogroup over per-node fact rows — the
-  multi-way outer join on uri the reference does as in-memory set
-  algebra;
-- the topconcept pair diff is a bucket-cogroup anti-join on the
-  (scheme, concept) pair key;
-- prefLabel checks and polyhierarchy are plain groupby aggregates;
-- ONLY cycle detection and depth (inherently sequential graph walks)
-  pull the dimension-sized broader/narrower edge skeleton to the
-  driver — same scale argument as stages/hierarchy.py: the vocabulary
-  graph is ≪ corpus.
-All branches hang off one materialized input, so consuming the final
-union executes everything in a single streaming pass.
+Execution shape: ``validate_table`` is one ``pa.Table -> ISSUES_SCHEMA``
+kernel. It dedups first (RDF set semantics, as rdflib parses: a triple
+asserted twice is one triple), then:
+- ``set_issues`` runs every check but the walks as Arrow set
+  operations, ``group_by`` aggregates and filters over two views of
+  the triples, one keyed on the subject and one on the object. Each
+  check reads only rows whose key is the node (or label) it reports
+  on: the node checks and the topConcept pair diff meet a concept's
+  subject- and object-side rows, ``duplicate_label`` groups prefLabel
+  rows by their label (the object);
+- ``walk_issues`` runs the cycle DFS and the depth BFS over the
+  broader/narrower edge skeleton, sorted adjacency lists built by
+  Arrow ``group_by``.
+Where it runs is the SKOS size gate (``concepts.DRIVER_MAX_TRIPLES``,
+``graph.resolve_engine`` contract): at or below it, one in-process
+table; above it, ``set_issues`` runs per bucket after one
+``multiway_cogroup_scatter`` of the triples on ``subj`` and on ``obj``
+(every copy of a triple shares both keys, so the per-bucket dedup is
+exact), and the walks run on the collected edge skeleton.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .. import schemas
 from ..config import (
     RDF_TYPE,
     RDFS_LABEL,
@@ -54,6 +59,9 @@ from ..config import (
     SKOS_PREF_LABEL,
     SKOS_TOP_CONCEPT_OF,
 )
+from .concepts import conform, materialize_and_place, n_buckets, table_of
+from .hierarchy import edge_table
+from .triples import dedup_table
 
 ISSUES_SCHEMA = pa.schema([
     ("severity", pa.string()),   # "error" | "warning"
@@ -62,304 +70,160 @@ ISSUES_SCHEMA = pa.schema([
     ("detail", pa.string()),
 ])
 
-# node-fact kinds for the uri-keyed cogroup
-_F_CONCEPT = 0      # rdf:type skos:Concept
-_F_SCHEME = 1       # rdf:type skos:ConceptScheme
-_F_LABELED = 2      # has prefLabel or rdfs:label
-_F_IN_SCHEME = 3    # payload = scheme uri
-_F_HAS_BROADER = 4  # child side of broader/narrower
-_F_IS_TOP = 5       # top concept via hasTopConcept or topConceptOf
+
+def _issues(severity: str, check: str, subject, detail) -> pa.Table:
+    n = len(subject)
+    if isinstance(detail, str):
+        detail = pa.repeat(detail, n)
+    return pa.table([pa.repeat(severity, n), pa.repeat(check, n),
+                     subject, detail], schema=ISSUES_SCHEMA)
 
 
-def _issues_table(rows: list[tuple]) -> pa.Table:
-    return pa.table(
-        {
-            "severity": pa.array([r[0] for r in rows], pa.string()),
-            "check": pa.array([r[1] for r in rows], pa.string()),
-            "subject": pa.array([r[2] for r in rows], pa.string()),
-            "detail": pa.array([r[3] for r in rows], pa.string()),
-        },
-        schema=ISSUES_SCHEMA,
-    )
+def _cat(*parts):
+    return pc.binary_join_element_wise(*parts, "")
 
 
-def _filter_pred(ds, pred: str):
-    return ds.map_batches(
-        lambda b, _p=pred: b.filter(pc.equal(b["pred"], _p)),
-        batch_format="pyarrow")
+def _str(col):
+    return pc.cast(col, pa.string())
 
 
-_FACTS_SCHEMA = pa.schema([("_bucket", pa.int32()), ("uri", pa.string()),
-                           ("kind", pa.int8()), ("payload", pa.string())])
+def _where(t: pa.Table, *preds: str) -> pa.Table:
+    return t.filter(pc.is_in(t["pred"], value_set=pa.array(preds)))
 
 
-def _node_facts(batch: pa.Table, num_buckets: int) -> pa.Table:
-    """One triples batch -> (uri, kind, payload) fact rows."""
-    from ..functions.hashing import bucket_of
-
-    preds = batch["pred"]
-    uris, kinds, payloads = [], [], []
-
-    def emit(uri_arr, kind, payload_arr=None):
-        n = len(uri_arr)
-        if n == 0:
-            return
-        uris.append(uri_arr.combine_chunks()
-                    if isinstance(uri_arr, pa.ChunkedArray) else uri_arr)
-        kinds.append(np.full(n, kind, np.int8))
-        if payload_arr is None:
-            payloads.append(pa.nulls(n, pa.string()))
-        else:
-            payloads.append(payload_arr.combine_chunks()
-                            if isinstance(payload_arr, pa.ChunkedArray)
-                            else payload_arr)
-
-    types = batch.filter(pc.equal(preds, RDF_TYPE))
-    emit(types.filter(pc.equal(types["obj"], SKOS_CONCEPT))["subj"],
-         _F_CONCEPT)
-    emit(types.filter(pc.equal(types["obj"], SKOS_CONCEPT_SCHEME))["subj"],
-         _F_SCHEME)
-    labeled = batch.filter(pc.is_in(
-        preds, value_set=pa.array([SKOS_PREF_LABEL, RDFS_LABEL])))
-    emit(labeled["subj"], _F_LABELED)
-    insch = batch.filter(pc.equal(preds, SKOS_IN_SCHEME))
-    emit(insch["subj"], _F_IN_SCHEME, insch["obj"])
-    emit(batch.filter(pc.equal(preds, SKOS_BROADER))["subj"], _F_HAS_BROADER)
-    emit(batch.filter(pc.equal(preds, SKOS_NARROWER))["obj"], _F_HAS_BROADER)
-    emit(batch.filter(pc.equal(preds, SKOS_HAS_TOP_CONCEPT))["obj"], _F_IS_TOP)
-    emit(batch.filter(pc.equal(preds, SKOS_TOP_CONCEPT_OF))["subj"], _F_IS_TOP)
-    if not uris:
-        return _FACTS_SCHEMA.empty_table()
-    uri_col = pa.concat_arrays([a for a in uris])
-    return pa.table({
-        "_bucket": bucket_of(uri_col, num_buckets),
-        "uri": uri_col,
-        "kind": pa.array(np.concatenate(kinds)),
-        "payload": pa.concat_arrays([p for p in payloads]),
-    }, schema=_FACTS_SCHEMA)
+def _distinct(*cols) -> pa.Array:
+    return pc.unique(pa.chunked_array(
+        [c for col in cols for c in col.chunks], pa.string()))
 
 
-def _node_issues(group: pa.Table) -> pa.Table:
-    """Per-bucket multi-way set logic on the cogrouped node facts."""
-    df = group.select(["uri", "kind", "payload"]).to_pandas()
-    kinds = df.groupby("uri")["kind"].agg(lambda s: frozenset(s))
-    schemes = (df[df["kind"] == _F_IN_SCHEME]
-               .groupby("uri")["payload"].min())
-    rows: list[tuple] = []
-    for uri in sorted(kinds.index):
-        ks = kinds[uri]
-        is_concept = _F_CONCEPT in ks
-        if is_concept and _F_SCHEME in ks:
-            rows.append(("error", "duplicate_uri", uri,
-                         "typed as both Concept and ConceptScheme"))
-        if is_concept and _F_LABELED not in ks:
-            rows.append(("error", "missing_label", uri,
-                         "concept has no prefLabel"))
-        if is_concept:
-            in_s = _F_IN_SCHEME in ks
-            anchored = _F_HAS_BROADER in ks or _F_IS_TOP in ks
-            if in_s and not anchored:
-                rows.append(("warning", "orphan_in_scheme", uri,
-                             f"in scheme {schemes[uri]} without broader"))
-            if not in_s and not anchored:
-                rows.append(("warning", "orphan_no_scheme", uri,
-                             "concept not associated with any scheme"))
-    return _issues_table(rows)
+def _over_one(t: pa.Table, keys: list, extra=()) -> pa.Table:
+    """Rows per ``keys`` group (column ``n``) plus ``extra``
+    aggregates, keeping only the groups of more than one row."""
+    g = t.group_by(keys).aggregate(
+        [("subj", "count", pc.CountOptions(mode="all")), *extra])
+    g = g.rename_columns(["n" if c == "subj_count" else c
+                          for c in g.column_names])
+    return g.filter(pc.greater(g["n"], 1))
 
 
-_PAIR_SCHEMA = pa.schema([("_bucket", pa.int32()), ("scheme", pa.string()),
-                          ("concept", pa.string()), ("side", pa.int8())])
+def set_issues(by_subj: pa.Table, by_obj: pa.Table) -> pa.Table:
+    """Every check but the walks on deduped triples: ``by_subj`` must
+    hold every triple whose subject is a node reported on here,
+    ``by_obj`` every one whose object is (the whole table in-process)."""
+    types = _where(by_subj, RDF_TYPE)
+    concept = _distinct(types.filter(
+        pc.equal(types["obj"], SKOS_CONCEPT))["subj"])
+
+    def concepts_in(*cols):
+        return pc.is_in(concept, value_set=_distinct(*cols))
+
+    dup_uri = concepts_in(types.filter(
+        pc.equal(types["obj"], SKOS_CONCEPT_SCHEME))["subj"])
+    labeled = concepts_in(_where(by_subj, SKOS_PREF_LABEL, RDFS_LABEL)["subj"])
+    anchored = concepts_in(
+        _where(by_subj, SKOS_BROADER, SKOS_TOP_CONCEPT_OF)["subj"],
+        _where(by_obj, SKOS_NARROWER, SKOS_HAS_TOP_CONCEPT)["obj"])
+    in_s = _where(by_subj, SKOS_IN_SCHEME).group_by("subj") \
+        .aggregate([("obj", "min")])
+    scheme = in_s["obj_min"].combine_chunks().take(pc.index_in(
+        concept, value_set=in_s["subj"].combine_chunks()))
+    orphan = pc.invert(anchored)
+    in_scheme = pc.and_(orphan, pc.is_valid(scheme))
+
+    # topConcept pair diff (J5): sides meet on the concept
+    htc = _where(by_obj, SKOS_HAS_TOP_CONCEPT)
+    tco = _where(by_subj, SKOS_TOP_CONCEPT_OF)
+    pairs = pa.table({
+        "scheme": pa.chunked_array(htc["subj"].chunks + tco["obj"].chunks,
+                                   pa.string()),
+        "concept": pa.chunked_array(htc["obj"].chunks + tco["subj"].chunks,
+                                    pa.string()),
+        "tco": pa.array([False] * htc.num_rows + [True] * tco.num_rows,
+                        pa.bool_())})
+    sides = pairs.group_by(["scheme", "concept"]).aggregate(
+        [("tco", "min"), ("tco", "max")])
+    onesided = sides.filter(pc.equal(sides["tco_min"], sides["tco_max"]))
+
+    labels = _where(by_subj, SKOS_PREF_LABEL)
+    labels = labels.set_column(labels.schema.get_field_index("lang"), "lang",
+                               pc.fill_null(labels["lang"], ""))
+    multi = _over_one(labels, ["subj", "lang"])
+    dup = _over_one(_where(by_obj, SKOS_PREF_LABEL), ["obj"],
+                    [("subj", "min")])
+    poly = _over_one(_where(by_subj, SKOS_BROADER), ["subj"])
+    return pa.concat_tables([
+        _issues("error", "duplicate_uri", concept.filter(dup_uri),
+                "typed as both Concept and ConceptScheme"),
+        _issues("error", "missing_label", concept.filter(pc.invert(labeled)),
+                "concept has no prefLabel"),
+        _issues("warning", "orphan_in_scheme", concept.filter(in_scheme),
+                _cat("in scheme ", scheme.filter(in_scheme),
+                     " without broader")),
+        _issues("warning", "orphan_no_scheme", concept.filter(
+            pc.and_(orphan, pc.is_null(scheme))),
+            "concept not associated with any scheme"),
+        _issues("warning", "topconcept_onesided", onesided["concept"],
+                pc.if_else(onesided["tco_min"],
+                           _cat("topConceptOf ", onesided["scheme"],
+                                " without hasTopConcept"),
+                           _cat("hasTopConcept from ", onesided["scheme"],
+                                " without topConceptOf"))),
+        _issues("error", "multiple_pref_labels", multi["subj"],
+                _cat(_str(multi["n"]), " prefLabels for lang '",
+                     multi["lang"], "'")),
+        _issues("warning", "duplicate_label", dup["subj_min"],
+                _cat("label '", dup["obj"], "' used by ",
+                     _str(dup["n"]), " subjects")),
+        _issues("warning", "polyhierarchy", poly["subj"],
+                _cat(_str(poly["n"]), " broader concepts")),
+    ])
 
 
-def _topconcept_pairs(batch: pa.Table, num_buckets: int) -> pa.Table:
-    """(scheme, concept) pair rows: side 0 = hasTopConcept,
-    side 1 = topConceptOf (reversed)."""
-    from ..functions.hashing import bucket_of
+def walk_issues(t: pa.Table) -> pa.Table:
+    """Cycle (DFS) and depth (BFS) walks over the broader/narrower
+    skeleton of ``t``, visiting nodes and neighbours in sorted order."""
 
-    htc = batch.filter(pc.equal(batch["pred"], SKOS_HAS_TOP_CONCEPT))
-    tco = batch.filter(pc.equal(batch["pred"], SKOS_TOP_CONCEPT_OF))
-    scheme = pa.concat_arrays([htc["subj"].combine_chunks(),
-                               tco["obj"].combine_chunks()])
-    concept = pa.concat_arrays([htc["obj"].combine_chunks(),
-                                tco["subj"].combine_chunks()])
-    side = pa.array(np.concatenate([np.zeros(htc.num_rows, np.int8),
-                                    np.ones(tco.num_rows, np.int8)]))
-    key = pc.binary_join_element_wise(scheme, concept, "\x1f")
-    return pa.table({"_bucket": bucket_of(key, num_buckets),
-                     "scheme": scheme, "concept": concept, "side": side},
-                    schema=_PAIR_SCHEMA)
+    def adjacency(e: pa.Table, src: str, dst: str) -> dict:
+        g = e.group_by([src, dst]).aggregate([]) \
+            .sort_by([(src, "ascending"), (dst, "ascending")]) \
+            .group_by(src, use_threads=False).aggregate([(dst, "list")])
+        return dict(zip(g[src].to_pylist(), g[dst + "_list"].to_pylist()))
 
-
-def _onesided_pairs(group: pa.Table) -> pa.Table:
-    """Full-outer diff of the two pair sets, local per bucket."""
-    df = group.select(["scheme", "concept", "side"]).to_pandas()
-    sides = df.groupby(["scheme", "concept"])["side"].agg(set)
-    rows = []
-    for (scheme, concept), ss in sides.items():
-        if ss == {0}:
-            rows.append(("warning", "topconcept_onesided", concept,
-                         f"hasTopConcept from {scheme} without topConceptOf"))
-        elif ss == {1}:
-            rows.append(("warning", "topconcept_onesided", concept,
-                         f"topConceptOf {scheme} without hasTopConcept"))
-    return _issues_table(rows)
-
-
-def validate(triples_ds, *, num_buckets: int = 16):
-    """triples Dataset -> issues Dataset. Set-algebra checks run as
-    bucket-cogroups / groupbys; graph walks (cycles, depth) run on the
-    collected dimension-sized edge skeleton."""
-    import ray.data as rd
-    from ray.data.aggregate import Count, Min
-
-    triples_ds = triples_ds.materialize()
-
-    # ---- node-scoped checks: ONE cogroup over per-node fact rows
-    node_issues = (
-        triples_ds
-        .map_batches(lambda b: _node_facts(b, num_buckets),
-                     batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(_node_issues, batch_format="pyarrow")
-    )
-
-    # ---- topconcept pair diff: cogroup anti-join on the pair key
-    pair_issues = (
-        triples_ds
-        .map_batches(lambda b: _topconcept_pairs(b, num_buckets),
-                     batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(_onesided_pairs, batch_format="pyarrow")
-    )
-
-    # ---- prefLabel checks (distributed groupbys)
-    labels = _filter_pred(triples_ds, SKOS_PREF_LABEL)
-
-    def label_rows(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "subj": b["subj"],
-            "lang": b["lang"].combine_chunks().fill_null("")
-            if isinstance(b["lang"], pa.ChunkedArray) else
-            pc.fill_null(b["lang"], ""),
-            "label": b["obj"],
-        })
-
-    lab = labels.map_batches(label_rows, batch_format="pyarrow")
-
-    # multiple_pref_labels per (subj, lang) (ref 189-207)
-    def multi_rows(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.greater(t["n"], 1))
-        return _issues_table([
-            ("error", "multiple_pref_labels", s,
-             f"{n} prefLabels for lang '{lg}'")
-            for s, lg, n in zip(t["subj"].to_pylist(),
-                                t["lang"].to_pylist(),
-                                t["n"].to_pylist())
-        ])
-
-    multi_issues = (lab.groupby(["subj", "lang"])
-                    .aggregate(Count(alias_name="n"))
-                    .map_batches(multi_rows, batch_format="pyarrow"))
-
-    # duplicate_label across concepts (ref 272-291): min(subj) reported
-    def dup_rows(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.greater(t["n"], 1))
-        return _issues_table([
-            ("warning", "duplicate_label", s,
-             f"label '{lb}' used by {n} subjects")
-            for lb, s, n in zip(t["label"].to_pylist(),
-                                t["subj"].to_pylist(),
-                                t["n"].to_pylist())
-        ])
-
-    dup_issues = (lab.groupby("label")
-                  .aggregate(Count(alias_name="n"),
-                             Min("subj", alias_name="subj"))
-                  .map_batches(dup_rows, batch_format="pyarrow"))
-
-    # ---- polyhierarchy (ref 293-309): >1 broader per child — groupby
-    def poly_rows(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.greater(t["n"], 1))
-        return _issues_table([
-            ("warning", "polyhierarchy", s, f"{n} broader concepts")
-            for s, n in zip(t["subj"].to_pylist(), t["n"].to_pylist())
-        ])
-
-    poly_issues = (
-        _filter_pred(triples_ds, SKOS_BROADER)
-        .map_batches(lambda b: b.select(["subj"]), batch_format="pyarrow")
-        .groupby("subj").aggregate(Count(alias_name="n"))
-        .map_batches(poly_rows, batch_format="pyarrow"))
-
-    # ---- cycles + depth: driver walk over the dimension-sized skeleton
-    from collections import defaultdict
-
-    broader: list[tuple[str, str]] = []   # (child, parent)
-    narrower: list[tuple[str, str]] = []  # (parent, child)
-    tops: set[str] = set()
-    edge_preds = [SKOS_BROADER, SKOS_NARROWER,
-                  SKOS_HAS_TOP_CONCEPT, SKOS_TOP_CONCEPT_OF]
-    skel = triples_ds.map_batches(
-        lambda b: b.filter(pc.is_in(b["pred"],
-                                    value_set=pa.array(edge_preds))),
-        batch_format="pyarrow")
-    for b in skel.iter_batches(batch_format="pyarrow", batch_size=65536):
-        for s, p, o in zip(b["subj"].to_pylist(), b["pred"].to_pylist(),
-                           b["obj"].to_pylist()):
-            if p == SKOS_BROADER:
-                broader.append((s, o))
-            elif p == SKOS_NARROWER:
-                narrower.append((s, o))
-            elif p == SKOS_HAS_TOP_CONCEPT:
-                tops.add(o)
-            else:
-                tops.add(s)
-
-    rows: list[tuple] = []
-    adj: dict[str, list[str]] = defaultdict(list)
-    for c, p in broader:
-        adj[c].append(p)
-    for p, c in narrower:
-        adj[c].append(p)
+    edges = edge_table(t)
+    up = adjacency(edges, "child", "parent")
+    cycles = []
     color: dict[str, int] = {}  # 0=visiting 1=done
-
-    def on_cycle(u):
-        rows.append(("error", "cycle", u, "broader cycle detected"))
-
-    for start in sorted(adj):
+    for start in up:
         if start in color:
             continue
-        stack = [(start, iter(sorted(set(adj.get(start, [])))))]
+        stack = [(start, iter(up[start]))]
         color[start] = 0
         while stack:
             node, it = stack[-1]
-            found = False
             for nb in it:
                 if nb == node:
-                    on_cycle(node)  # self-reference (ref 240-253)
+                    cycles.append(node)  # self-reference (ref 240-253)
                     continue
                 c = color.get(nb)
                 if c == 0:
-                    on_cycle(nb)
+                    cycles.append(nb)
                 elif c is None:
                     color[nb] = 0
-                    stack.append((nb, iter(sorted(set(adj.get(nb, []))))))
-                    found = True
+                    stack.append((nb, iter(up.get(nb, ()))))
                     break
-            if not found:
+            else:
                 color[node] = 1
                 stack.pop()
 
     # depth_exceeded (ref 340-374): BFS from tops, warn > 7
-    child_of: dict[str, list[str]] = defaultdict(list)
-    for c, p in broader:
-        child_of[p].append(c)
-    for p, c in narrower:
-        child_of[p].append(c)
-    for root in sorted(tops):
+    down = adjacency(edges, "parent", "child")
+    tops = _distinct(_where(t, SKOS_HAS_TOP_CONCEPT)["obj"],
+                     _where(t, SKOS_TOP_CONCEPT_OF)["subj"])
+    deep, depths = [], []
+    for root in tops.take(pc.sort_indices(tops)).to_pylist():
         depth, frontier, seen = 1, [root], {root}
         while frontier and depth <= 40:
-            nxt = [c for f in frontier for c in child_of.get(f, [])
+            nxt = [c for f in frontier for c in down.get(f, ())
                    if c not in seen]
             if not nxt:
                 break
@@ -367,17 +231,42 @@ def validate(triples_ds, *, num_buckets: int = 16):
             depth += 1
             frontier = nxt
         if depth > 7:
-            rows.append(("warning", "depth_exceeded", root,
-                         f"hierarchy depth {depth} exceeds 7"))
+            deep.append(root)
+            depths.append(f"hierarchy depth {depth} exceeds 7")
+    return pa.concat_tables([
+        _issues("error", "cycle", pa.array(cycles, pa.string()),
+                "broader cycle detected"),
+        _issues("warning", "depth_exceeded", pa.array(deep, pa.string()),
+                pa.array(depths, pa.string()))])
 
-    graph_issues = rd.from_arrow(_issues_table(rows))
 
-    return (node_issues
-            .union(pair_issues)
-            .union(multi_issues)
-            .union(dup_issues)
-            .union(poly_issues)
-            .union(graph_issues))
+def validate_table(t: pa.Table) -> pa.Table:
+    """triples (schemas.TRIPLES) -> ISSUES_SCHEMA, on one table."""
+    d = dedup_table(t)
+    return pa.concat_tables([set_issues(d, d), walk_issues(d)])
+
+
+def validate(triples_ds):
+    """triples Dataset -> issues Dataset: ``validate_table`` in-process
+    at or below the SKOS size gate; above it ``set_issues`` per bucket
+    and the walks on the collected edge skeleton (module docstring)."""
+    import ray.data as rd
+
+    from .shardutil import multiway_cogroup_scatter
+
+    ds, placement = materialize_and_place(triples_ds, "auto")
+    if placement == "driver":
+        return rd.from_arrow(validate_table(table_of(ds, schemas.TRIPLES)))
+    sets = multiway_cogroup_scatter(
+        [(ds, "subj"), (ds, "obj")], n_buckets(ds),
+        lambda s, o: set_issues(dedup_table(conform([s], schemas.TRIPLES)),
+                                dedup_table(conform([o], schemas.TRIPLES))),
+        empty_result=ISSUES_SCHEMA.empty_table())
+    skel = ds.map_batches(lambda b: _where(
+        b, SKOS_BROADER, SKOS_NARROWER, SKOS_HAS_TOP_CONCEPT,
+        SKOS_TOP_CONCEPT_OF), batch_format="pyarrow")
+    return sets.union(rd.from_arrow(
+        walk_issues(table_of(skel, schemas.TRIPLES))))
 
 
 def errors(issues_ds):

@@ -3,10 +3,13 @@
 
 from __future__ import annotations
 
+import pyarrow as pa
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
 
 from skosconverter_ray import vocab
 from skosconverter_ray.stages.validate import gate, validate
+from tests.test_property import _triples_table, edge_sets
 
 NS = "http://example.org/vocab/"
 
@@ -146,3 +149,80 @@ def test_missing_label_accepts_rdfs_label(ray_session):
     df = validate(rd.from_arrow(t)).to_pandas()
     flagged = set(df.loc[df["check"] == "missing_label", "subject"])
     assert flagged == {B}
+
+
+SET_SEMANTICS_TTL = """\
+@prefix skos: <http://www.w3.org/2004/02/skos/core#> .
+@prefix ex: <http://example.org/vocab/> .
+ex:s a skos:ConceptScheme ; skos:prefLabel "S"@en ; skos:hasTopConcept ex:a .
+ex:a a skos:Concept ; skos:prefLabel "A"@en ; skos:topConceptOf ex:s ;
+    skos:inScheme ex:s .
+ex:b a skos:Concept ; skos:prefLabel "B"@en ; skos:broader ex:a ;
+    skos:inScheme ex:s .
+ex:b skos:prefLabel "B"@en ; skos:broader ex:a .
+"""
+
+
+def test_triple_asserted_twice_is_one_triple(tmp_path, ray_session):
+    """RDF set semantics: a Turtle file asserting the same prefLabel and
+    broader twice holds one of each (as rdflib parses it), so it raises
+    no multiple_pref_labels error, duplicate_label or polyhierarchy."""
+    from skosconverter_ray.sources.turtle import read_turtle
+
+    ttl = tmp_path / "twice.ttl"
+    ttl.write_text(SET_SEMANTICS_TTL)
+    triples = read_turtle([str(ttl)]).materialize()
+    assert triples.count() == 13  # the reader keeps both copies
+    issues = validate(triples)
+    assert issues.take_all() == []
+    assert gate(issues)
+
+
+def test_gate_flip_pathology_fixture(issues, monkeypatch):
+    """Above the SKOS size gate (forced: DRIVER_MAX_TRIPLES = 0) the
+    per-bucket checks plus the collected-skeleton walks give exactly
+    the in-process row set that test_golden_rows_pathology_fixture
+    pins."""
+    import ray.data as rd
+
+    from skosconverter_ray.stages import concepts
+
+    monkeypatch.setattr(concepts, "DRIVER_MAX_TRIPLES", 0)
+    voc = vocab.generate_vocab(
+        vocab.VocabSpec(n_schemes=2, n_concepts=30, seed=7, pathologies=True))
+    got = validate(rd.from_arrow(voc.triples)).to_pandas()
+    cols = ["severity", "check", "subject", "detail"]
+    assert sorted(map(tuple, got[cols].values)) == \
+        sorted(map(tuple, issues[cols].values))
+
+
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@seed(8)
+@given(edge_sets())
+def test_gate_flip_closure(ray_session, rows):
+    """The dedup + inverse closure gives the same rows, witness
+    ``source_doc`` included, in-process and per bucket, on the
+    test_property edge sets with every edge asserted twice by two
+    documents."""
+    from unittest import mock
+
+    import ray.data as rd
+
+    from skosconverter_ray.stages import concepts
+    from skosconverter_ray.stages.triples import inverse_consistency
+
+    if not rows:
+        return
+    t = _triples_table(rows + rows[::-1])
+    t = t.set_column(5, "source_doc", pa.array(
+        [f"d{i % 3}" for i in range(t.num_rows)], pa.string()))
+
+    def closed():
+        return sorted(tuple(r.values()) for r in
+                      inverse_consistency(rd.from_arrow(t)).take_all())
+
+    driver = closed()
+    with mock.patch.object(concepts, "DRIVER_MAX_TRIPLES", 0):
+        assert closed() == driver
+    assert len(driver) == len({r[:3] for r in driver})
