@@ -22,7 +22,9 @@ Check inventory (reference file:line):
 
 Execution shape: ``validate_table`` is one ``pa.Table -> ISSUES_SCHEMA``
 kernel. It dedups first (RDF set semantics, as rdflib parses: a triple
-asserted twice is one triple), then:
+asserted twice is one triple) and checks the triples as given, never
+their inverse closure (on the closed table ``topconcept_onesided``
+could not fire), then:
 - ``set_issues`` runs every check but the walks as Arrow set
   operations, ``group_by`` aggregates and filters over two views of
   the triples, one keyed on the subject and one on the object. Each
@@ -60,7 +62,7 @@ from ..config import (
     SKOS_TOP_CONCEPT_OF,
 )
 from .concepts import conform, materialize_and_place, n_buckets, table_of
-from .hierarchy import edge_table
+from .hierarchy import _cat, edge_table
 from .triples import dedup_table
 
 ISSUES_SCHEMA = pa.schema([
@@ -77,10 +79,6 @@ def _issues(severity: str, check: str, subject, detail) -> pa.Table:
         detail = pa.repeat(detail, n)
     return pa.table([pa.repeat(severity, n), pa.repeat(check, n),
                      subject, detail], schema=ISSUES_SCHEMA)
-
-
-def _cat(*parts):
-    return pc.binary_join_element_wise(*parts, "")
 
 
 def _str(col):
