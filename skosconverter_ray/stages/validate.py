@@ -45,6 +45,7 @@ exact), and the walks run on the collected edge skeleton.
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -136,8 +137,7 @@ def set_issues(by_subj: pa.Table, by_obj: pa.Table) -> pa.Table:
                                    pa.string()),
         "concept": pa.chunked_array(htc["obj"].chunks + tco["subj"].chunks,
                                     pa.string()),
-        "tco": pa.array([False] * htc.num_rows + [True] * tco.num_rows,
-                        pa.bool_())})
+        "tco": np.repeat([False, True], [htc.num_rows, tco.num_rows])})
     sides = pairs.group_by(["scheme", "concept"]).aggregate(
         [("tco", "min"), ("tco", "max")])
     onesided = sides.filter(pc.equal(sides["tco_min"], sides["tco_max"]))
