@@ -43,3 +43,41 @@ def test_bench_headline_queries_are_registered():
     from skosconverter_ray.queries import QUERIES
 
     assert [n for n in bench.HEADLINE if n not in QUERIES] == []
+
+
+def test_no_unreferenced_top_level_defs():
+    """Every top-level function and class of the package is referenced
+    (called, imported or named) somewhere in the tracked ``.py`` files
+    besides its own definition. Decorated definitions are skipped: a
+    decorator such as the queries' ``@_q`` registers them by name."""
+    import ast
+    import glob
+    import os
+    import subprocess
+    from collections import Counter
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    try:
+        files = subprocess.run(["git", "ls-files", "*.py"], cwd=root,
+                               capture_output=True, text=True,
+                               check=True).stdout.split()
+    except (OSError, subprocess.CalledProcessError):  # not a git checkout
+        files = glob.glob("**/*.py", root_dir=root, recursive=True)
+    refs: Counter = Counter()
+    defined = []
+    for path in files:
+        with open(os.path.join(root, path), encoding="utf-8") as f:
+            tree = ast.parse(f.read(), filename=path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                refs[node.attr] += 1
+            elif isinstance(node, ast.alias):
+                refs[node.name.rsplit(".", 1)[-1]] += 1
+        if path.startswith("skosconverter_ray/"):
+            defined += [(path, n.name) for n in tree.body
+                        if isinstance(n, (ast.FunctionDef,
+                                          ast.AsyncFunctionDef, ast.ClassDef))
+                        and not n.decorator_list]
+    assert [f"{p}::{n}" for p, n in defined if not refs[n]] == []
