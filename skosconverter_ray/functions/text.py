@@ -1,14 +1,19 @@
-"""String / URI / markup scalar functions, vectorized over Arrow arrays.
+"""String / URI / markup functions, vectorized over Arrow arrays.
 
 Re-expresses the reference's per-string helpers (SURVEY.md §2.8) as
-pyarrow.compute kernels so they run inside ``map_batches`` without
-Python-object rows: URI fragment normalization (skos_converter.py:72-77),
-title cleaning (1385-1389), XML escaping (1162-1170), URI-tail label
-fallback (394, 434), id sanitization (1193, 1236).
+pyarrow.compute kernels, so the table kernels run without Python-object
+rows: XML escaping (skos_converter.py:1162-1170), URI-tail label
+fallback (394, 434), id sanitization (1193, 1236), plus the one escape
+rule of each text format the writers emit (CSV fields, N-Triples /
+Turtle literals, JSON strings) and the join of a column into one text.
+Scalar helpers remain where a parser works one string at a time: URI
+validation and deterministic minting (72-90, 1464-1482) and the
+linker's surface normalization.
 """
 
 from __future__ import annotations
 
+import json
 import re
 import uuid
 
@@ -20,17 +25,6 @@ import pyarrow.compute as pc
 # idempotent distributed retries (SURVEY.md M2). Content-addressed:
 # same label -> same URI on every worker, no shared state.
 _URI_NS = uuid.uuid5(uuid.NAMESPACE_URL, "skosconverter-ray/uri-mint")
-
-_TITLE_PREFIX_RE = r"^[\s▸▹◦\U0001F4C2\U0001F4C1\U0001F4C4]+"
-
-
-def normalize_fragment_array(labels: pa.Array) -> pa.Array:
-    """label -> URI fragment: strip non word/space/hyphen chars,
-    whitespace -> '_', lowercase (ref: skos_converter.py:72-77)."""
-    out = pc.replace_substring_regex(labels, r"[^\w\s-]", "")
-    out = pc.utf8_trim_whitespace(out)
-    out = pc.replace_substring_regex(out, r"\s+", "_")
-    return pc.utf8_lower(out)
 
 
 def normalize_fragment(label: str) -> str:
@@ -60,23 +54,6 @@ def mint_uri(namespace_uri: str, label: str) -> str:
     return namespace_uri + str(uuid.uuid5(_URI_NS, label))
 
 
-def clean_title_array(titles: pa.Array) -> pa.Array:
-    """Strip tree-drawing / folder-emoji prefixes the Markdown writer
-    adds (ref: skos_converter.py:1385-1389)."""
-    return pc.utf8_trim_whitespace(
-        pc.replace_substring_regex(titles, _TITLE_PREFIX_RE, "")
-    )
-
-
-def is_skippable_section_array(titles: pa.Array) -> pa.Array:
-    """Headings to drop on markdown parse: '[...]' containers,
-    'Other Concepts*', 'Unassigned Concepts' (ref: 1391-1395)."""
-    bracket = pc.match_substring_regex(titles, r"^\[.*\]$")
-    other = pc.match_substring_regex(titles, r"^Other Concepts")
-    unassigned = pc.match_substring_regex(titles, r"^Unassigned Concepts")
-    return pc.or_(pc.or_(bracket, other), unassigned)
-
-
 def xml_escape_array(strings: pa.Array) -> pa.Array:
     """5-entity XML escape (ref: skos_converter.py:1162-1170).
     '&' first so entity ampersands are not double-escaped."""
@@ -100,13 +77,59 @@ def sanitize_id_array(uris: pa.Array) -> pa.Array:
     return pc.replace_substring(out, "#", "_")
 
 
-def normalize_surface_array(strings: pa.Array) -> pa.Array:
-    """Casefold + whitespace-collapse for label matching (the linking
-    normalization; reference analogue is the exact-string label_to_uri
-    memo at skos_converter.py:70)."""
-    out = pc.utf8_lower(pc.utf8_trim_whitespace(strings))
-    return pc.replace_substring_regex(out, r"\s+", " ")
-
-
 def normalize_surface(s: str) -> str:
     return re.sub(r"\s+", " ", s.strip().lower())
+
+
+def concat_array(*parts) -> pa.Array:
+    """Element-wise concatenation of string arrays and scalars (null
+    where any part is null)."""
+    return pc.binary_join_element_wise(*parts, "")
+
+
+def nonempty_array(strings: pa.Array) -> pa.Array:
+    """True where a string is neither null nor empty."""
+    return pc.fill_null(pc.not_equal(strings, ""), False)
+
+
+def csv_field_array(strings: pa.Array) -> pa.Array:
+    """CSV fields in the csv module's minimal quoting: a field holding a
+    comma, a quote, CR or LF is quoted with its quotes doubled (a bare
+    CR/LF would split the record); null writes as an empty field."""
+    s = pc.fill_null(strings, "")
+    quoted = concat_array('"', pc.replace_substring(s, '"', '""'), '"')
+    return pc.if_else(pc.match_substring_regex(s, '[,"\r\n]'), quoted, s)
+
+
+def rdf_literal_array(values: pa.Array, langs: pa.Array) -> pa.Array:
+    """N-Triples / Turtle literal terms: the escaped value in quotes,
+    plus ``@lang`` where the tag is non-empty. Backslash first, so the
+    escapes added after it are not escaped again."""
+    out = values
+    for raw, esc in (("\\", "\\\\"), ('"', '\\"'), ("\n", "\\n"),
+                     ("\r", "\\r"), ("\t", "\\t")):
+        out = pc.replace_substring(out, raw, esc)
+    tag = pc.if_else(nonempty_array(langs), concat_array("@", langs), "")
+    return concat_array('"', out, '"', tag)
+
+
+def json_string_array(strings: pa.Array, *,
+                      ensure_ascii: bool = False) -> pa.Array:
+    """Each string as ``json.dumps`` writes it (quotes included, null as
+    ``null``): one encode of the whole column, split on the newline
+    separator, which no encoded string can hold."""
+    if len(strings) == 0:
+        return pa.array([], pa.string())
+    text = json.dumps(strings.to_pylist(), ensure_ascii=ensure_ascii,
+                      separators=("\n", ":"))
+    return pa.array(text[1:-1].split("\n"), pa.string())
+
+
+def join_text(strings: pa.Array, sep: str) -> str:
+    """A string column (no nulls) -> one str, ``sep`` between items."""
+    strings = strings.cast(pa.large_string())
+    if isinstance(strings, pa.ChunkedArray):
+        strings = strings.combine_chunks()
+    one = pa.ListArray.from_arrays(pa.array([0, len(strings)], pa.int32()),
+                                   strings)
+    return pc.binary_join(one, pa.scalar(sep, pa.large_string()))[0].as_py()

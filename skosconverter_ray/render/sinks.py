@@ -1,16 +1,18 @@
-"""The four reference sinks — CSV, Markdown, Confluence XML, JSON —
-plus Turtle/N-Triples, re-expressed as vectorized render stages over
-the ordered ``tree_rows`` IR (reference writers: to_notion_csv 764-888,
-to_notion_markdown 890-1041, to_xml 1043-1170, to_notion_json
-1172-1280, export_turtle 1551-1583 in skos_converter.py).
+"""The four reference sinks — CSV, Markdown, Confluence XML, JSON — as
+table kernels over the ordered ``tree_rows`` IR (reference writers:
+to_notion_csv 764-888, to_notion_markdown 890-1041, to_xml 1043-1170,
+to_notion_json 1172-1280 in skos_converter.py).
 
-Each sink is ``tree_rows -> map_batches(render) -> ordered text``.
-Ordering on a distributed engine: tree_rows is globally sorted on
-``sort_key``; ``iter_batches`` yields blocks in dataset order, so the
-driver (or a per-partition shard writer + manifest-ordered concat at
-scale) streams lines out in exact reference order. The JSON sink nests
-children with a driver-side stack over the sorted stream — the render
-stream is dimension-sized (one row per vocabulary concept).
+Each sink fetches the tree rows once as one Arrow table
+(``concepts.table_of``; the rows arrive in ``sort_key`` order, which is
+the reference's DFS order) and returns one ``str``. CSV, Markdown and
+XML build one line or block per row with Arrow string kernels: an
+optional metadata line is null where it is absent and
+``binary_join_element_wise(..., null_handling="skip")`` leaves it out.
+Each format has one escape rule, in ``functions.text``. The JSON sink
+nests children with a stack over the row columns. A vocabulary's tree
+has one row per concept, so the table and the text are
+dimension-sized; the driver holds both.
 
 Format decisions recorded against reference defects:
 - Markdown heading depth = tree level + 1 (H1 scheme, H2 top concept,
@@ -21,25 +23,45 @@ Format decisions recorded against reference defects:
   (quirk at 995, preserved).
 - The engine writes ``_URI:_`` and *parses* all three URI spellings
   (``_URI:_``, ``**URI:**``, ``<sub>URI:``) — reference defect D3.
+- CSV fields holding a comma, a quote, CR or LF are quoted, so a
+  multi-line definition stays one record.
 """
 
 from __future__ import annotations
 
-import csv as _csv
-import io
 import json
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from ..functions.text import sanitize_id_array, xml_escape_array  # noqa: F401
+from .. import schemas
+from ..functions.text import (
+    concat_array,
+    csv_field_array,
+    join_text,
+    nonempty_array,
+    sanitize_id_array,
+    xml_escape_array,
+)
+from ..stages.concepts import table_of
+
+_NULL = pa.scalar(None, pa.string())
 
 
-def _rows(tree_rows_ds):
-    """Stream ordered rows to the driver as dicts."""
-    for b in tree_rows_ds.iter_batches(batch_format="pyarrow",
-                                       batch_size=8192):
-        for r in b.to_pylist():
-            yield r
+def _tree(tree_rows_ds) -> pa.Table:
+    return table_of(tree_rows_ds, schemas.TREE_ROWS)
+
+
+def _only(mask, strings):
+    """``strings`` where ``mask`` holds, else null (a skipped line)."""
+    return pc.if_else(mask, strings, _NULL)
+
+
+def _meta(t: pa.Table, col: str, *parts):
+    """A metadata line: null (skipped) unless the row has a URI
+    (synthetic containers carry no metadata) and ``col`` is set."""
+    return _only(pc.and_(nonempty_array(t["uri"]), nonempty_array(t[col])),
+                 concat_array(*parts))
 
 
 # ---------------------------------------------------------------------------
@@ -50,148 +72,111 @@ CSV_HEADER = ["Title", "Parent", "Concept Scheme", "Definition",
               "Alternative Labels", "Notation", "URI", "Level"]
 
 
-def csv_line_batch(batch: pa.Table) -> pa.Table:
-    """tree_rows batch -> one CSV line per row (vectorizable render)."""
-    out = []
-    for r in batch.to_pylist():
-        buf = io.StringIO()
-        w = _csv.writer(buf, lineterminator="")
-        w.writerow([
-            "  " * r["level"] + r["title"],
-            r["parent"], r["scheme"], r["definition"], r["alt_labels"],
-            r["notation"], r["uri"], r["level"],
-        ])
-        out.append(buf.getvalue())
-    return pa.table({"sort_key": batch["sort_key"],
-                     "line": pa.array(out, pa.string())})
-
-
 def to_csv_text(tree_rows_ds) -> str:
-    lines = [",".join(CSV_HEADER)]
-    for b in tree_rows_ds.map_batches(
-            csv_line_batch, batch_format="pyarrow").iter_batches(
-            batch_format="pyarrow", batch_size=8192):
-        lines.extend(b["line"].to_pylist())
-    return "\n".join(lines) + "\n"
+    t = _tree(tree_rows_ds)
+    fields = [concat_array(pc.binary_repeat("  ", t["level"]), t["title"])]
+    fields += [t[c] for c in ("parent", "scheme", "definition",
+                              "alt_labels", "notation", "uri")]
+    fields.append(pc.cast(t["level"], pa.string()))
+    lines = pc.binary_join_element_wise(
+        *(csv_field_array(f) for f in fields), ",")
+    return (",".join(CSV_HEADER) + "\n" + join_text(lines, "\n")
+            + ("\n" if t.num_rows else ""))
 
 
 # ---------------------------------------------------------------------------
 # Markdown (S5)
 # ---------------------------------------------------------------------------
 
-def _md_heading(level: int, title: str) -> str:
-    """Reference heading shape (skos_converter.py:959-973, live code):
-    visual indicators ▸/▹/◦ at heading depths 4/5/6, and a bold-indent
-    fallback past H6 (markdown has no H7)."""
-    if level <= 6:
-        prefix = ""
-        if level == 4:
-            prefix = "▸ "
-        elif level == 5:
-            prefix = "▹ "
-        elif level >= 6:
-            prefix = "◦ "
-        return "#" * min(level, 6) + " " + prefix + title
-    indent = "  " * (level - 6)
-    return f"{indent}**◦ {title}**"
+_MD_PREFIX = pa.array(["", "", "", "", "▸ ", "▹ ", "◦ "])
 
 
-def markdown_block_batch(batch: pa.Table) -> pa.Table:
-    out = []
-    for r in batch.to_pylist():
-        level = r["level"] + 1
-        lines = [_md_heading(level, r["title"]), ""]
-        if r["uri"]:  # synthetic containers carry no metadata
-            if r["notation"]:
-                lines.append(f"_Notation:_ `{r['notation']}`  ")
-            if r["definition"]:
-                lines.append(f"_Definition:_ {r['definition']}  ")
-            if r["alt_labels"]:
-                lines.append(f"_Alternative Labels:_ {r['alt_labels']}  ")
-            lines.append(f"_URI:_ <{r['uri']}>")
-            if r["same_as"]:
-                refs = ", ".join(f"<{u}>" for u in r["same_as"].split(", "))
-                lines.append(f"_Same as:_ {refs}  ")
-            if r["related"]:
-                refs = ", ".join(f"<{u}>" for u in r["related"].split(", "))
-                lines.append(f"_Related:_ {refs}  ")
-            lines.append("")
-        out.append("\n".join(lines))
-    return pa.table({"sort_key": batch["sort_key"],
-                     "block": pa.array(out, pa.string())})
+def md_heading(level, title):
+    """Reference heading shape (skos_converter.py:959-973, live code) at
+    heading depth ``level``: visual indicators ▸/▹/◦ at depths 4/5/6,
+    and a bold-indent fallback past H6 (markdown has no H7)."""
+    capped = pc.min_element_wise(level, 6)
+    heading = concat_array(pc.binary_repeat("#", capped), " ",
+                           _MD_PREFIX.take(capped), title)
+    deep = concat_array(pc.binary_repeat("  ", pc.max_element_wise(
+        pc.subtract(level, 6), 0)), "**◦ ", title, "**")
+    return pc.if_else(pc.greater(level, 6), deep, heading)
+
+
+def _md_refs(uris):
+    """", "-joined URIs -> ``<u1>, <u2>``."""
+    return concat_array("<", pc.replace_substring(uris, ", ", ">, <"), ">")
 
 
 def to_markdown_text(tree_rows_ds) -> str:
-    blocks = []
-    for b in tree_rows_ds.map_batches(
-            markdown_block_batch, batch_format="pyarrow").iter_batches(
-            batch_format="pyarrow", batch_size=8192):
-        blocks.extend(b["block"].to_pylist())
-    return "\n".join(blocks).rstrip("\n") + "\n"
+    t = _tree(tree_rows_ds)
+    has_uri = nonempty_array(t["uri"])
+    blocks = pc.binary_join_element_wise(
+        md_heading(pc.add(t["level"], 1), t["title"]), "",
+        _meta(t, "notation", "_Notation:_ `", t["notation"], "`  "),
+        _meta(t, "definition", "_Definition:_ ", t["definition"], "  "),
+        _meta(t, "alt_labels", "_Alternative Labels:_ ", t["alt_labels"],
+              "  "),
+        _only(has_uri, concat_array("_URI:_ <", t["uri"], ">")),
+        _meta(t, "same_as", "_Same as:_ ", _md_refs(t["same_as"]), "  "),
+        _meta(t, "related", "_Related:_ ", _md_refs(t["related"]), "  "),
+        _only(has_uri, ""),
+        "\n", null_handling="skip")
+    return join_text(blocks, "\n").rstrip("\n") + "\n"
 
 
 # ---------------------------------------------------------------------------
 # Confluence storage-format XML (S6; ref 1043-1170)
 # ---------------------------------------------------------------------------
 
-def _esc(s: str) -> str:
-    """5-entity escape, reference spelling incl. &#39; for the
-    apostrophe (skos_converter.py:1162-1170)."""
-    return (s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-            .replace('"', "&quot;").replace("'", "&#39;"))
-
-
-def xml_block_batch(batch: pa.Table) -> pa.Table:
-    out = []
-    for r in batch.to_pylist():
-        level = r["level"] + 1
-        if level <= 6:
-            heading = f"<h{level}>{_esc(r['title'])}</h{level}>"
-        else:
-            # >h6 bold-indent fallback (ref 1104-1110)
-            indent = "&nbsp;" * ((level - 6) * 4)
-            heading = f"<p>{indent}<strong>{_esc(r['title'])}</strong></p>"
-        lines = [heading]
-        if r["uri"]:
-            # metadata order Definition -> Notation -> AltLabels
-            # (ref 1113-1123; differs from the markdown order)
-            if r["definition"]:
-                lines.append(f"<p><em>Definition:</em> {_esc(r['definition'])}</p>")
-            if r["notation"]:
-                lines.append(f"<p><em>Notation:</em> <code>{_esc(r['notation'])}</code></p>")
-            if r["alt_labels"]:
-                lines.append(
-                    f"<p><em>Alternative Labels:</em> {_esc(r['alt_labels'])}</p>")
-            # URI as collapsible info panel (ref 1125-1133)
-            lines.append(
-                '<ac:structured-macro ac:name="info" ac:schema-version="1">')
-            lines.append('<ac:parameter ac:name="title">URI</ac:parameter>')
-            lines.append("<ac:rich-text-body>")
-            lines.append(f"<p><code>{_esc(r['uri'])}</code></p>")
-            lines.append("</ac:rich-text-body>")
-            lines.append("</ac:structured-macro>")
-        lines.append("")  # spacing between concepts (ref 1134)
-        out.append("\n".join(lines))
-    return pa.table({"sort_key": batch["sort_key"],
-                     "block": pa.array(out, pa.string())})
+# URI as collapsible info panel (ref 1125-1133)
+_XML_URI_PANEL = (
+    '<ac:structured-macro ac:name="info" ac:schema-version="1">\n'
+    '<ac:parameter ac:name="title">URI</ac:parameter>\n'
+    "<ac:rich-text-body>\n"
+    "<p><code>", "</code></p>\n"
+    "</ac:rich-text-body>\n"
+    "</ac:structured-macro>")
 
 
 def to_xml_text(tree_rows_ds) -> str:
     """Confluence storage-format envelope (ref 1050-1054): XML
     declaration + expand macro wrapper with title parameter."""
-    blocks = []
-    for b in tree_rows_ds.map_batches(
-            xml_block_batch, batch_format="pyarrow").iter_batches(
-            batch_format="pyarrow", batch_size=8192):
-        blocks.extend(b["block"].to_pylist())
-    body = "\n".join(blocks)
+    t = _tree(tree_rows_ds)
+    level = pc.add(t["level"], 1)
+    title = xml_escape_array(t["title"])
+    h = pc.cast(level, pa.string())
+    # >h6 bold-indent fallback (ref 1104-1110)
+    indent = pc.binary_repeat("&nbsp;", pc.multiply(
+        pc.max_element_wise(pc.subtract(level, 6), 0), 4))
+    heading = pc.if_else(
+        pc.greater(level, 6),
+        concat_array("<p>", indent, "<strong>", title, "</strong></p>"),
+        concat_array("<h", h, ">", title, "</h", h, ">"))
+
+    def esc(col):
+        return xml_escape_array(t[col])
+
+    # metadata order Definition -> Notation -> AltLabels
+    # (ref 1113-1123; differs from the markdown order)
+    blocks = pc.binary_join_element_wise(
+        heading,
+        _meta(t, "definition", "<p><em>Definition:</em> ", esc("definition"),
+              "</p>"),
+        _meta(t, "notation", "<p><em>Notation:</em> <code>", esc("notation"),
+              "</code></p>"),
+        _meta(t, "alt_labels", "<p><em>Alternative Labels:</em> ",
+              esc("alt_labels"), "</p>"),
+        _meta(t, "uri", _XML_URI_PANEL[0], esc("uri"), _XML_URI_PANEL[1]),
+        "",  # spacing between concepts (ref 1134)
+        "\n", null_handling="skip")
     return (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         "<ac:confluence-content>\n"
         '<ac:structured-macro ac:name="expand" ac:schema-version="1">\n'
         '<ac:parameter ac:name="title">SKOS Vocabulary</ac:parameter>\n'
         "<ac:rich-text-body>\n"
-        + body + "\n"
+        + join_text(blocks, "\n") + "\n"
         "</ac:rich-text-body>\n"
         "</ac:structured-macro>\n"
         "</ac:confluence-content>\n")
@@ -202,41 +187,42 @@ def to_xml_text(tree_rows_ds) -> str:
 # ---------------------------------------------------------------------------
 
 def to_json_obj(tree_rows_ds) -> dict:
-    def san(u):
-        return u.replace("/", "_").replace("#", "_")
-
+    t = _tree(tree_rows_ds)
+    ids = sanitize_id_array(pc.fill_null(t["uri"], ""))
     schemes, flat = [], []
     stack: list[tuple[int, dict]] = []  # (level, node)
-    for r in _rows(tree_rows_ds):
-        if not r["uri"] and r["title"].startswith("["):
+    for title, uri, level, definition, alt, notation, id_ in zip(
+            *(t[c].to_pylist() for c in ("title", "uri", "level",
+                                         "definition", "alt_labels",
+                                         "notation")), ids.to_pylist()):
+        if not uri and title.startswith("["):
             # container rows reset the stack to their level
-            while stack and stack[-1][0] >= r["level"]:
+            while stack and stack[-1][0] >= level:
                 stack.pop()
             continue
         node = {
-            "id": san(r["uri"]) if r["uri"] else "",
-            "title": r["title"],
+            "id": id_,
+            "title": title,
             "parent_id": "",
-            "definition": r["definition"],
-            "alternative_labels": [s for s in r["alt_labels"].split(", ") if s],
-            "notation": r["notation"],
-            "uri": r["uri"],
+            "definition": definition,
+            "alternative_labels": [s for s in alt.split(", ") if s],
+            "notation": notation,
+            "uri": uri,
             "children": [],
         }
-        if r["level"] == 0 and r["title"].startswith("[SCHEME]"):
-            schemes.append({"id": san(r["uri"]), "title": r["title"][9:],
-                            "uri": r["uri"], "children": node["children"]})
+        if level == 0 and title.startswith("[SCHEME]"):
+            schemes.append({"id": id_, "title": title[9:], "uri": uri,
+                            "children": node["children"]})
             stack = [(0, node)]
             continue
-        while stack and stack[-1][0] >= r["level"]:
+        while stack and stack[-1][0] >= level:
             stack.pop()
         if stack:
             parent = stack[-1][1]
             node["parent_id"] = parent["id"]
             parent["children"].append(node)
-        flat.append({k: v for k, v in node.items() if k != "children"}
-                    | {"children": node["children"]})
-        stack.append((r["level"], node))
+        flat.append(dict(node))
+        stack.append((level, node))
     return {"vocabulary": {"schemes": schemes, "concepts": flat}}
 
 

@@ -38,6 +38,19 @@ TRIPLES = pa.schema(
     ]
 )
 
+# The triple columns the RDF writers read (provenance is not written).
+TRIPLE_TERMS = pa.schema([f for f in TRIPLES if f.name != "source_doc"])
+
+
+def triples_table(rows: list[tuple],
+                  source_doc: str | None = None) -> pa.Table:
+    """``(subj, pred, obj, obj_is_literal, lang)`` tuples -> a TRIPLES
+    table with ``source_doc`` on every row (the readers' one builder)."""
+    cols = list(zip(*rows)) or [()] * len(TRIPLE_TERMS)
+    return pa.table(
+        [pa.array(c, f.type) for c, f in zip(cols, TRIPLE_TERMS)]
+        + [pa.array([source_doc] * len(rows), pa.string())], schema=TRIPLES)
+
 # Per-concept wide record: replaces the reference's per-concept getter
 # cluster (skos_converter.py:623-657) with one groupby-pivot.
 CONCEPTS = pa.schema(

@@ -1,4 +1,4 @@
-"""JSON-LD subset reader (SURVEY.md S2; rdflib unavailable, §4.3).
+"""JSON-LD subset reader and writer (SURVEY.md S2/S8; no rdflib, §4.3).
 
 Covers the expanded/compacted shapes SKOS vocabularies ship in
 (reference loads via rdflib ``format='json-ld'``,
@@ -19,16 +19,31 @@ or ``{"@context": ..., "@graph": [...]}``. Supported term forms:
   reader), lists of any of these, and nested node objects (recursed)
 
 Per-document parse, file-parallel — same shape as the Turtle reader.
+
+The writer, ``to_jsonld_text``, is one table kernel over the whole
+triples table, fetched once: every object value is encoded as JSON text
+with Arrow string kernels, one sort orders the values by (subject, key,
+ASCII JSON text), and runs of equal keys are joined into node members,
+then into nodes. The result is the document ``json.dumps`` writes for
+the expanded-form nodes with sorted keys.
 """
 
 from __future__ import annotations
 
 import json
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from .. import schemas
-from .turtle import triples_to_table
+from ..functions.text import (
+    concat_array,
+    join_text,
+    json_string_array,
+    nonempty_array,
+)
+from ..stages.concepts import table_of
 
 _RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 _RDF_TYPE = _RDF_NS + "type"
@@ -223,7 +238,7 @@ def parse_jsonld_dataset(docs_ds, *, text_col: str = "text",
         for doc_id, text in zip(batch[id_col].to_pylist(),
                                 batch[text_col].to_pylist()):
             try:
-                tables.append(triples_to_table(
+                tables.append(schemas.triples_table(
                     parse_jsonld_doc(text or "",
                                      bnode_prefix=f"_:{doc_id}#"),
                     doc_id))
@@ -243,76 +258,65 @@ def parse_jsonld_dataset(docs_ds, *, text_col: str = "text",
 # skos_converter.py:566-582)
 # ---------------------------------------------------------------------------
 
-def nodes_from_triples(triples_ds, *, num_buckets: int = 32):
-    """triples Dataset -> (subj, node_json) Dataset: one expanded-form
-    JSON-LD node object per subject. One subj-bucket cogroup; node
-    assembly is local per bucket, so the sink scales with the number
-    of subjects, never the triple count per worker."""
-    import json as _json
-    import zlib
-
-    import numpy as np
-
-    from ..config import use_hash_shuffle
-    use_hash_shuffle()
-
-    def bucket(batch: pa.Table) -> pa.Table:
-        s = batch["subj"].to_pylist()
-        b = np.array([zlib.crc32(x.encode()) % num_buckets for x in s],
-                     np.int32)
-        return batch.append_column("_bucket", pa.array(b, pa.int32()))
-
-    def build(group: pa.Table) -> pa.Table:
-        rows = sorted(zip(group["subj"].to_pylist(),
-                          group["pred"].to_pylist(),
-                          group["obj"].to_pylist(),
-                          group["obj_is_literal"].to_pylist(),
-                          [x or None for x in group["lang"].to_pylist()]))
-        subjects, jsons = [], []
-        node: dict | None = None
-        cur = None
-
-        def flush():
-            if node is None:
-                return
-            # deterministic value order inside each predicate list
-            for k, v in node.items():
-                if isinstance(v, list):
-                    v.sort(key=_json.dumps)
-            subjects.append(cur)
-            jsons.append(_json.dumps(node, sort_keys=True,
-                                     ensure_ascii=False))
-
-        for s, p, o, lit, lang in rows:
-            if s != cur:
-                flush()
-                cur, node = s, {"@id": s}
-            if p == _RDF_TYPE and not lit:
-                node.setdefault("@type", []).append(o)
-                continue
-            if lit:
-                val = {"@value": o}
-                if lang:
-                    val["@language"] = lang
-            else:
-                val = {"@id": o}
-            node.setdefault(p, []).append(val)
-        flush()
-        return pa.table({"subj": pa.array(subjects, pa.string()),
-                         "node_json": pa.array(jsons, pa.string())})
-
-    return (triples_ds.map_batches(bucket, batch_format="pyarrow")
-            .groupby("_bucket").map_groups(build, batch_format="pyarrow"))
+def _joined(t: pa.Table, keys: list[str], text: str) -> pa.Table:
+    """Rows sorted by ``keys`` -> one row per run of equal ``keys``,
+    holding the run's ``text`` values joined by ", " as ``joined``."""
+    starts = np.zeros(t.num_rows, bool)
+    starts[:1] = True
+    for k in keys:
+        starts[1:] |= pc.not_equal(t[k][1:], t[k][:-1]).to_numpy()
+    first = np.flatnonzero(starts)
+    runs = pa.ListArray.from_arrays(
+        pa.array(np.append(first, t.num_rows), pa.int32()),
+        t[text].combine_chunks())
+    return t.select(keys).take(first).append_column(
+        "joined", pc.binary_join(runs, ", "))
 
 
-def to_jsonld_text(triples_ds, *, num_buckets: int = 32) -> str:
+def _value_json(is_type, tagged, lit, obj, lang, *, ascii_order: bool):
+    """JSON text of each object value: the bare IRI string for @type,
+    else ``{"@id": ...}`` / ``{"@value": ...[, "@language": ...]}``.
+    Written with sorted keys; ``ascii_order`` gives the text the
+    values are ordered by instead (ASCII escapes, insertion order)."""
+    cat = concat_array
+    with_lang = (cat('{"@value": ', obj, ', "@language": ', lang, "}")
+                 if ascii_order else
+                 cat('{"@language": ', lang, ', "@value": ', obj, "}"))
+    return pc.if_else(is_type, obj, pc.if_else(tagged, with_lang, pc.if_else(
+        lit, cat('{"@value": ', obj, "}"), cat('{"@id": ', obj, "}"))))
+
+
+def to_jsonld_text(triples_ds) -> str:
     """triples Dataset -> one expanded-form JSON-LD document string
-    (``{"@graph": [...]}``, nodes sorted by @id). Driver-assembled like
-    ``to_turtle_text``; for corpus-scale graphs write the (subj,
-    node_json) Dataset to sharded files instead."""
-    nodes = nodes_from_triples(triples_ds, num_buckets=num_buckets)
-    parts = []
-    for b in nodes.sort("subj").iter_batches(batch_format="pyarrow",
-                                             batch_size=8192):
-        parts.extend(b["node_json"].to_pylist())
-    return '{"@graph": [\n' + ",\n".join(parts) + "\n]}\n"
+    (``{"@graph": [...]}``) as one table kernel: one node per subject,
+    nodes ordered by @id, a node's keys sorted, each key's values in
+    the order of their ASCII JSON text, duplicates kept. Non-literal
+    rdf:type objects form ``@type``."""
+    t = table_of(triples_ds, schemas.TRIPLE_TERMS)
+    lit = pc.fill_null(t["obj_is_literal"], False)
+    tagged = pc.and_(lit, nonempty_array(t["lang"]))
+    is_type = pc.and_(pc.equal(t["pred"], _RDF_TYPE), pc.invert(lit))
+    value, order = (
+        _value_json(is_type, tagged, lit,
+                    json_string_array(t["obj"], ensure_ascii=a),
+                    json_string_array(t["lang"], ensure_ascii=a),
+                    ascii_order=a)
+        for a in (False, True))
+    rows = pa.table({"subj": t["subj"],
+                     "key": pc.if_else(is_type, "@type", t["pred"]),
+                     "order": order, "value": value}).sort_by(
+        [("subj", "ascending"), ("key", "ascending"), ("order", "ascending")])
+    keyed = _joined(rows, ["subj", "key"], "value")
+    subjects = pc.unique(rows["subj"])
+    members = pa.concat_tables([
+        pa.table({"subj": keyed["subj"], "key": keyed["key"],
+                  "member": concat_array(json_string_array(keyed["key"]),
+                                         ": [", keyed["joined"], "]")}),
+        pa.table({"subj": subjects,
+                  "key": pa.array(["@id"] * len(subjects), pa.string()),
+                  "member": concat_array('"@id": ',
+                                         json_string_array(subjects))}),
+    ]).sort_by([("subj", "ascending"), ("key", "ascending")])
+    nodes = _joined(members, ["subj"], "member")
+    body = join_text(concat_array("{", nodes["joined"], "}"), ",\n")
+    return '{"@graph": [\n' + body + "\n]}\n"

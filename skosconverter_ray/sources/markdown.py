@@ -77,14 +77,13 @@ def _skip_section(t: str) -> bool:
         t.startswith("Other Concepts") or t.startswith("Unassigned Concepts")
 
 
-def parse_markdown_doc(text: str, namespace: str,
-                       source_doc: str | None = None) -> list[tuple]:
+def parse_markdown_doc(text: str, namespace: str) -> list[tuple]:
     """One markdown document -> list of triple tuples
-    (subj, pred, obj, obj_is_literal, lang, source_doc)."""
+    (subj, pred, obj, obj_is_literal, lang)."""
     out: list[tuple] = []
 
     def add(s, p, o, lit=False, lang=None):
-        out.append((s, p, o, lit, lang, source_doc))
+        out.append((s, p, o, lit, lang))
 
     lines = text.splitlines()
     scheme_uri = None
@@ -181,30 +180,16 @@ def parse_markdown_doc(text: str, namespace: str,
     return out
 
 
-def triples_table(rows: list[tuple]) -> pa.Table:
-    return pa.table(
-        {
-            "subj": pa.array([r[0] for r in rows], pa.string()),
-            "pred": pa.array([r[1] for r in rows], pa.string()),
-            "obj": pa.array([r[2] for r in rows], pa.string()),
-            "obj_is_literal": pa.array([r[3] for r in rows], pa.bool_()),
-            "lang": pa.array([r[4] for r in rows], pa.string()),
-            "source_doc": pa.array([r[5] for r in rows], pa.string()),
-        },
-        schema=schemas.TRIPLES,
-    )
-
-
 def parse_markdown_dataset(docs_ds, namespace: str,
                            id_col: str = "doc_id", text_col: str = "text"):
     """Dataset of (doc_id, markdown text) -> triples Dataset."""
 
     def parse(batch: pa.Table) -> pa.Table:
-        rows: list[tuple] = []
-        for doc_id, text in zip(batch[id_col].to_pylist(),
-                                batch[text_col].to_pylist()):
-            rows.extend(parse_markdown_doc(text or "", namespace,
-                                           source_doc=str(doc_id)))
-        return triples_table(rows)
+        return pa.concat_tables([
+            schemas.triples_table(parse_markdown_doc(text or "", namespace),
+                                  str(doc_id))
+            for doc_id, text in zip(batch[id_col].to_pylist(),
+                                    batch[text_col].to_pylist())
+        ] + [schemas.TRIPLES.empty_table()])
 
     return docs_ds.map_batches(parse, batch_format="pyarrow")

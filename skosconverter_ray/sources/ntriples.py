@@ -1,13 +1,16 @@
-"""N-Triples subset reader/writer (SURVEY.md S1/S8, §4.3).
+"""N-Triples subset reader and writer (SURVEY.md S1/S8, §4.3).
 
-``rdflib`` is unavailable in this sandbox (and a whole-file DOM parser
-is the wrong shape for streaming anyway), so the engine speaks a
-line-oriented N-Triples subset covering exactly what the reference
-emits and reads: absolute ``<uri>`` terms and literals with optional
-``@lang`` tags (reference loaders skos_converter.py:548-582; serializer
-1551-1583). One line per triple makes the format embarrassingly
-block-parallel: ``read_text`` shards by line ranges and every batch
-parses independently.
+``rdflib`` is not a dependency, so the engine speaks a line-oriented
+N-Triples subset covering exactly what the reference emits and reads:
+absolute ``<uri>`` terms and literals with optional ``@lang`` tags
+(reference loaders skos_converter.py:548-582; serializer 1551-1583).
+
+Reader: one line per triple makes the format block-parallel, so
+``read_text`` shards by line ranges and every batch parses on its own.
+Writer: ``to_ntriples_text`` is one table kernel over the whole triples
+table, fetched once; each line is assembled from Arrow string kernels
+with the literal escape shared with the Turtle writer
+(``functions.text.rdf_literal_array``).
 """
 
 from __future__ import annotations
@@ -15,8 +18,11 @@ from __future__ import annotations
 import re
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from .. import schemas
+from ..functions.text import concat_array, join_text, rdf_literal_array
+from ..stages.concepts import table_of
 
 _LINE_RE = re.compile(
     r"^<(?P<s>[^>]*)>\s+<(?P<p>[^>]*)>\s+"
@@ -31,15 +37,9 @@ def _unescape(s: str) -> str:
             .replace("\x00", "\\"))
 
 
-def _escape(s: str) -> str:
-    return (s.replace("\\", "\\\\").replace('"', '\\"')
-            .replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t"))
-
-
 def parse_lines_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
     """Batch of N-Triples lines -> triples rows (bad lines dropped)."""
-    rows = {k: [] for k in ("subj", "pred", "obj", "obj_is_literal",
-                            "lang", "source_doc")}
+    rows = []
     for line in batch[text_col].to_pylist():
         line = (line or "").strip()
         if not line or line.startswith("#"):
@@ -47,28 +47,12 @@ def parse_lines_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
         m = _LINE_RE.match(line)
         if not m:
             continue
-        rows["subj"].append(m["s"])
-        rows["pred"].append(m["p"])
         if m["o_uri"] is not None:
-            rows["obj"].append(m["o_uri"])
-            rows["obj_is_literal"].append(False)
-            rows["lang"].append(None)
+            rows.append((m["s"], m["p"], m["o_uri"], False, None))
         else:
-            rows["obj"].append(_unescape(m["o_lit"]))
-            rows["obj_is_literal"].append(True)
-            rows["lang"].append(m["lang"])
-        rows["source_doc"].append(None)
-    return pa.table(
-        {
-            "subj": pa.array(rows["subj"], pa.string()),
-            "pred": pa.array(rows["pred"], pa.string()),
-            "obj": pa.array(rows["obj"], pa.string()),
-            "obj_is_literal": pa.array(rows["obj_is_literal"], pa.bool_()),
-            "lang": pa.array(rows["lang"], pa.string()),
-            "source_doc": pa.array(rows["source_doc"], pa.string()),
-        },
-        schema=schemas.TRIPLES,
-    )
+            rows.append((m["s"], m["p"], _unescape(m["o_lit"]), True,
+                         m["lang"]))
+    return schemas.triples_table(rows)
 
 
 def read_ntriples(paths) -> "ray.data.Dataset":  # noqa: F821
@@ -79,44 +63,12 @@ def read_ntriples(paths) -> "ray.data.Dataset":  # noqa: F821
         parse_lines_batch, batch_format="pyarrow")
 
 
-def serialize_batch(batch: pa.Table) -> pa.Table:
-    """triples rows -> one N-Triples line per row."""
-    lines = []
-    for r in batch.to_pylist():
-        if r["obj_is_literal"]:
-            obj = f'"{_escape(r["obj"])}"'
-            if r.get("lang"):
-                obj += f"@{r['lang']}"
-        else:
-            obj = f"<{r['obj']}>"
-        lines.append(f"<{r['subj']}> <{r['pred']}> {obj} .")
-    return pa.table({"line": pa.array(lines, pa.string())})
-
-
 def to_ntriples_text(triples_ds) -> str:
-    out = []
-    for b in triples_ds.map_batches(
-            serialize_batch, batch_format="pyarrow").iter_batches(
-            batch_format="pyarrow", batch_size=8192):
-        out.extend(b["line"].to_pylist())
-    return "\n".join(out) + ("\n" if out else "")
-
-
-def write_ntriples(triples_ds, out_dir: str):
-    """Sharded text sink: one .nt part per block (resumable layout)."""
-    import os
-
-    os.makedirs(out_dir, exist_ok=True)
-    ds = triples_ds.map_batches(serialize_batch, batch_format="pyarrow")
-
-    def write_block(batch: pa.Table) -> pa.Table:
-        import uuid
-
-        part = os.path.join(out_dir, f"part-{uuid.uuid4().hex}.nt")
-        with open(part, "w") as f:
-            f.write("\n".join(batch["line"].to_pylist()) + "\n")
-        return pa.table({"path": pa.array([part], pa.string()),
-                         "rows": pa.array([batch.num_rows], pa.int64())})
-
-    return ds.map_batches(write_block, batch_format="pyarrow",
-                          batch_size=65536)
+    """triples Dataset -> N-Triples document, one line per triple in
+    dataset order."""
+    t = table_of(triples_ds, schemas.TRIPLE_TERMS)
+    obj = pc.if_else(pc.fill_null(t["obj_is_literal"], False),
+                     rdf_literal_array(t["obj"], t["lang"]),
+                     concat_array("<", t["obj"], ">"))
+    lines = concat_array("<", t["subj"], "> <", t["pred"], "> ", obj, " .")
+    return join_text(lines, "\n") + ("\n" if t.num_rows else "")

@@ -1,4 +1,4 @@
-"""Turtle subset reader (SURVEY.md S1; rdflib unavailable, §4.3).
+"""Turtle subset reader and writer (SURVEY.md S1/S8; no rdflib, §4.3).
 
 Covers what SKOS vocabularies in the wild and the reference's own
 serializer produce (skos_converter.py:548-564 reads via rdflib;
@@ -12,6 +12,7 @@ Parallelism shape: Turtle is stateful per FILE (prefix table +
 statement continuations), so the file is the parallel unit — exactly
 the reference's batch-directory granularity (S9). Each file parses
 independently inside ``map_batches``; triples stream out as Arrow rows.
+The writer is one table kernel over the whole triples table.
 """
 
 from __future__ import annotations
@@ -19,8 +20,11 @@ from __future__ import annotations
 import re
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from .. import schemas
+from ..functions.text import concat_array, join_text, rdf_literal_array
+from ..stages.concepts import table_of
 
 _RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 
@@ -268,20 +272,6 @@ def parse_turtle_doc(text: str, *, bnode_prefix: str = "_:") -> list[tuple]:
     return triples
 
 
-def triples_to_table(rows: list[tuple], source_doc: str | None) -> pa.Table:
-    return pa.table(
-        {
-            "subj": pa.array([r[0] for r in rows], pa.string()),
-            "pred": pa.array([r[1] for r in rows], pa.string()),
-            "obj": pa.array([r[2] for r in rows], pa.string()),
-            "obj_is_literal": pa.array([r[3] for r in rows], pa.bool_()),
-            "lang": pa.array([r[4] for r in rows], pa.string()),
-            "source_doc": pa.array([source_doc] * len(rows), pa.string()),
-        },
-        schema=schemas.TRIPLES,
-    )
-
-
 def parse_turtle_dataset(docs_ds, *, text_col: str = "text",
                          id_col: str = "doc_id"):
     """(doc_id, text) Dataset of Turtle documents -> triples Dataset.
@@ -297,7 +287,7 @@ def parse_turtle_dataset(docs_ds, *, text_col: str = "text",
             try:
                 # per-document bnode prefix: graph-scoped labels from
                 # different files must never collide in the union
-                tables.append(triples_to_table(
+                tables.append(schemas.triples_table(
                     parse_turtle_doc(text or "",
                                      bnode_prefix=f"_:{doc_id}#"),
                     doc_id))
@@ -340,53 +330,34 @@ _DEFAULT_PREFIXES = {
     "owl": "http://www.w3.org/2002/07/owl#",
 }
 
-_LOCAL_OK = re.compile(r"^[A-Za-z0-9_.-]+$")
 
-
-def _compact(uri: str, prefixes: dict[str, str]) -> str:
-    for pfx, ns in prefixes.items():
-        if uri.startswith(ns):
-            local = uri[len(ns):]
-            if _LOCAL_OK.match(local):
-                return f"{pfx}:{local}"
-    return f"<{uri}>"
-
-
-def _ttl_escape(s: str) -> str:
-    return (s.replace("\\", "\\\\").replace('"', '\\"')
-            .replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t"))
-
-
-def serialize_turtle_batch(batch: pa.Table,
-                           prefixes: dict[str, str]) -> pa.Table:
-    """triples rows -> one compacted Turtle statement line per row.
-    Line-per-triple keeps the sink embarrassingly parallel; prefix
-    headers are prepended by the caller (to_turtle_text) or written
-    once per shard."""
-    lines = []
-    for r in batch.to_pylist():
-        s = _compact(r["subj"], prefixes)
-        p = _compact(r["pred"], prefixes)
-        if r["obj_is_literal"]:
-            o = f'"{_ttl_escape(r["obj"])}"'
-            if r.get("lang"):
-                o += f"@{r['lang']}"
-        else:
-            o = _compact(r["obj"], prefixes)
-        lines.append(f"{s} {p} {o} .")
-    return pa.table({"line": pa.array(lines, pa.string())})
+def _compact(uris: pa.Array, prefixes: dict[str, str]) -> pa.Array:
+    """IRI terms: ``pfx:local`` under the first prefix whose namespace
+    starts the IRI and leaves a local name of ``[A-Za-z0-9_.-]+``,
+    else ``<iri>``. The optional trailing newline keeps Python's ``$``
+    semantics, which the writer has always used."""
+    out = concat_array("<", uris, ">")
+    for pfx, ns in reversed(prefixes.items()):  # the first match wins
+        local = pc.utf8_slice_codeunits(uris, len(ns))
+        ok = pc.and_(pc.starts_with(uris, ns),
+                     pc.match_substring_regex(local, r"^[A-Za-z0-9_.-]+\n?$"))
+        out = pc.if_else(ok, concat_array(pfx + ":", local), out)
+    return out
 
 
 def to_turtle_text(triples_ds, *, prefixes: dict[str, str] | None = None,
                    extra_prefixes: dict[str, str] | None = None) -> str:
-    """triples Dataset -> one Turtle document string (header + body)."""
+    """triples Dataset -> one Turtle document string: the sorted prefix
+    header, a blank line, then one compacted statement per triple in
+    dataset order."""
     pfx = dict(_DEFAULT_PREFIXES if prefixes is None else prefixes)
     if extra_prefixes:
         pfx.update(extra_prefixes)
     header = [f"@prefix {k}: <{v}> ." for k, v in sorted(pfx.items())]
-    body = []
-    ds = triples_ds.map_batches(
-        lambda b: serialize_turtle_batch(b, pfx), batch_format="pyarrow")
-    for b in ds.iter_batches(batch_format="pyarrow", batch_size=8192):
-        body.extend(b["line"].to_pylist())
-    return "\n".join(header) + "\n\n" + "\n".join(body) + "\n"
+    t = table_of(triples_ds, schemas.TRIPLE_TERMS)
+    obj = pc.if_else(pc.fill_null(t["obj_is_literal"], False),
+                     rdf_literal_array(t["obj"], t["lang"]),
+                     _compact(t["obj"], pfx))
+    lines = concat_array(_compact(t["subj"], pfx), " ",
+                         _compact(t["pred"], pfx), " ", obj, " .")
+    return "\n".join(header) + "\n\n" + join_text(lines, "\n") + "\n"

@@ -51,6 +51,7 @@ from ..config import (
     OWL_SAME_AS,
     EngineConfig,
 )
+from ..functions.text import uri_tail_array
 
 # The SKOS size gate: input triples at or below which a stage runs its
 # kernels in-process (measurement in BASELINE.md, round 6).
@@ -115,14 +116,12 @@ def pivot_table(triples: pa.Table, cfg: EngineConfig) -> pa.Table:
                                    pc.equal(obj, cls)))
         return pc.is_in(uris, value_set=t["subj"].combine_chunks())
 
-    tail = pc.replace_substring_regex(
-        pc.replace_substring_regex(uris, "^.*/", ""), "^.*#", "")
     top = first(SKOS_TOP_CONCEPT_OF)
     return pa.table({
         "uri": uris,
         "pref_label": pc.coalesce(
             pc.utf8_slice_codeunits(first(SKOS_PREF_LABEL), 3),
-            first(SKOS_ALT_LABEL), first(RDFS_LABEL), tail),
+            first(SKOS_ALT_LABEL), first(RDFS_LABEL), uri_tail_array(uris)),
         "alt_labels": value_set(SKOS_ALT_LABEL),
         "hidden_labels": value_set(SKOS_HIDDEN_LABEL),
         # definition falls back to scopeNote (ref 633-636)

@@ -37,7 +37,6 @@ bucket members so pair emission is deterministic.
 
 from __future__ import annotations
 
-import hashlib
 import os
 
 import numpy as np
@@ -120,17 +119,6 @@ def minhash_signature(shingles: np.ndarray) -> np.ndarray:
     # (N_PERM, S): a*x+b < 2^64 because a,b,x < 2^32
     m = (_A[:, None] * x[None, :] + _B[:, None]) % _PRIME
     return (m.min(axis=1) & _MAX32).astype(np.uint64)
-
-
-def band_keys(sig: np.ndarray) -> list[int]:
-    """One 63-bit bucket key per band (blake2b of the band's rows)."""
-    out = []
-    for band in range(N_BANDS):
-        chunk = sig[band * ROWS_PER_BAND:(band + 1) * ROWS_PER_BAND]
-        d = hashlib.blake2b(chunk.astype("<u8").tobytes(),
-                            digest_size=8).digest()
-        out.append(int.from_bytes(d, "big") >> 1)
-    return out
 
 
 # vectorized band-key mixing constants (odd multipliers per band row)

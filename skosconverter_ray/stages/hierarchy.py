@@ -56,6 +56,7 @@ import pyarrow.compute as pc
 
 from .. import schemas
 from ..config import SKOS_BROADER, SKOS_NARROWER, EngineConfig
+from ..functions.text import concat_array as _cat
 from .concepts import (TRIPLE_COLS, conform, materialize_and_place,
                        n_buckets, pivot_table, run_stage, table_of)
 
@@ -80,10 +81,6 @@ SCHEME_SCHEMA = pa.schema([("s_uri", pa.string()), ("s_label", pa.string()),
                            ("s_seg", pa.string())])
 CHILD_EDGE_SCHEMA = pa.schema([("uri", pa.string()), ("seg", pa.string()),
                                ("parent", pa.string())])
-
-
-def _cat(*parts):
-    return pc.binary_join_element_wise(*parts, "")
 
 
 def edge_table(triples: pa.Table) -> pa.Table:

@@ -178,10 +178,3 @@ def inverse_consistency(triples_ds):
     return run_stage([(ds, "subj"), (ds, "obj")], schemas.TRIPLES,
                      closure_table, schemas.TRIPLES)
 
-
-def triple_counts(triples_ds):
-    """Summary counts per predicate (reference's logged summaries,
-    skos_converter.py:814-815, 1567-1573) — a small groupby."""
-    from ray.data.aggregate import Count
-
-    return triples_ds.groupby("pred").aggregate(Count(alias_name="n"))

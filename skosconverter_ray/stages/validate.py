@@ -62,8 +62,9 @@ from ..config import (
     SKOS_PREF_LABEL,
     SKOS_TOP_CONCEPT_OF,
 )
+from ..functions.text import concat_array as _cat
 from .concepts import conform, materialize_and_place, n_buckets, table_of
-from .hierarchy import _cat, edge_table
+from .hierarchy import edge_table
 from .triples import dedup_table
 
 ISSUES_SCHEMA = pa.schema([

@@ -143,7 +143,12 @@ def test_xml_structure(fixture_ds):
 def test_deep_levels_render_fallbacks():
     """Markdown ▸/▹/◦ prefixes (ref 959-973) and the >H6 / >h6
     bold-indent fallbacks (ref 968-973, 1104-1110)."""
-    from skosconverter_ray.render.sinks import _md_heading, xml_block_batch
+    import ray.data as rd
+
+    from skosconverter_ray.render.sinks import md_heading, to_xml_text
+
+    def _md_heading(level, title):
+        return md_heading(pa.array([level]), pa.array([title]))[0].as_py()
 
     assert _md_heading(3, "X") == "### X"
     assert _md_heading(4, "X") == "#### ▸ X"
@@ -160,7 +165,7 @@ def test_deep_levels_render_fallbacks():
         "related": pa.array([""]), "uri": pa.array(["http://ex.org/deep"]),
         "level": pa.array([7], pa.int32()),
     })
-    block = xml_block_batch(deep)["block"][0].as_py()
+    block = to_xml_text(rd.from_arrow(deep))
     assert "<p>&nbsp;&nbsp;&nbsp;&nbsp;&nbsp;&nbsp;&nbsp;&nbsp;" \
            "<strong>Deep</strong></p>" in block
 
