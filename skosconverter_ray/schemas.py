@@ -51,6 +51,7 @@ def triples_table(rows: list[tuple],
         [pa.array(c, f.type) for c, f in zip(cols, TRIPLE_TERMS)]
         + [pa.array([source_doc] * len(rows), pa.string())], schema=TRIPLES)
 
+
 # Per-concept wide record: replaces the reference's per-concept getter
 # cluster (skos_converter.py:623-657) with one groupby-pivot.
 CONCEPTS = pa.schema(

@@ -334,8 +334,8 @@ _DEFAULT_PREFIXES = {
 def _compact(uris: pa.Array, prefixes: dict[str, str]) -> pa.Array:
     """IRI terms: ``pfx:local`` under the first prefix whose namespace
     starts the IRI and leaves a local name of ``[A-Za-z0-9_.-]+``,
-    else ``<iri>``. The optional trailing newline keeps Python's ``$``
-    semantics, which the writer has always used."""
+    else ``<iri>``. ``\n?$`` is Python ``re``'s ``$``: the local name
+    may end in one newline."""
     out = concat_array("<", uris, ">")
     for pfx, ns in reversed(prefixes.items()):  # the first match wins
         local = pc.utf8_slice_codeunits(uris, len(ns))
