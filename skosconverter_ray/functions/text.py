@@ -113,6 +113,26 @@ def rdf_literal_array(values: pa.Array, langs: pa.Array) -> pa.Array:
     return concat_array('"', out, '"', tag)
 
 
+# characters N-Triples' IRIREF production excludes (Turtle's too)
+_IRI_FORBIDDEN = r'[\x00-\x20<>"{}|^`\\]'
+
+
+def check_iris(t: pa.Table) -> None:
+    """Raise ``ValueError`` naming the first IRI term of a triples
+    table (subject, predicate, non-literal object; row by row) that
+    holds a character an N-Triples IRI may not, rather than write a
+    document that is invalid or reads back as other IRIs."""
+    lit = pc.fill_null(t["obj_is_literal"], False)
+    terms = [t["subj"], t["pred"], pc.if_else(lit, None, t["obj"])]
+    bad = [pc.fill_null(pc.match_substring_regex(c, _IRI_FORBIDDEN), False)
+           for c in terms]
+    i = pc.index(pc.or_(pc.or_(bad[0], bad[1]), bad[2]), True).as_py()
+    if i >= 0:
+        iri = next(c[i].as_py() for c, b in zip(terms, bad) if b[i].as_py())
+        raise ValueError(f"IRI {iri!r} (triple {i}) holds a character "
+                         "that an N-Triples/Turtle IRI may not")
+
+
 def json_string_array(strings: pa.Array, *,
                       ensure_ascii: bool = False) -> pa.Array:
     """Each string as ``json.dumps`` writes it (quotes included, null as

@@ -241,9 +241,6 @@ def run_flagship(docs_ds, vocab_triples: pa.Table, *,
     import ray
     import ray.data as rd
 
-    from ..config import use_hash_shuffle
-    use_hash_shuffle()
-
     label_index = build_label_index(vocab_triples)
     index_ref = ray.put(label_index)
     sub_ref = ray.put(_vocab_subgraph(vocab_triples))

@@ -2640,10 +2640,12 @@ def inverted_index(sf_dir: str):
     import numpy as np
     import polars as pl
 
-    from .stages.skew import bucket_codes
+    from .stages.shardutil import multiway_cogroup_scatter
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     nb = _adaptive_buckets(sf_dir, "documents")
+    out_schema = pa.schema([("term", pa.string()), ("n_docs", pa.int64()),
+                            ("postings", pa.string())])
 
     def doc_terms(batch: pa.Table) -> pa.Table:
         df = pl.from_arrow(batch)
@@ -2653,10 +2655,8 @@ def inverted_index(sf_dir: str):
             .drop("text").explode("term")
             .filter(pl.col("term").is_not_null())
             .unique(subset=["doc_id", "term"]))
-        t = out.to_arrow().cast(pa.schema([("doc_id", pa.int64()),
-                                           ("term", pa.string())]))
-        return t.append_column(
-            "_bucket", pa.array(bucket_codes(t["term"], nb), pa.int32()))
+        return out.to_arrow().cast(pa.schema([("doc_id", pa.int64()),
+                                              ("term", pa.string())]))
 
     def postings(group: pa.Table) -> pa.Table:
         d = group["doc_id"].to_numpy(zero_copy_only=False)
@@ -2669,9 +2669,7 @@ def inverted_index(sf_dir: str):
         keep = lengths >= 2
         starts, lengths = starts[keep], lengths[keep]
         if len(starts) == 0:
-            return pa.table({"term": pa.array([], pa.string()),
-                             "n_docs": pa.array([], pa.int64()),
-                             "postings": pa.array([], pa.string())})
+            return out_schema.empty_table()
         # one join per posting list, no per-doc Python: slice the
         # sorted doc ids by segment
         strs = d_s.astype("U20")
@@ -2683,12 +2681,10 @@ def inverted_index(sf_dir: str):
             "postings": pa.array(lists, pa.string()),
         })
 
-    out = (ds.map_batches(doc_terms, batch_format="pyarrow")
-           .groupby("_bucket").map_groups(postings,
-                                          batch_format="pyarrow"))
-    return _collect(out, pa.schema([("term", pa.string()),
-                                    ("n_docs", pa.int64()),
-                                    ("postings", pa.string())]))
+    out = multiway_cogroup_scatter(
+        [(ds.map_batches(doc_terms, batch_format="pyarrow"), "term")], nb,
+        postings, empty_result=out_schema.empty_table())
+    return _collect(out, out_schema)
 
 
 @_q(
@@ -2820,16 +2816,14 @@ def term_cooccurrence(sf_dir: str):
     intra-segment pair indexing — no per-document Python."""
     import numpy as np
 
-    from .stages.skew import bucket_aggregate, bucket_codes
+    from .stages.shardutil import multiway_cogroup_scatter
+    from .stages.skew import bucket_aggregate
 
     terms = _doc_salient_terms(sf_dir, k=5).select_columns(
         ["doc_id", "term"])
     nb = _adaptive_buckets(sf_dir, "documents")
-
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_bucket", pa.array(bucket_codes(batch["doc_id"], nb),
-                                pa.int32()))
+    pair_schema = pa.schema([("term_a", pa.string()),
+                             ("term_b", pa.string())])
 
     # index templates: for a segment of length L, the (i, j) offsets of
     # all i<j pairs — L is bounded by k=5 so templates are tiny
@@ -2855,16 +2849,15 @@ def term_cooccurrence(sf_dir: str):
             ia.append((seg[:, None] + tpl[:, 0][None, :]).ravel())
             ib.append((seg[:, None] + tpl[:, 1][None, :]).ravel())
         if not ia:
-            return pa.table({"term_a": pa.array([], pa.string()),
-                             "term_b": pa.array([], pa.string())})
+            return pair_schema.empty_table()
         ia = np.concatenate(ia)
         ib = np.concatenate(ib)
         return pa.table({"term_a": pa.array(t_s[ia], pa.string()),
                          "term_b": pa.array(t_s[ib], pa.string())})
 
-    pair_ds = (terms.map_batches(tag, batch_format="pyarrow")
-               .groupby("_bucket").map_groups(pairs,
-                                              batch_format="pyarrow"))
+    pair_ds = multiway_cogroup_scatter(
+        [(terms, "doc_id")], nb, pairs,
+        empty_result=pair_schema.empty_table())
     counted = bucket_aggregate(pair_ds, ["term_a", "term_b"],
                                [("count", None, "n_docs")],
                                num_buckets=nb)
@@ -2950,11 +2943,14 @@ def lang_sources_concat(sf_dir: str):
     a per-lang sorted concat inside one cogroup — the collect_list /
     string_agg aggregate, built so the shuffle only ever moves the
     DISTINCT pairs."""
+    from .stages.shardutil import multiway_cogroup_scatter
     from .stages.skew import bucket_aggregate
 
     ds = _read(sf_dir, "documents", ["lang", "source"])
     pairs = bucket_aggregate(ds, ["lang", "source"],
                              [("count", None, "_n")], num_buckets=8)
+    out_schema = pa.schema([("lang", pa.string()),
+                            ("sources", pa.string())])
 
     def concat(group: pa.Table) -> pa.Table:
         t = group.sort_by([("lang", "ascending"), ("source", "ascending")])
@@ -2974,19 +2970,9 @@ def lang_sources_concat(sf_dir: str):
         return pa.table({"lang": pa.array(out_l, pa.string()),
                          "sources": pa.array(out_s, pa.string())})
 
-    from .functions.hashing import bucket_of
-
-    def tag(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "_b": pa.array(bucket_of(batch["lang"], 4), pa.int32()),
-            "lang": batch["lang"], "source": batch["source"]})
-
-    out = (pairs.map_batches(tag, batch_format="pyarrow")
-           .groupby("_b")
-           .map_groups(lambda g: concat(g.drop_columns(["_b"])),
-                       batch_format="pyarrow"))
-    return _collect(out, pa.schema([("lang", pa.string()),
-                                    ("sources", pa.string())]))
+    out = multiway_cogroup_scatter([(pairs, "lang")], 4, concat,
+                                   empty_result=out_schema.empty_table())
+    return _collect(out, out_schema)
 
 
 # ---------------------------------------------------------------------------
@@ -4514,7 +4500,7 @@ def ann_topk_pq(sf_dir: str):
 )
 def embedding_neardup_lsh_q(sf_dir: str):
     """Sign-LSH bucketed ALL-PAIRS near-dup (the 100-TB path behind
-    embedding_neardup_cosine): one groupby shuffle, intra-bucket exact
+    embedding_neardup_cosine): one task exchange, intra-bucket exact
     cosine. Threshold 0.45 with 6-bit codes: the sandbox corpus's
     nearest pairs sit at cosine ~0.45-0.51; auto table count keeps
     recall ~0.95 there. The accuracy contract is oracle-visible: the
@@ -5520,19 +5506,10 @@ def events_retention(sf_dir: str):
     rows ever shuffle into the final aggregate."""
     import numpy as np
 
+    from .stages.shardutil import multiway_cogroup_scatter
     from .stages.skew import bucket_aggregate
 
     ds = _read(sf_dir, "events", ["user_id", "ts"])
-    nb = 32
-
-    def bucket(batch: pa.Table) -> pa.Table:
-        uid = batch["user_id"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "_bucket": pa.array((np.abs(uid) % nb).astype(np.int32),
-                                pa.int32()),
-            "user_id": batch["user_id"],
-            "ts": batch["ts"],
-        })
 
     day_us = np.int64(86_400_000_000)
 
@@ -5559,9 +5536,10 @@ def events_retention(sf_dir: str):
             "day_offset": pa.array(offset[m], pa.int64()),
         })
 
-    pairs = (ds.map_batches(bucket, batch_format="pyarrow")
-             .groupby("_bucket").map_groups(per_bucket,
-                                            batch_format="pyarrow"))
+    pairs = multiway_cogroup_scatter(
+        [(ds, "user_id")], 32, per_bucket,
+        empty_result=pa.schema([("cohort_day", pa.int64()),
+                                ("day_offset", pa.int64())]).empty_table())
     counted = bucket_aggregate(pairs, ["cohort_day", "day_offset"],
                                [("count", None, "n_users")],
                                num_buckets=16, bucket_key="cohort_day")

@@ -46,10 +46,13 @@ from ..functions.text import (
 from ..stages.concepts import table_of
 
 _NULL = pa.scalar(None, pa.string())
+# every tree-row column but sort_key: the rows already arrive in its
+# order and no sink reads it (half the bytes of a large tree)
+_SINK_ROWS = pa.schema([f for f in schemas.TREE_ROWS if f.name != "sort_key"])
 
 
 def _tree(tree_rows_ds) -> pa.Table:
-    return table_of(tree_rows_ds, schemas.TREE_ROWS)
+    return table_of(tree_rows_ds, _SINK_ROWS)
 
 
 def _only(mask, strings):

@@ -21,7 +21,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .. import schemas
-from ..functions.text import concat_array, join_text, rdf_literal_array
+from ..functions.text import (check_iris, concat_array, join_text,
+                              rdf_literal_array)
 from ..stages.concepts import table_of
 
 _LINE_RE = re.compile(
@@ -65,8 +66,10 @@ def read_ntriples(paths) -> "ray.data.Dataset":  # noqa: F821
 
 def to_ntriples_text(triples_ds) -> str:
     """triples Dataset -> N-Triples document, one line per triple in
-    dataset order."""
+    dataset order. An IRI that N-Triples cannot hold raises
+    ``ValueError``."""
     t = table_of(triples_ds, schemas.TRIPLE_TERMS)
+    check_iris(t)
     obj = pc.if_else(pc.fill_null(t["obj_is_literal"], False),
                      rdf_literal_array(t["obj"], t["lang"]),
                      concat_array("<", t["obj"], ">"))

@@ -23,7 +23,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .. import schemas
-from ..functions.text import concat_array, join_text, rdf_literal_array
+from ..functions.text import (check_iris, concat_array, join_text,
+                              rdf_literal_array)
 from ..stages.concepts import table_of
 
 _RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
@@ -334,13 +335,12 @@ _DEFAULT_PREFIXES = {
 def _compact(uris: pa.Array, prefixes: dict[str, str]) -> pa.Array:
     """IRI terms: ``pfx:local`` under the first prefix whose namespace
     starts the IRI and leaves a local name of ``[A-Za-z0-9_.-]+``,
-    else ``<iri>``. ``\n?$`` is Python ``re``'s ``$``: the local name
-    may end in one newline."""
+    else ``<iri>``."""
     out = concat_array("<", uris, ">")
     for pfx, ns in reversed(prefixes.items()):  # the first match wins
         local = pc.utf8_slice_codeunits(uris, len(ns))
         ok = pc.and_(pc.starts_with(uris, ns),
-                     pc.match_substring_regex(local, r"^[A-Za-z0-9_.-]+\n?$"))
+                     pc.match_substring_regex(local, r"^[A-Za-z0-9_.-]+$"))
         out = pc.if_else(ok, concat_array(pfx + ":", local), out)
     return out
 
@@ -349,12 +349,14 @@ def to_turtle_text(triples_ds, *, prefixes: dict[str, str] | None = None,
                    extra_prefixes: dict[str, str] | None = None) -> str:
     """triples Dataset -> one Turtle document string: the sorted prefix
     header, a blank line, then one compacted statement per triple in
-    dataset order."""
+    dataset order. An IRI that Turtle cannot hold raises
+    ``ValueError``."""
     pfx = dict(_DEFAULT_PREFIXES if prefixes is None else prefixes)
     if extra_prefixes:
         pfx.update(extra_prefixes)
     header = [f"@prefix {k}: <{v}> ." for k, v in sorted(pfx.items())]
     t = table_of(triples_ds, schemas.TRIPLE_TERMS)
+    check_iris(t)
     obj = pc.if_else(pc.fill_null(t["obj_is_literal"], False),
                      rdf_literal_array(t["obj"], t["lang"]),
                      _compact(t["obj"], pfx))

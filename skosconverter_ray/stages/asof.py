@@ -1,9 +1,11 @@
 """As-of join — "latest right row at or before each left row's time".
 
 Ray Data has no temporal join, so this composes one (SURVEY.md §2
-custom-operator recipe (a)): both sides are bucketed on the equality
-key, cogrouped in ONE groupby shuffle, and resolved inside each bucket
-with a fully vectorized merge:
+custom-operator recipe (a)): both sides are split on the equality key
+by the shared key hash and cogrouped in ONE task exchange
+(shardutil.multiway_cogroup_scatter, no sort, no tagged union), then
+resolved inside each bucket with a fully vectorized merge of the
+bucket's left and right rows:
 
     sort (key, ts, side[right first]) -> running last-right-row index
     (np.maximum.accumulate) guarded by the running segment head so a
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 
 def asof_join(left_ds, right_ds, *, key: str, ts: str,
@@ -42,77 +43,46 @@ def asof_join(left_ds, right_ds, *, key: str, ts: str,
     of the upstream to infer types (the repo's documented pitfall), so
     omitting them on a derived input silently re-runs that lineage.
     """
-    from ..config import use_hash_shuffle
-    use_hash_shuffle()
-
     if left_schema is None:
         left_schema = left_ds.schema()
     l_names = list(left_schema.names)
-    l_types = list(left_schema.types)
     if right_schema is None:
         right_schema = right_ds.schema()
-    r_types = {n: t for n, t in zip(right_schema.names, right_schema.types)}
+    r_types = dict(zip(right_schema.names, right_schema.types))
+    out_schema = pa.schema(
+        list(zip(l_names, left_schema.types))
+        + [(prefix + c, r_types[c]) for c in right_cols])
 
-    out_fields = list(zip(l_names, l_types)) + [
-        (prefix + c, r_types[c]) for c in right_cols]
-    out_schema = pa.schema(out_fields)
-    union_fields = ([("_bucket", pa.int32()), ("_side", pa.int8())]
-                    + list(zip(l_names, l_types))
-                    + [("_r_" + c, r_types[c]) for c in right_cols])
-    union_schema = pa.schema(union_fields)
+    def resolve(left, right) -> pa.Table:
+        if left is None or right is None:
+            return out_schema.empty_table()
+        nl = left.num_rows
 
-    def tag(side: int):
-        def fn(batch: pa.Table) -> pa.Table:
-            k = batch[key].to_numpy(zero_copy_only=False)
-            cols = {
-                "_bucket": pa.array(
-                    (np.abs(k) % num_buckets).astype(np.int32), pa.int32()),
-                "_side": pa.array([side] * batch.num_rows, pa.int8()),
-            }
-            for n, t in union_fields[2:]:
-                if n.startswith("_r_"):
-                    src = n[3:]
-                    cols[n] = (batch[src] if side == 1
-                               else pa.nulls(batch.num_rows, t))
-                else:
-                    # right side still carries key+ts under left names
-                    if side == 1 and n not in (key, ts):
-                        cols[n] = pa.nulls(batch.num_rows, t)
-                    else:
-                        cols[n] = batch[n]
-            return pa.table(cols, schema=union_schema)
+        def both(col):
+            return np.concatenate(
+                [left[col].to_numpy(zero_copy_only=False),
+                 right[col].to_numpy(zero_copy_only=False)])
 
-        return fn
-
-    tagged = (left_ds.map_batches(tag(0), batch_format="pyarrow")
-              .union(right_ds.map_batches(tag(1), batch_format="pyarrow")))
-
-    def resolve(group: pa.Table) -> pa.Table:
-        k = group[key].to_numpy(zero_copy_only=False)
-        t = group[ts].to_numpy(zero_copy_only=False)
-        side = group["_side"].to_numpy(zero_copy_only=False)
+        k, t = both(key), both(ts)
+        side = np.repeat(np.array([0, 1], np.int8), [nl, right.num_rows])
         # right rows first at equal (key, ts) so ts >= ts matches:
         # sort key (1 - side) puts side=1 (right) ahead of side=0
         order = np.lexsort((1 - side, t, k))
         k_s, side_s = k[order], side[order]
-        n = len(order)
-        idx = np.arange(n)
+        idx = np.arange(len(order))
         last_right = np.maximum.accumulate(
             np.where(side_s == 1, idx, -1))
         key_head = np.maximum.accumulate(
             np.where(np.concatenate(([True], k_s[1:] != k_s[:-1])), idx, -1))
-        is_left = side_s == 0
-        valid = is_left & (last_right >= key_head)
-        left_pos = order[valid]                      # rows in group order
-        right_pos = order[last_right[valid]]
-        lp = pa.array(left_pos, pa.int64())
-        rp = pa.array(right_pos, pa.int64())
-        cols = {}
-        for name in l_names:
-            cols[name] = group[name].take(lp)
-        for c in right_cols:
-            cols[prefix + c] = group["_r_" + c].take(rp)
+        valid = (side_s == 0) & (last_right >= key_head)
+        lp = pa.array(order[valid], pa.int64())
+        rp = pa.array(order[last_right[valid]] - nl, pa.int64())
+        cols = {name: left[name].take(lp) for name in l_names}
+        cols.update({prefix + c: right[c].take(rp) for c in right_cols})
         return pa.table(cols, schema=out_schema)
 
-    return tagged.groupby("_bucket").map_groups(resolve,
-                                                batch_format="pyarrow")
+    from .shardutil import multiway_cogroup_scatter
+
+    return multiway_cogroup_scatter(
+        [(left_ds, key), (right_ds, key)], num_buckets, resolve,
+        empty_result=out_schema.empty_table())

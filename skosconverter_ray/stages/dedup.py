@@ -223,7 +223,7 @@ def candidate_pairs(index_ds, *, num_buckets: int = 64):
     """LSH index rows -> candidate pairs.
 
     Rows are coarsened to ``_bucket = mix(band, key) % num_buckets``
-    so ONE groupby produces ~num_buckets cogroups (one Python call
+    so ONE exchange produces ~num_buckets cogroups (one Python call
     each — NOT one per (band,key) bucket, which are mostly singletons
     and would cost a Python call per doc per band). Inside a cogroup,
     equal (band, key) runs are found with a vectorized lexsort; only
@@ -337,17 +337,12 @@ def minhash_near_dup_pairs(docs_ds, *, text_col: str = "text",
     """Full MinHash+LSH near-dup pipeline: documents Dataset ->
     (doc_a, doc_b, jaccard) pairs Dataset with exact jaccard >= threshold.
 
-    Shuffles: 1 groupby (band,key) for candidates, 1 groupby for pair
+    Exchanges: 1 (band,key) cogroup for candidates, 1 for pair
     dedup; verification joins the compact shingle sets back to the
     pairs — via broadcast (ray.put once, ~1KB/doc) when the corpus is
     under GRAFT_MINHASH_BROADCAST_MAX docs, via 2 bucket-cogroup hash
     joins above it. Nothing ships document text past the first map.
     """
-    from ..config import use_hash_shuffle
-    from .joinutil import cogroup_join
-
-    use_hash_shuffle()
-
     # stateless stage -> elastic tasks (no pool to size)
     index = docs_ds.map_batches(
         MinHashStage(text_col, id_col),

@@ -7,12 +7,13 @@ table and Arrow's join can't resolve the key fields
 empty ArrowBlockBuilder). Sparse keys + small inputs make that routine,
 so the engine's dedup/verify paths use this instead:
 
-1. both sides get ``_bucket = crc32(key) % B`` and a ``_side`` tag;
-2. schemas are unified (missing columns become typed nulls);
-3. one ``groupby("_bucket").map_groups`` cogroups both sides;
-4. inside each bucket the actual join is a LOCAL vectorized
-   ``pa.Table.join`` — one Python call per bucket (B total), not per
-   key, and empty buckets simply never surface.
+1. each side is split on its own key column by one shared key hash
+   (shardutil.multiway_cogroup_scatter): no tagged union, no sort;
+2. one gather task per bucket receives that bucket's left and right
+   rows (``None`` for a side with none there);
+3. inside each bucket the join is a LOCAL vectorized
+   ``pa.Table.join`` — one Python call per bucket (B total), never
+   one per key.
 
 Scale shape: the shuffle moves each row once (same as a hash join);
 B bounds per-task memory (corpus/B rows per bucket) and should be
@@ -26,22 +27,11 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.hashing import bucket_of
-
-
-def _bucket_of(values, n_buckets: int) -> pa.Array:
-    """Vectorized bucket ids; non-string keys render to strings first
-    (cogroup routing only needs within-run determinism)."""
-    if not pa.types.is_string(values.type):
-        values = pc.cast(values, pa.string())
-    return bucket_of(values, n_buckets)
-
 
 def cogroup_join(left_ds, right_ds, *, left_on: str, right_on: str,
                  num_buckets: int = 32, join_type: str = "inner",
                  left_schema: pa.Schema | None = None,
-                 right_schema: pa.Schema | None = None,
-                 shuffle: str = "task"):
+                 right_schema: pa.Schema | None = None):
     """Join two Datasets on single key columns. Column sets of the two
     sides must be disjoint apart from the keys (rename upstream).
 
@@ -56,20 +46,7 @@ def cogroup_join(left_ds, right_ds, *, left_on: str, right_on: str,
     dataset: ``Dataset.schema()`` on a lazy pipeline executes a partial
     pass of its whole upstream to infer types, so a chain of two
     cogroup_joins would re-execute join #1 once just to get its schema.
-
-    ``shuffle="task"`` (the default) routes the cogroup exchange
-    through the task-level hash scatter/gather
-    (shardutil.scatter_apply_by_value) instead of Ray's SORT-based
-    groupby — rows already carry the int bucket, so the
-    sample+range-partition+sort is wasted work (measured 1.8x on a 2M
-    x 500k inner join at 16 cpus). Costs a materialize of the tagged
-    union (a groupby is a barrier anyway). ``shuffle="sort"`` keeps
-    the exchange inside the streaming executor — use it when the join
-    must pipeline with surrounding stages without a materialize.
     """
-    from ..config import use_hash_shuffle
-    use_hash_shuffle()
-
     if left_schema is None:
         left_schema = pa.schema(
             list(zip(left_ds.schema().names, left_ds.schema().types)))
@@ -86,40 +63,22 @@ def cogroup_join(left_ds, right_ds, *, left_on: str, right_on: str,
             f"cogroup_join key dtype mismatch: {left_on}={l_key_t} vs "
             f"{right_on}={r_key_t}; cast one side upstream")
     l_fields = list(zip(left_schema.names, left_schema.types))
-    r_fields = [(n, t) for n, t in zip(right_schema.names, right_schema.types)]
-    union_fields = l_fields + [(n, t) for n, t in r_fields
-                               if n not in dict(l_fields)]
-    union_schema = pa.schema(
-        [("_bucket", pa.int32()), ("_side", pa.int8())] + union_fields)
+    r_fields = list(zip(right_schema.names, right_schema.types))
     l_names = [n for n, _ in l_fields]
     r_names = [n for n, _ in r_fields]
-
-    def tag(side: int, key_col: str, own: list[str]):
-        def fn(batch: pa.Table) -> pa.Table:
-            cols = {"_bucket": _bucket_of(batch[key_col], num_buckets),
-                    "_side": pa.array([side] * batch.num_rows, pa.int8())}
-            for name, typ in union_fields:
-                cols[name] = (batch[name] if name in own
-                              else pa.nulls(batch.num_rows, typ))
-            return pa.table(cols, schema=union_schema)
-
-        return fn
-
-    tagged = (left_ds.map_batches(tag(0, left_on, l_names),
-                                  batch_format="pyarrow")
-              .union(right_ds.map_batches(tag(1, right_on, r_names),
-                                          batch_format="pyarrow")))
+    l_schema, r_schema = pa.schema(l_fields), pa.schema(r_fields)
+    union_fields = l_fields + [(n, t) for n, t in r_fields
+                               if n not in l_names]
 
     semi_anti = join_type in ("left semi", "left anti")
-    out_fields = l_fields if semi_anti else [(n, t) for n, t in union_fields]
+    out_fields = l_fields if semi_anti else union_fields
     out_schema = pa.schema(out_fields)
 
-    def join_bucket(group: pa.Table) -> pa.Table:
-        side = group["_side"]
-        left = (group.filter(pc.equal(side, 0))
-                     .select(l_names))
-        right = (group.filter(pc.equal(side, 1))
-                      .select(r_names))
+    def join_bucket(left, right) -> pa.Table:
+        left = (l_schema.empty_table() if left is None
+                else left.select(l_names).cast(l_schema))
+        right = (r_schema.empty_table() if right is None
+                 else right.select(r_names).cast(r_schema))
         if left.num_rows == 0:
             if join_type not in ("full outer", "right outer"):
                 return out_schema.empty_table()
@@ -164,10 +123,8 @@ def cogroup_join(left_ds, right_ds, *, left_on: str, right_on: str,
                 cols[n] = pa.nulls(joined.num_rows, t)
         return pa.table(cols, schema=out_schema)
 
-    if shuffle == "task":
-        from .shardutil import scatter_apply_by_value
+    from .shardutil import multiway_cogroup_scatter
 
-        return scatter_apply_by_value(tagged.materialize(), "_bucket",
-                                      num_buckets, join_bucket)
-    return tagged.groupby("_bucket").map_groups(
-        join_bucket, batch_format="pyarrow")
+    return multiway_cogroup_scatter(
+        [(left_ds, left_on), (right_ds, right_on)], num_buckets,
+        join_bucket, empty_result=out_schema.empty_table())

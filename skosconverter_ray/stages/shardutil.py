@@ -10,11 +10,20 @@ style methods over numpy state plus ``result() -> pa.Table``; the
 group creates the actors, runs synchronous waves, relays each wave's
 B×B per-peer message refs and collects the results.
 
-``split_dataset_by_bucket`` scatters a materialized Dataset's blocks
-into per-bucket table refs: one remote split task per block, data
-moving block → split task → shard actor (setup only). Shard actors
-then ``ray.get`` exactly their column of refs — the driver relays
-refs, never rows.
+Every grouping of rows by bucket in the engine (bar
+``dedup_triples``' uncoalesced branch) runs on one task exchange,
+with no sort: one split task (``_split``; one remote task per block
+scatters rows into per-bucket table refs) and one gather task. Three
+consumers build on the split:
+
+- ``split_dataset_by_bucket``: shard actors ``ray.get`` exactly their
+  column of refs at load (the driver relays refs, never rows);
+- ``scatter_apply_by_value`` gathers each bucket of rows that already
+  carry an int bucket id and applies ``fn`` to it (dedup, sessions,
+  aggregates, scans, per-bucket query bodies);
+- ``multiway_cogroup_scatter`` hashes each side's key column and hands
+  ``fn`` one table per side per bucket (joins, as-of join, closure,
+  partitioned write).
 
 Fault model (deliberate): shard actors are assumed live for the
 duration of ONE stage run — they hold in-memory iteration state that
@@ -89,196 +98,147 @@ class ShardGroup:
 
 
 def split_dataset_by_bucket(ds, col: str, n_buckets: int) -> list[list]:
-    """Materialized Dataset -> ``n_buckets`` lists of table refs,
-    bucketed by ``bucket_of(col)``. Schema-less empty blocks (the
-    groupby/map_groups pitfall) yield zero-row parts that loaders
-    drop."""
-    import ray
-
+    """Dataset -> ``n_buckets`` lists of table refs, rows routed by
+    functions.hashing.bucket_of over ``col`` (the shard actors' node
+    ownership)."""
     from ..functions.hashing import bucket_of
 
-    B = n_buckets
+    return _split(ds, col, n_buckets, lambda v: bucket_of(v, n_buckets))
+
+
+def _split(ds, col: str, B: int, to_bucket) -> list[list]:
+    """The one split task behind every exchange here: one task per
+    block of ``ds`` routes its rows by ``to_bucket(col values) -> int
+    ids`` into ``B`` parts; returns ``B`` lists of part refs. Blocks
+    that are empty or lack ``col`` (the schema-less empties Ray Data
+    can leave) yield zero-row parts, which every consumer drops. A
+    bucket id outside ``[0, B)`` raises instead of losing its row."""
+    import numpy as np
+    import ray
 
     @ray.remote(num_returns=B)
     def split(tbl: pa.Table):
-        if col not in tbl.column_names or tbl.num_rows == 0:
+        if tbl.num_rows == 0 or col not in tbl.column_names:
             parts = tuple(tbl.slice(0, 0) for _ in range(B))
         else:
-            bk = bucket_of(tbl[col].combine_chunks(), B) \
-                .to_numpy(zero_copy_only=False)
+            bk = np.asarray(to_bucket(tbl[col].combine_chunks()))
+            if not ((bk >= 0) & (bk < B)).all():
+                raise ValueError(f"bucket id of {col!r} outside "
+                                 f"[0, {B}): {bk.min()}..{bk.max()}")
             parts = tuple(tbl.filter(pa.array(bk == t))
                           for t in range(B))
         return parts if B > 1 else parts[0]
 
     cols: list[list] = [[] for _ in range(B)]
-    for ref in ds.to_arrow_refs():
+    # materialize() first: to_arrow_refs reads the schema off the
+    # dataset itself, which a caller with declared schemas never asks
+    for ref in ds.materialize().to_arrow_refs():
         out = split.remote(ref)
-        if B == 1:
-            out = [out]
-        for t, part in enumerate(out):
+        for t, part in enumerate(out if B > 1 else [out]):
             cols[t].append(part)
     return cols
 
 
 def scatter_apply_by_value(ds, bucket_col: str, n_buckets: int, fn,
                            empty_result: pa.Table | None = None):
-    """Task-level hash exchange: materialized Dataset -> per-bucket
-    ``fn(concat(bucket tables))`` -> Dataset, with NO sort.
+    """Task-level hash exchange: Dataset whose ``bucket_col`` already
+    holds int bucket ids in ``[0, n_buckets)`` -> per-bucket
+    ``fn(concat(bucket rows))`` -> Dataset, with NO sort: the one-side
+    case of ``multiway_cogroup_scatter``, routed by the column's value.
 
     Ray's ``groupby(bucket).map_groups`` runs a SORT-based all-to-all
     (sample + range partition + per-partition sort) that dominated the
-    flagship dedup wall at 1M docs (41 s of a 60 s run at 16 cpus).
-    When rows already carry an int bucket column in [0, n_buckets),
-    grouping needs none of that: one split task per block scatters
-    rows by bucket value, one gather task per bucket concatenates its
-    parts and applies ``fn``. Every row moves once through the object
-    store; wall is max(split) + max(gather). ``fn`` must be
-    serializable and accept one ``pa.Table``.
+    flagship dedup wall at 1M docs (41 s of a 60 s run at 16 cpus);
+    rows that already carry their bucket need none of it. ``fn`` must
+    be serializable and accept one ``pa.Table``.
 
-    ``empty_result``: schema-correct empty output returned for empty
-    buckets INSTEAD of calling ``fn`` — pass it when ``fn`` assumes
-    non-empty input (``groupby().map_groups`` never delivered empty
-    groups; this exchange otherwise calls ``fn`` on a schema-carrying
-    empty table)."""
-    import numpy as np
-    import ray
+    Empty buckets: ``fn`` is called on a schema-carrying empty table
+    of the input schema, unless ``empty_result`` is given — then that
+    is returned instead (pass it whenever ``fn`` needs rows)."""
     import ray.data as rd
 
-    B = n_buckets
-    # unified schema up front: upstream map_groups can leave EMPTY
-    # schema-less blocks in a materialized dataset — their slices must
-    # not define any bucket's schema, and the all-empty gather path
-    # needs a real schema to hand fn
     sch = ds.schema()
     if sch is None:
-        # fully-empty materialized dataset (schema() is None): nothing
-        # to scatter and no input schema to hand fn
-        if empty_result is not None:
-            import ray.data as rd
+        # fully-empty dataset: nothing to scatter, no schema to hand fn
+        return ds if empty_result is None else rd.from_arrow(empty_result)
+    empty = pa.schema(list(zip(sch.names, sch.types))).empty_table()
 
-            return rd.from_arrow(empty_result)
-        return ds
-    schema = pa.schema(list(zip(sch.names, sch.types)))
+    def apply(t):
+        if t is not None:
+            return fn(t)
+        return fn(empty) if empty_result is None else empty_result
 
-    @ray.remote(num_returns=B)
-    def split(tbl: pa.Table):
-        if tbl.num_rows == 0 or bucket_col not in tbl.column_names:
-            parts = tuple(schema.empty_table() for _ in range(B))
-        else:
-            bk = tbl[bucket_col].to_numpy(zero_copy_only=False)
-            parts = tuple(tbl.filter(pa.array(bk == t))
-                          for t in range(B))
-        return parts if B > 1 else parts[0]
+    return multiway_cogroup_scatter(
+        [(ds, bucket_col)], n_buckets, apply,
+        key_to_bucket=lambda v: v.to_numpy(zero_copy_only=False))
 
-    @ray.remote
-    def gather(*parts):
-        tbls = [p for p in parts if p.num_rows]
-        if not tbls:
-            if empty_result is not None:
-                return empty_result
-            return fn(schema.empty_table())
-        return fn(pa.concat_tables(tbls).combine_chunks())
 
-    in_refs = ds.to_arrow_refs()
-    if not in_refs:
-        # zero-block input: fn still defines the output schema (e.g. a
-        # join's output differs from its tagged input) — apply it to a
-        # schema-carrying empty table on the driver
-        if empty_result is not None:
-            return rd.from_arrow(empty_result)
-        return rd.from_arrow(fn(schema.empty_table()))
-    cols: list[list] = [[] for _ in range(B)]
-    for ref in in_refs:
-        out = split.remote(ref)
-        if B == 1:
-            out = [out]
-        for t, part in enumerate(out):
-            cols[t].append(part)
+def _hash_key(values, B: int):
+    """Vectorized key -> bucket id, shared by every side of a cogroup
+    so co-location holds: an int mix for integer keys (casting
+    millions of ids to strings for the polars hash cost more than the
+    exchange itself), functions.hashing.bucket_of over the string
+    form otherwise."""
+    import numpy as np
+    import pyarrow.compute as pc
 
-    # gather outputs are driver-owned task returns (refs only — rows
-    # never land on the driver)
-    return rd.from_arrow_refs([gather.remote(*cols[t]) for t in range(B)])
+    from ..functions.hashing import bucket_of
+
+    if pa.types.is_integer(values.type):
+        # nulls -> 0 first: a null-bearing column converts to float64,
+        # which would round large keys into another side's bucket
+        v = values.fill_null(0).to_numpy(zero_copy_only=False) \
+            .astype(np.uint64)
+        h = v * np.uint64(0x9E3779B97F4A7C15)
+        return ((h >> np.uint64(32)).astype(np.int64) % B).astype(np.int32)
+    if not pa.types.is_string(values.type):
+        values = pc.cast(values, pa.string())
+    return bucket_of(values, B).to_numpy(zero_copy_only=False)
 
 
 def multiway_cogroup_scatter(sides, n_buckets: int, fn,
                              key_to_bucket=None,
                              empty_result: pa.Table = None):
     """N-ary task-level hash cogroup: ``fn(t0, …, tN-1)`` per bucket
-    over ANY number of materialized sides, each given as
-    ``(dataset, key_column)``, with NO sort and NO tagged-union
-    re-materialize. The composition shape: k sequential binary
-    cogroup joins on ONE shared key pay k exchange barriers for what
-    is a single co-partitioned local join — this pays one.
+    over any number of sides, each given as ``(dataset, key_column)``,
+    with NO sort and no tagged union. Each side is split on its own
+    key column by the shared split task; one gather task per bucket
+    concatenates each side and applies ``fn``. Every row moves once
+    through the object store; wall is max(split) + max(gather). A
+    side's table arrives as ``None`` when its bucket holds none of its
+    rows; a bucket with no rows at all returns ``empty_result`` when
+    given. k sequential binary joins on ONE shared key pay k exchange
+    barriers for what is one co-partitioned local join — this pays one.
 
-    Inputs must be materialized (``from_arrow_refs`` outputs — as
-    scatter_apply_by_value and the banding gathers produce — qualify
-    for free: ``to_arrow_refs`` returns their existing refs). One
-    split task per block hashes its side's key column; one gather
-    task per bucket concatenates each side and applies ``fn``. A
-    side's table arrives as ``None`` in ``fn`` when its bucket is
-    empty.
+    Lazy sides are materialized here; materialized ones
+    (``from_arrow_refs`` outputs included) hand over their blocks.
 
     ``key_to_bucket``: vectorized ``values -> int bucket ids``, the
-    SAME function for every side so co-location holds (default: an
-    int mix for integer keys, functions.hashing.bucket_of over
-    stringified keys otherwise)."""
+    SAME function for every side (default ``_hash_key``)."""
     import ray
     import ray.data as rd
 
-    import pyarrow.compute as pc
-
-    from ..functions.hashing import bucket_of
-
     B = n_buckets
-    if key_to_bucket is None:
-        def key_to_bucket(values):
-            import numpy as np
-
-            if pa.types.is_integer(values.type):
-                # int keys: one vectorized mix — casting millions of
-                # ids to strings for the polars hash cost more than
-                # the exchange itself (measured on the 5.5M-row
-                # banding-pair scatter)
-                v = values.to_numpy(zero_copy_only=False) \
-                    .astype(np.uint64)
-                h = v * np.uint64(0x9E3779B97F4A7C15)
-                return ((h >> np.uint64(32)).astype(np.int64)
-                        % B).astype(np.int32)
-            if not pa.types.is_string(values.type):
-                values = pc.cast(values, pa.string())
-            return bucket_of(values, B).to_numpy(zero_copy_only=False)
-
-    @ray.remote(num_returns=B)
-    def split(tbl: pa.Table, key: str):
-        if tbl.num_rows == 0 or key not in tbl.column_names:
-            return tuple(None for _ in range(B)) if B > 1 else None
-        bk = key_to_bucket(tbl[key].combine_chunks())
-        parts = tuple(tbl.filter(pa.array(bk == t)) for t in range(B))
-        return parts if B > 1 else parts[0]
+    to_bucket = key_to_bucket or (lambda v: _hash_key(v, B))
 
     @ray.remote
-    def gather(*ref_lists):
-        tbls = []
-        any_rows = False
-        for refs in ref_lists:
-            parts = [t for t in ray.get(list(refs))
-                     if t is not None and t.num_rows]
-            any_rows = any_rows or bool(parts)
-            tbls.append(pa.concat_tables(parts).combine_chunks()
-                        if parts else None)
-        if not any_rows and empty_result is not None:
+    def gather(counts, *parts):
+        # parts arrive as task arguments, resolved before the task
+        # starts: a gather never blocks a worker waiting on its splits
+        tbls, i = [], 0
+        for n in counts:
+            got = [t for t in parts[i:i + n] if t.num_rows]
+            tbls.append(pa.concat_tables(got).combine_chunks()
+                        if got else None)
+            i += n
+        if empty_result is not None and all(t is None for t in tbls):
             return empty_result
         return fn(*tbls)
 
-    all_cols = []
-    for ds, key in sides:
-        cols: list[list] = [[] for _ in range(B)]
-        for ref in ds.to_arrow_refs():
-            out = split.remote(ref, key)
-            if B == 1:
-                out = [out]
-            for t, part in enumerate(out):
-                cols[t].append(part)
-        all_cols.append(cols)
-    return rd.from_arrow_refs(
-        [gather.remote(*[c[t] for c in all_cols]) for t in range(B)])
+    all_cols = [_split(ds, key, B, to_bucket) for ds, key in sides]
+    # gather outputs are driver-owned task returns (refs only — rows
+    # never land on the driver)
+    return rd.from_arrow_refs([
+        gather.remote([len(c[t]) for c in all_cols],
+                      *[r for c in all_cols for r in c[t]])
+        for t in range(B)])

@@ -291,10 +291,12 @@ def embedding_neardup_lsh(emb_ds, *, id_col: str = "vec_id",
     1. each vector emits ``n_tables`` rows keyed by its (table,
        sign-code) bucket, carrying its normalized embedding — the ONE
        shuffle, n_tables x data volume;
-    2. ``groupby(bucket).map_groups``: equal-(table, code) runs found
-       by lexsort, intra-run matmul emits pairs with EXACT cosine >=
-       threshold (precision 1.0 — the approximation only loses recall);
-    3. a final groupby dedups pairs that collided in several tables.
+    2. the task exchange (shardutil.scatter_apply_by_value, no sort)
+       gathers each bucket: equal-(table, code) runs found by lexsort,
+       intra-run matmul emits pairs with EXACT cosine >= threshold
+       (precision 1.0 — the approximation only loses recall);
+    3. a final bucket_aggregate dedups pairs that collided in several
+       tables.
 
     Recall is tunable: with defaults (8 bits, auto tables targeting
     0.95) a pair at cosine 0.85 is caught with p ≈ 0.95+; recall falls
@@ -381,10 +383,12 @@ def embedding_neardup_lsh(emb_ds, *, id_col: str = "vec_id",
                          "vec_b": pa.array(b_out, pa.int64()),
                          "cos_sim": pa.array(cs, pa.float64())})
 
-    rows = emb_ds.map_batches(emit, batch_format="pyarrow", batch_size=1024)
-    pairs = rows.groupby("_bucket").map_groups(bucket_pairs,
-                                               batch_format="pyarrow")
+    from .shardutil import scatter_apply_by_value
     from .skew import bucket_aggregate
+
+    rows = emb_ds.map_batches(emit, batch_format="pyarrow", batch_size=1024)
+    pairs = scatter_apply_by_value(rows.materialize(), "_bucket",
+                                   num_buckets, bucket_pairs)
 
     return bucket_aggregate(pairs, ["vec_a", "vec_b"],
                             [("min", "cos_sim", "cos_sim")],

@@ -91,8 +91,9 @@ def hll_estimate(regs: np.ndarray) -> float:
 def distinct_count_hll(ds, key_col: str, value_col: str, *,
                        p: int = 12, num_buckets: int = 64):
     """Dataset -> (key, n_distinct_est) via mergeable HLL partials and
-    one coarse bucket cogroup (same shuffle shape as bucket_aggregate).
+    one coarse bucket cogroup (same exchange as bucket_aggregate).
     """
+    from .shardutil import scatter_apply_by_value
     from .skew import bucket_codes
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -102,6 +103,9 @@ def distinct_count_hll(ds, key_col: str, value_col: str, *,
 
     def final(group: pa.Table) -> pa.Table:
         t = group.drop_columns(["_bucket"])
+        if t.num_rows == 0:
+            return pa.table({key_col: t[key_col],
+                             "n_distinct_est": pa.array([], pa.int64())})
         enc = t[key_col].combine_chunks().dictionary_encode() \
             if isinstance(t[key_col], pa.ChunkedArray) \
             else t[key_col].dictionary_encode()
@@ -122,9 +126,9 @@ def distinct_count_hll(ds, key_col: str, value_col: str, *,
                 pa.array(codes[order][starts], pa.int64())),
             "n_distinct_est": pa.array(ests, pa.int64())})
 
-    return (ds.map_batches(partial, batch_format="pyarrow")
-              .groupby("_bucket")
-              .map_groups(final, batch_format="pyarrow"))
+    return scatter_apply_by_value(
+        ds.map_batches(partial, batch_format="pyarrow").materialize(),
+        "_bucket", num_buckets, final)
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +217,7 @@ def dd_quantiles(ds, key_col: str, val_col: str, qs: dict[str, float],
     stages/quantile.per_key_quantiles — same output columns, bounded
     state per key (#bins ~ log(range)/rel_err) instead of all values.
     """
+    from .shardutil import scatter_apply_by_value
     from .skew import bucket_aggregate
     from ..functions.hashing import bucket_of
 
@@ -252,6 +257,9 @@ def dd_quantiles(ds, key_col: str, val_col: str, qs: dict[str, float],
                             pa.int32()))
 
     def estimate(group: pa.Table) -> pa.Table:
+        if group.num_rows == 0:
+            return pa.table({key_col: group[key_col], **{
+                a: pa.array([], pa.float64()) for a in aliases}})
         keys = group[key_col]
         enc = keys.combine_chunks().dictionary_encode() \
             if isinstance(keys, pa.ChunkedArray) else keys.dictionary_encode()
@@ -279,10 +287,9 @@ def dd_quantiles(ds, key_col: str, val_col: str, qs: dict[str, float],
             cols[a] = pa.array(est, pa.float64())
         return pa.table(cols)
 
-    return (merged.map_batches(tag, batch_format="pyarrow")
-            .groupby("_kb")
-            .map_groups(lambda g: estimate(g.drop_columns(["_kb"])),
-                        batch_format="pyarrow"))
+    return scatter_apply_by_value(
+        merged.map_batches(tag, batch_format="pyarrow").materialize(),
+        "_kb", num_buckets, lambda g: estimate(g.drop_columns(["_kb"])))
 
 
 # ---------------------------------------------------------------------------

@@ -99,8 +99,7 @@ def bucket_codes(col, num_buckets: int, *, seed: int = 11) -> np.ndarray:
 
 
 def bucket_aggregate(ds, keys: list[str], specs: list[tuple[str, str, str]],
-                     *, num_buckets: int = 64, bucket_key: str | None = None,
-                     shuffle: str = "task"):
+                     *, num_buckets: int = 64, bucket_key: str | None = None):
     """High-cardinality groupby-aggregate as ONE coarse cogroup.
 
     Ray's sort-based ``groupby(key).aggregate`` pays a full sort
@@ -117,7 +116,8 @@ def bucket_aggregate(ds, keys: list[str], specs: list[tuple[str, str, str]],
        key SUBSET (``bucket_key``, default ``keys[0]``) is sufficient
        — it co-locates every partial of a group in one bucket; the
        in-bucket ``group_by`` still keys on the full key tuple.
-    3. **final combine**: ``groupby(_bucket).map_groups`` with one
+    3. **final combine**: the task exchange
+       (shardutil.scatter_apply_by_value, no sort) with one
        vectorized pyarrow ``group_by`` per bucket.
 
     Per-task input is bounded by ≈|groups|/num_buckets partial rows —
@@ -157,11 +157,8 @@ def bucket_aggregate(ds, keys: list[str], specs: list[tuple[str, str, str]],
 
     def final(group: pa.Table) -> pa.Table:
         if group.num_rows == 0:
-            # task-exchange empty bucket: schema-correct empty output
-            sch = group.drop_columns(["_bucket"]).schema
-            names = keys + [alias for _, _, alias in specs]
-            return pa.schema([(n, sch.field(n).type)
-                              for n in names]).empty_table()
+            # empty bucket: the partials' columns are the output's
+            return group.select(keys + [a for _, _, a in specs])
         merged = group.drop_columns(["_bucket"]).group_by(keys) \
                       .aggregate(final_aggs)
         cols = {k: merged[k] for k in keys}
@@ -169,14 +166,10 @@ def bucket_aggregate(ds, keys: list[str], specs: list[tuple[str, str, str]],
             cols[alias] = merged[f"{fa}_{fop}"]
         return pa.table(cols)
 
-    partials = ds.map_batches(combine, batch_format="pyarrow")
-    if shuffle == "task":
-        # partials are map-side combined (one row per group per batch)
-        # — materializing them is cheap, and the task-level hash
-        # scatter/gather skips the sort the bucket key never needed
-        from .shardutil import scatter_apply_by_value
+    # partials are map-side combined (one row per group per batch),
+    # so materializing them for the exchange is cheap
+    from .shardutil import scatter_apply_by_value
 
-        return scatter_apply_by_value(partials.materialize(), "_bucket",
-                                      num_buckets, final)
-    return partials.groupby("_bucket").map_groups(
-        final, batch_format="pyarrow")
+    partials = ds.map_batches(combine, batch_format="pyarrow")
+    return scatter_apply_by_value(partials.materialize(), "_bucket",
+                                  num_buckets, final)

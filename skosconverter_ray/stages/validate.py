@@ -233,7 +233,9 @@ def walk_issues(t: pa.Table) -> pa.Table:
             deep.append(root)
             depths.append(f"hierarchy depth {depth} exceeds 7")
     return pa.concat_tables([
-        _issues("error", "cycle", pa.array(cycles, pa.string()),
+        # one row per node: a node closing several cycles is one fault
+        _issues("error", "cycle",
+                pa.array(list(dict.fromkeys(cycles)), pa.string()),
                 "broader cycle detected"),
         _issues("warning", "depth_exceeded", pa.array(deep, pa.string()),
                 pa.array(depths, pa.string()))])

@@ -2,8 +2,9 @@
 
 Ray Data has no event-time window primitive, so sessionization is
 composed per SURVEY.md §2's custom-operator recipe (a):
-``map_batches`` bucketing + ``groupby().map_groups`` with a fully
-vectorized per-group body.
+``map_batches`` bucketing + the task exchange
+(shardutil.scatter_apply_by_value, no sort) with a fully vectorized
+per-bucket body.
 
 Partitioning assumption (documented per the build rules): all rows of
 one user fit in one group. Users are bucketed ``user_id % B`` so the
@@ -33,9 +34,6 @@ def sessionize(events_ds, *, gap_s: float = 4 * 3600.0,
     ``total_value`` sums integer cents (exact, order-independent);
     start/end are second-truncated strings.
     """
-    from ..config import use_hash_shuffle
-    use_hash_shuffle()
-
     gap_us = np.int64(gap_s * 1_000_000)
 
     def bucket(batch: pa.Table) -> pa.Table:
@@ -135,9 +133,6 @@ def rolling_window(events_ds, *, window_s: float = 3600.0,
     window``, so a window query can never cross a segment boundary —
     no per-user Python loop, O(n log n) per bucket.
     """
-    from ..config import use_hash_shuffle
-    use_hash_shuffle()
-
     win_us = np.int64(window_s * 1_000_000)
 
     def roll(group: pa.Table) -> pa.Table:
@@ -201,9 +196,6 @@ def row_windows(events_ds, *, rows_preceding: int = 4,
     partitioning contract and vectorized shape as :func:`sessionize`:
     one lexsort + prefix sums per bucket, no per-user Python.
     """
-    from ..config import use_hash_shuffle
-    use_hash_shuffle()
-
     def windows(group: pa.Table) -> pa.Table:
         u = group["user_id"].to_numpy(zero_copy_only=False)
         ts = group["ts"].to_numpy(zero_copy_only=False).astype(
@@ -263,9 +255,6 @@ def funnel_sessions(events_ds, *, stages: tuple[str, ...],
     stage times are per-segment masked ``np.minimum.reduceat`` passes,
     one per funnel stage — no joins, no per-session Python.
     """
-    from ..config import use_hash_shuffle
-    use_hash_shuffle()
-
     gap_us = np.int64(gap_s * 1_000_000)
     sentinel = np.int64(np.iinfo(np.int64).max)
 

@@ -182,19 +182,14 @@ def test_join_types_random_parity_vs_duckdb(ray_session):
             "left anti": "SELECT k, a FROM lt ANTI JOIN rt ON k = rk",
         }
         for jt, sql in cases.items():
-            # trial 0 also exercises the task-level scatter/gather
-            # exchange (shuffle="task") against the same oracle
-            modes = ("sort", "task") if trial == 0 else ("sort",)
-            for mode in modes:
-                got = cogroup_join(lds, rds, left_on="k", right_on="rk",
-                                   join_type=jt, num_buckets=4,
-                                   shuffle=mode)
-                cols = (["k", "a"] if jt in ("left semi", "left anti")
-                        else ["k", "a", "b"])
-                got_rows = sorted(
-                    tuple(r[c] for c in cols) for r in got.take_all())
-                want_rows = sorted(
-                    tuple(r) for r in con.execute(sql).fetchall())
-                assert got_rows == want_rows, (
-                    f"trial {trial} join_type={jt} shuffle={mode}: "
-                    f"{got_rows[:5]} vs {want_rows[:5]}")
+            got = cogroup_join(lds, rds, left_on="k", right_on="rk",
+                               join_type=jt, num_buckets=4)
+            cols = (["k", "a"] if jt in ("left semi", "left anti")
+                    else ["k", "a", "b"])
+            got_rows = sorted(
+                tuple(r[c] for c in cols) for r in got.take_all())
+            want_rows = sorted(
+                tuple(r) for r in con.execute(sql).fetchall())
+            assert got_rows == want_rows, (
+                f"trial {trial} join_type={jt}: "
+                f"{got_rows[:5]} vs {want_rows[:5]}")

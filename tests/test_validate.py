@@ -226,3 +226,18 @@ def test_gate_flip_closure(ray_session, rows):
     with mock.patch.object(concepts, "DRIVER_MAX_TRIPLES", 0):
         assert closed() == driver
     assert len(driver) == len({r[:3] for r in driver})
+
+
+def test_cycle_row_once_per_node():
+    """A node closing two broader cycles (a→b→a and a→c→a) is one
+    ``cycle`` error, not one per cycle, in first-seen order."""
+    from skosconverter_ray.config import SKOS_BROADER
+    from skosconverter_ray.stages.validate import walk_issues
+
+    a, b, c, d = (NS + n for n in "abcd")
+    t = _triples_table([(a, SKOS_BROADER, b), (a, SKOS_BROADER, c),
+                        (b, SKOS_BROADER, a), (c, SKOS_BROADER, a),
+                        (d, SKOS_BROADER, d)])
+    got = walk_issues(t)
+    assert got.filter(pa.compute.equal(got["check"], "cycle")) \
+        ["subject"].to_pylist() == [a, d]

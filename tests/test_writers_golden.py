@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import os
+import re
 
 import pyarrow as pa
 import pytest
@@ -160,3 +161,38 @@ def test_csv_reads_back_eight_fields_per_row(rendered):
     assert len(records) == 1 + len(json.loads(rendered["json"])
                                    ["vocabulary"]["concepts"]) + 3
     assert "carriage\r\nreturn" in [r[3] for r in records]
+
+
+@pytest.mark.parametrize("writer", ["ntriples", "turtle"])
+@pytest.mark.parametrize("bad", [("subj", EX + "a b"), ("obj", EX + "c1\n"),
+                                 ("pred", EX + "p<q>"),
+                                 ("obj", EX + "back\\slash")])
+def test_rdf_writer_rejects_illegal_iri(ray_session, writer, bad):
+    """An IRI holding a character an N-Triples IRI may not (space,
+    newline, ``<>``, backslash, ...) raises ``ValueError`` naming it,
+    instead of an invalid document or one that reads back as another
+    IRI; the same text in a literal is written escaped."""
+    import ray.data as rd
+
+    from skosconverter_ray.sources.ntriples import to_ntriples_text
+    from skosconverter_ray.sources.turtle import to_turtle_text
+
+    write = {"ntriples": to_ntriples_text,
+             "turtle": lambda ds: to_turtle_text(
+                 ds, extra_prefixes={"ex": EX})}[writer]
+    good = edge_fixture()
+    col, iri = bad
+    i = good.schema.get_field_index(col)
+    vals = good[col].to_pylist()
+    lit = good["obj_is_literal"].to_pylist()
+    row = next(r for r in range(good.num_rows) if r > 3 and not lit[r])
+    vals[row] = iri
+    t = good.set_column(i, col, pa.array(vals, pa.string()))
+    with pytest.raises(ValueError, match=re.escape(repr(iri))):
+        write(rd.from_arrow(t))
+    # as a literal value the same text is fine
+    lit_row = lit.index(True)
+    objs = good["obj"].to_pylist()
+    objs[lit_row] = iri
+    write(rd.from_arrow(good.set_column(
+        good.schema.get_field_index("obj"), "obj", pa.array(objs))))
