@@ -11,18 +11,19 @@ The BASELINE.json north-star pipeline, end to end:
    exactMatch + notation / definition, per the north star), stamped
    with ``source_doc``. The subgraph lookup is a broadcast dict
    (vocabulary is dimension-sized).
-3. **set-semantics dedup** (one hash shuffle).
-4. **canonicalization** — union-find over owl:sameAs / skos:exactMatch
+3. **canonicalization** — union-find over owl:sameAs / skos:exactMatch
    (stages/canonicalize.py), applied as a broadcast rewrite.
+4. **set-semantics dedup** (min-``source_doc`` witness): one hash
+   exchange, or none when step 6 writes (folded into its exchange).
 5. **inverse-relation consistency** — broader⇔narrower etc.
    (reference's paired emission, skos_converter.py:1540-1546),
    applied by closing the dimension-sized vocabulary subgraph on the
    driver before emission (see _vocab_subgraph) — the general
    corpus-scale closure operator lives in stages/triples.py.
 6. **adjacency-partitioned materialization** with a checkpoint manifest
-   (state/manifest.py) when ``out_dir`` is given.
-
-Everything stays a lazy Dataset until the caller consumes it.
+   (state/manifest.py) when ``out_dir`` is given. Its exchange keys on
+   ``subj``, so all copies of a triple meet in one partition task,
+   which dedups them before it writes.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from ..config import (
 )
 from ..stages.canonicalize import apply_canonicalization, canonical_map_table
 from ..stages.linker import build_label_index, link_documents
-from ..stages.triples import dedup_triples
+from ..stages.triples import dedup_table, dedup_triples
 
 ENGINE_NS = "http://skosconverter-ray.example.org/ns#"
 PRED_MENTIONS = ENGINE_NS + "mentions"
@@ -227,10 +228,13 @@ def run_flagship(docs_ds, vocab_triples: pa.Table, *,
                  out_dir: str | None = None, n_parts: int = 32):
     """documents Dataset + vocabulary triples -> canonical graph Dataset.
 
-    When ``out_dir`` is set, also materializes the graph as
+    When ``out_dir`` is set, the graph is written as
     adjacency-partitioned parquet (``part=<partition_id_array(subj)>``,
     one file per partition; see state/manifest.write_partitioned) with
-    a resumable manifest.
+    a resumable manifest, in ONE exchange: each partition task dedups
+    its rows before it writes them (a triple's copies share its
+    ``subj``, so the rows and witnesses are ``dedup_triples``' own),
+    and ``graph`` is a lazy read of the written partitions.
 
     ``link_concurrency``: "auto" (default) picks the measured-best
     physical plan (elastic tasks vs autoscaling actor pool) from the
@@ -260,7 +264,7 @@ def run_flagship(docs_ds, vocab_triples: pa.Table, *,
         batch_format="pyarrow",
         batch_size=max(batch_size, 4096),
     )
-    # Canonicalize BEFORE the dedup shuffle: the URI rewrite can merge
+    # Canonicalize BEFORE the dedup: the URI rewrite can merge
     # distinct triples into duplicates (e.g. exactMatch aliases sharing
     # a broader edge), so running the set-semantics dedup downstream of
     # it removes those at zero extra cost — the alternative (dedup
@@ -285,12 +289,15 @@ def run_flagship(docs_ds, vocab_triples: pa.Table, *,
     # the vocab subgraph is already inverse-closed (see _vocab_subgraph)
     # and mention triples have no inverse, so post-dedup the graph IS
     # the inverse-consistency fixpoint — no corpus-wide closure pass
-    graph = dedup_triples(triples, coalesce=True)
+    if out_dir is None:
+        graph = dedup_triples(triples, coalesce=True)
+    else:
+        from .. import schemas
+        from ..state.manifest import read_partitioned, write_partitioned
+
+        write_partitioned(triples, out_dir, key_col="subj",
+                          n_parts=n_parts, stage="graph", lineage=doc_ns,
+                          kernel=dedup_table)
+        graph = read_partitioned(out_dir, "graph", schemas.TRIPLES)
     canon = rd.from_arrow(canon_tbl)
-
-    if out_dir is not None:
-        from ..state.manifest import write_partitioned
-
-        write_partitioned(graph, out_dir, key_col="subj", n_parts=n_parts,
-                          stage="graph", lineage=doc_ns)
     return {"mentions": mentions, "graph": graph, "canon_map": canon}

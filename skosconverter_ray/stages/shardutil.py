@@ -12,9 +12,10 @@ B×B per-peer message refs and collects the results.
 
 Every grouping of rows by bucket in the engine (bar
 ``dedup_triples``' uncoalesced branch) runs on one task exchange,
-with no sort: one split task (``_split``; one remote task per block
-scatters rows into per-bucket table refs) and one gather task. Three
-consumers build on the split:
+with no sort: one split task (``_split``; one remote task per run of
+consecutive blocks, up to ``_SPLIT_TARGET_BYTES``, scatters rows into
+per-bucket table refs, so part refs grow with the input's bytes, not
+its block count) and one gather task. Three consumers build on it:
 
 - ``split_dataset_by_bucket``: shard actors ``ray.get`` exactly their
   column of refs at load (the driver relays refs, never rows);
@@ -106,21 +107,47 @@ def split_dataset_by_bucket(ds, col: str, n_buckets: int) -> list[list]:
     return _split(ds, col, n_buckets, lambda v: bucket_of(v, n_buckets))
 
 
+# input bytes one split task takes (block metadata); a larger block
+# is split alone
+_SPLIT_TARGET_BYTES = 64 << 20
+
+
+def _block_groups(ds) -> list[list]:
+    """Materialized ``ds``'s block refs in runs of consecutive blocks
+    of at most ``_SPLIT_TARGET_BYTES``."""
+    groups, size = [], 0
+    for bundle in ds.iter_internal_ref_bundles():
+        for ref, meta in bundle.blocks:
+            n = meta.size_bytes or 0
+            if not groups or size + n > _SPLIT_TARGET_BYTES:
+                groups.append([])
+                size = 0
+            groups[-1].append(ref)
+            size += n
+    return groups
+
+
 def _split(ds, col: str, B: int, to_bucket) -> list[list]:
     """The one split task behind every exchange here: one task per
-    block of ``ds`` routes its rows by ``to_bucket(col values) -> int
-    ids`` into ``B`` parts; returns ``B`` lists of part refs. Blocks
-    that are empty or lack ``col`` (the schema-less empties Ray Data
-    can leave) yield zero-row parts, which every consumer drops. A
-    bucket id outside ``[0, B)`` raises instead of losing its row."""
+    run of blocks of ``ds`` (``_block_groups``, passed as arguments)
+    routes their rows by ``to_bucket(col values) -> int ids`` into
+    ``B`` parts; returns ``B`` lists of part refs. Blocks that are
+    empty or lack ``col`` (the schema-less empties Ray Data can leave)
+    add no rows; a task of only such blocks yields zero-row parts,
+    which every consumer drops. A bucket id outside ``[0, B)`` raises
+    instead of losing its row."""
     import numpy as np
     import ray
+    from ray.data.block import BlockAccessor
 
     @ray.remote(num_returns=B)
-    def split(tbl: pa.Table):
-        if tbl.num_rows == 0 or col not in tbl.column_names:
-            parts = tuple(tbl.slice(0, 0) for _ in range(B))
+    def split(*blocks):
+        tbls = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
+        got = [t for t in tbls if t.num_rows and col in t.column_names]
+        if not got:
+            parts = tuple(tbls[0].slice(0, 0) for _ in range(B))
         else:
+            tbl = pa.concat_tables(got).combine_chunks()
             bk = np.asarray(to_bucket(tbl[col].combine_chunks()))
             if not ((bk >= 0) & (bk < B)).all():
                 raise ValueError(f"bucket id of {col!r} outside "
@@ -130,10 +157,9 @@ def _split(ds, col: str, B: int, to_bucket) -> list[list]:
         return parts if B > 1 else parts[0]
 
     cols: list[list] = [[] for _ in range(B)]
-    # materialize() first: to_arrow_refs reads the schema off the
-    # dataset itself, which a caller with declared schemas never asks
-    for ref in ds.materialize().to_arrow_refs():
-        out = split.remote(ref)
+    # materialize() first: the groups read the pinned blocks' metadata
+    for group in _block_groups(ds.materialize()):
+        out = split.remote(*group)
         for t, part in enumerate(out if B > 1 else [out]):
             cols[t].append(part)
     return cols

@@ -103,19 +103,22 @@ class Manifest:
 
 
 def write_partitioned(ds, out_dir: str, *, key_col: str, n_parts: int,
-                      stage: str, lineage: str = ""):
+                      stage: str, lineage: str = "", kernel=None):
     """Adjacency-partitioned, resumable sink, in one pass over ``ds``.
 
     One keyed exchange (shardutil.multiway_cogroup_scatter, bucket =
     ``partition_id_array(key)``) hands each partition's rows to one
-    task. That task writes them as ONE file, ``part=<i>/<stage>.parquet``
-    (temp name, then rename), and returns its row count and its own
-    write wall; the driver appends one manifest row per non-empty
-    partition from those returns. Partitions already in the manifest
-    are neither written nor recorded again. The file name depends only
-    on (partition, stage), so a rerun after a write whose manifest
-    append was lost replaces the file instead of adding a copy.
-    Returns the manifest path.
+    task. That task applies ``kernel`` (optional ``pa.Table ->
+    pa.Table`` on the whole partition, e.g. ``triples.dedup_table``,
+    so an operation keyed on ``key_col`` needs no exchange of its own),
+    writes the result as ONE file, ``part=<i>/<stage>.parquet`` (temp
+    name, then rename), and returns its row count and its own wall;
+    the driver appends one manifest row per non-empty partition from
+    those returns. Partitions already in the manifest are neither
+    written nor recorded again. The file name depends only on
+    (partition, stage), so a rerun after a write whose manifest append
+    was lost replaces the file instead of adding a copy. Returns the
+    manifest path.
     """
     from ..stages.shardutil import multiway_cogroup_scatter
 
@@ -130,6 +133,8 @@ def write_partitioned(ds, out_dir: str, *, key_col: str, n_parts: int,
         if part in done:
             return result_schema.empty_table()
         t0 = time.monotonic()
+        if kernel is not None:
+            tbl = kernel(tbl)
         part_dir = os.path.join(out_dir, f"part={part}")
         os.makedirs(part_dir, exist_ok=True)
         # '.'-prefixed temp name: dataset discovery skips it, and the
@@ -150,3 +155,17 @@ def write_partitioned(ds, out_dir: str, *, key_col: str, n_parts: int,
         mani.record(int(rec["part"]), int(rec["rows"]), lineage, "done",
                     float(rec["wall_s"]))
     return mani.path
+
+
+def read_partitioned(out_dir: str, stage: str, schema: pa.Schema):
+    """Lazy Dataset over ``stage``'s file in each partition the
+    manifest under ``out_dir`` records as done, without a ``part``
+    column (``schema``'s empty table if there is none)."""
+    import ray.data as rd
+
+    done = sorted(Manifest(out_dir, stage).done_partitions())
+    if not done:
+        return rd.from_arrow(schema.empty_table())
+    return rd.read_parquet(
+        [os.path.join(out_dir, f"part={p}", f"{stage}.parquet")
+         for p in done], partitioning=None, schema=schema)

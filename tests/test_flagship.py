@@ -11,14 +11,16 @@ from __future__ import annotations
 import pyarrow as pa
 import pytest
 
-from skosconverter_ray import corpus, vocab
+from skosconverter_ray import corpus, schemas, vocab
 from skosconverter_ray.config import (
     INVERSE_PAIRS,
     OWL_SAME_AS,
+    SKOS_BROADER,
     SKOS_EXACT_MATCH,
 )
 from skosconverter_ray.functions.text import normalize_surface
 from skosconverter_ray.pipelines.flagship import link_plan, run_flagship
+from skosconverter_ray.stages.concepts import table_of
 from skosconverter_ray.stages.linker import LinkerStage, build_label_index
 
 N_DOCS = 200
@@ -154,24 +156,17 @@ def test_canonical_uris_rewritten(result):
     assert not (set(g.loc[~lits, "obj"]) & replaced)
 
 
-def test_merged_aliases_do_not_duplicate_triples():
-    """Regression: when exactMatch aliases SHARE hierarchy (both carry a
-    broader edge to the same parent), the canonicalization rewrite maps
-    both edges onto one triple — the flagship must dedup downstream of
-    the rewrite or the U4 set invariant breaks. The standard generator
-    masks this (aliases carry no hierarchy), so build the vocab by hand."""
-    import ray.data as rd
+ALIAS_NS = "http://example.org/vocab/"
+ALPHA, BRAVO, CHARLIE = (ALIAS_NS + c for c in ("alpha", "bravo", "charlie"))
 
-    from skosconverter_ray import schemas
-    from skosconverter_ray.config import (
-        RDF_TYPE,
-        SKOS_BROADER,
-        SKOS_CONCEPT,
-        SKOS_PREF_LABEL,
-    )
 
-    ns = "http://example.org/vocab/"
-    A, B, C = ns + "alpha", ns + "bravo", ns + "charlie"
+def _alias_vocab() -> pa.Table:
+    """Three concepts; bravo is an exactMatch alias of alpha, and both
+    carry a broader edge to charlie. The standard generator masks the
+    case (its aliases carry no hierarchy), so the vocab is by hand."""
+    from skosconverter_ray.config import RDF_TYPE, SKOS_CONCEPT, SKOS_PREF_LABEL
+
+    A, B, C = ALPHA, BRAVO, CHARLIE
     rows = [
         (A, RDF_TYPE, SKOS_CONCEPT, False, None),
         (B, RDF_TYPE, SKOS_CONCEPT, False, None),
@@ -184,7 +179,7 @@ def test_merged_aliases_do_not_duplicate_triples():
         (A, SKOS_BROADER, C, False, None),
         (B, SKOS_BROADER, C, False, None),
     ]
-    vt = pa.table(
+    return pa.table(
         {
             "subj": pa.array([r[0] for r in rows], pa.string()),
             "pred": pa.array([r[1] for r in rows], pa.string()),
@@ -195,17 +190,110 @@ def test_merged_aliases_do_not_duplicate_triples():
         },
         schema=schemas.TRIPLES,
     )
+
+
+def test_merged_aliases_do_not_duplicate_triples():
+    """Regression: when exactMatch aliases SHARE hierarchy (both carry a
+    broader edge to the same parent), the canonicalization rewrite maps
+    both edges onto one triple — the flagship must dedup downstream of
+    the rewrite or the U4 set invariant breaks."""
+    import ray.data as rd
+
     docs = corpus.from_flat_documents(rd.from_items(
         [{"doc_id": f"d{i}",
           "text": "we saw alpha tango and bravo tango together"}
          for i in range(3)]))
-    out = run_flagship(docs, vt, preferred_ns=ns, batch_size=16)
+    out = run_flagship(docs, _alias_vocab(), preferred_ns=ALIAS_NS,
+                       batch_size=16)
     g = out["graph"].to_pandas()
     keys = list(zip(g["subj"], g["pred"], g["obj"], g["lang"].fillna("")))
     assert len(keys) == len(set(keys)), "duplicate triples after canonicalization"
     # both alias mentions collapse onto A; the shared broader edge is one row
-    assert ((g["subj"] == A) & (g["pred"] == SKOS_BROADER)).sum() == 1
-    assert B not in set(g["subj"])
+    assert ((g["subj"] == ALPHA) & (g["pred"] == SKOS_BROADER)).sum() == 1
+    assert BRAVO not in set(g["subj"])
+
+
+_TRIPLE_COLS = ["subj", "pred", "obj", "obj_is_literal", "lang",
+                "source_doc"]
+
+
+def _rows(t: pa.Table) -> list[tuple]:
+    return list(zip(*(t[c].to_pylist() for c in _TRIPLE_COLS)))
+
+
+def _written(out_dir: str) -> dict[str, list[tuple]]:
+    """partition dir name -> the rows of its one graph file."""
+    import glob
+    import os
+
+    import pyarrow.parquet as pq
+
+    return {os.path.basename(os.path.dirname(f)): _rows(pq.read_table(f))
+            for f in glob.glob(os.path.join(out_dir, "part=*",
+                                            "graph.parquet"))}
+
+
+def test_folded_write_matches_dedup_then_write(tmp_path):
+    """The write dedups each subj partition in its own task; that must
+    equal the separate dedup exchange, witnesses included. 5,000
+    documents exceed one 4,096-row emission batch, so each batch emits
+    alpha's subgraph with its own min document and the copies of
+    (alpha broader charlie) come from different documents in different
+    blocks; every document also mentions alpha twice."""
+    import json
+    import os
+    import shutil
+
+    import ray.data as rd
+
+    def docs():
+        return corpus.from_flat_documents(rd.from_items(
+            [{"doc_id": f"d{i:05d}",
+              "text": "alpha tango, bravo tango and alpha tango"}
+             for i in range(5_000)], override_num_blocks=10))
+
+    plan = dict(preferred_ns=ALIAS_NS, link_concurrency=None,
+                batch_size=64)
+    vt = _alias_vocab()
+
+    def graph_rows(out):
+        return _rows(table_of(out["graph"], schemas.TRIPLES))
+
+    want = graph_rows(run_flagship(docs(), vt, **plan))  # dedup exchange
+    full = str(tmp_path / "full")
+    out = run_flagship(docs(), vt, out_dir=full, n_parts=8, **plan)
+    files = _written(full)
+    rows = [r for part in files.values() for r in part]
+    assert len(files) > 1
+    # no triple twice, and the same rows and witnesses as the exchange
+    assert len({r[:5] for r in rows}) == len(rows)
+    assert set(rows) == set(want) == set(graph_rows(out))
+    assert len(want) == len(set(want))
+    witness = {r[:3]: r[5] for r in rows}
+    assert witness[(ALPHA, SKOS_BROADER, CHARLIE)] == "d00000"
+
+    def manifest(out_dir):
+        with open(os.path.join(out_dir, "_manifest.jsonl")) as f:
+            return [json.loads(line) for line in f]
+
+    assert sum(r["row_count"] for r in manifest(full)) == len(rows)
+
+    # resume: a run killed after writing (and recording) two partitions
+    resumed = str(tmp_path / "resumed")
+    kept = sorted(files)[:2]
+    for part in kept:
+        shutil.copytree(os.path.join(full, part),
+                        os.path.join(resumed, part))
+    with open(os.path.join(resumed, "_manifest.jsonl"), "w") as f:
+        for rec in manifest(full):
+            if f"part={rec['partition_id']}" in kept:
+                f.write(json.dumps(rec) + "\n")
+    out = run_flagship(docs(), vt, out_dir=resumed, n_parts=8, **plan)
+    again = _written(resumed)
+    assert {p: set(r) for p, r in again.items()} \
+        == {p: set(r) for p, r in files.items()}
+    assert sum(r["row_count"] for r in manifest(resumed)) == len(rows)
+    assert set(graph_rows(out)) == set(rows)
 
 
 def test_distributed_corpus_generation_matches_local(voc, docs_table):

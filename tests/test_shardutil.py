@@ -1,9 +1,11 @@
 """Task-level exchange primitives: scatter_apply_by_value and
 multiway_cogroup_scatter edge cases (empty buckets, schema-less
 empties, zero-block inputs, int vs string keys, two and three
-sides)."""
+sides), and the split's coalescing of small blocks."""
 
 import pyarrow as pa
+import pytest
+import ray
 import ray.data as rd
 
 from skosconverter_ray.stages.shardutil import (multiway_cogroup_scatter,
@@ -125,3 +127,64 @@ def test_multiway_cogroup_scatter_three_sides(ray_session):
         5, fn, empty_result=out_schema.empty_table())
     rows = sorted((r["k"], r["v"]) for r in out.take_all())
     assert rows == [(i, i * 7) for i in range(0, 40, 10)]
+
+
+def _tiny_blocks(n_blocks=40, rows=10, empties=True):
+    """``n_blocks`` materialized blocks of ``rows`` int keys each, then
+    (``empties``) a zero-row block and a schema-less one (no columns at
+    all)."""
+    refs = [ray.put(pa.table({"k": pa.array(range(b * rows, (b + 1) * rows),
+                                            pa.int64())}))
+            for b in range(n_blocks)]
+    if empties:
+        refs += [ray.put(pa.table({"k": pa.array([], pa.int64())})),
+                 ray.put(pa.table({}))]
+    return rd.from_arrow_refs(refs).materialize()
+
+
+def test_split_coalesces_small_blocks(ray_session):
+    """Many tiny blocks share one split task: fewer tasks and part
+    refs than blocks x B, and every row still lands in its own bucket
+    exactly once."""
+    from skosconverter_ray.stages.shardutil import _split
+
+    B = 6
+    ds = _tiny_blocks()
+    n_blocks = ds.num_blocks()
+    cols = _split(ds, "k", B, lambda v: v.to_numpy() % B)
+    n_tasks = len(cols[0])
+    assert all(len(c) == n_tasks for c in cols)
+    assert n_tasks < n_blocks
+    assert sum(len(c) for c in cols) < n_blocks * B
+    seen = []
+    for t, refs in enumerate(cols):
+        keys = [k for part in ray.get(refs) if part.num_rows
+                for k in part["k"].to_pylist()]
+        assert all(k % B == t for k in keys)
+        seen += keys
+    assert sorted(seen) == list(range(400))
+
+
+def test_split_block_over_target_runs_alone(ray_session, monkeypatch):
+    """A block larger than the byte target is split alone: with a zero
+    target every block gets its own task, and the rows route the
+    same."""
+    from skosconverter_ray.stages import shardutil
+
+    monkeypatch.setattr(shardutil, "_SPLIT_TARGET_BYTES", 0)
+    ds = _tiny_blocks(n_blocks=5, empties=False)
+    cols = shardutil._split(ds, "k", 3, lambda v: v.to_numpy() % 3)
+    assert len(cols[0]) == ds.num_blocks()
+    got = sorted(k for t, refs in enumerate(cols)
+                 for part in ray.get(refs) if part.num_rows
+                 for k in part["k"].to_pylist() if k % 3 == t)
+    assert got == list(range(50))
+
+
+def test_split_rejects_bucket_outside_range(ray_session):
+    from skosconverter_ray.stages.shardutil import _split
+
+    cols = _split(_tiny_blocks(n_blocks=3), "k", 4,
+                  lambda v: v.to_numpy() % 4 + 1)
+    with pytest.raises(ValueError, match="outside"):
+        ray.get([r for c in cols for r in c])

@@ -109,6 +109,25 @@ def test_resumed_run_completes_identically(ray_session, tmp_path):
         b.select(["subj", "pred", "obj"]))
 
 
+def test_write_partitioned_applies_kernel(ray_session, tmp_path):
+    """The kernel runs on each whole partition before its write, and
+    the manifest counts the kernel's output rows."""
+    out = str(tmp_path / "graph")
+
+    def keep_even(t: pa.Table) -> pa.Table:
+        return t.filter(pa.compute.equal(
+            pa.compute.bit_wise_and(pa.compute.cast(t["obj"], pa.int64()),
+                                    1), 0))
+
+    path = write_partitioned(_triples(), out, key_col="subj", n_parts=8,
+                             stage="graph", kernel=keep_even)
+    back = pq.read_table(out)
+    assert sorted(int(o) for o in back["obj"].to_pylist()) \
+        == list(range(0, 200, 2))
+    recs = [json.loads(l) for l in open(path)]
+    assert sum(r["row_count"] for r in recs) == back.num_rows == 100
+
+
 def test_salted_aggregate_matches_plain_groupby(ray_session):
     from ray.data.aggregate import Count, Max, Min, Sum
 
