@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import pyarrow as pa
 
+from .. import schemas
 from ..config import (
     OWL_SAME_AS,
     SKOS_BROADER,
@@ -131,8 +132,6 @@ class EmitTriples:
     def __call__(self, batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        from .. import schemas
-
         n = batch.num_rows
         doc_ids = batch["doc_id"].combine_chunks() \
             if isinstance(batch["doc_id"], pa.ChunkedArray) \
@@ -232,9 +231,10 @@ def run_flagship(docs_ds, vocab_triples: pa.Table, *,
     adjacency-partitioned parquet (``part=<partition_id_array(subj)>``,
     one file per partition; see state/manifest.write_partitioned) with
     a resumable manifest, in ONE exchange: each partition task dedups
-    its rows before it writes them (a triple's copies share its
-    ``subj``, so the rows and witnesses are ``dedup_triples``' own),
-    and ``graph`` is a lazy read of the written partitions.
+    its rows (a triple's copies share its ``subj``) before it writes
+    them, and ``graph`` reads ``out_dir`` back lazily, so a resumed
+    run's graph holds the partitions an earlier run wrote (the same
+    ``doc_ns`` is required; a new corpus needs a fresh ``out_dir``).
 
     ``link_concurrency``: "auto" (default) picks the measured-best
     physical plan (elastic tasks vs autoscaling actor pool) from the
@@ -292,12 +292,14 @@ def run_flagship(docs_ds, vocab_triples: pa.Table, *,
     if out_dir is None:
         graph = dedup_triples(triples, coalesce=True)
     else:
-        from .. import schemas
-        from ..state.manifest import read_partitioned, write_partitioned
+        from ..state.manifest import write_partitioned
 
         write_partitioned(triples, out_dir, key_col="subj",
                           n_parts=n_parts, stage="graph", lineage=doc_ns,
                           kernel=dedup_table)
-        graph = read_partitioned(out_dir, "graph", schemas.TRIPLES)
+        # discovery skips _manifest.jsonl and the '.'-prefixed temp
+        # files, and the rename makes every visible file whole
+        graph = rd.read_parquet(out_dir, partitioning=None,
+                                schema=schemas.TRIPLES)
     canon = rd.from_arrow(canon_tbl)
     return {"mentions": mentions, "graph": graph, "canon_map": canon}

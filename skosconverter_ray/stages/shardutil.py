@@ -13,9 +13,10 @@ B×B per-peer message refs and collects the results.
 Every grouping of rows by bucket in the engine (bar
 ``dedup_triples``' uncoalesced branch) runs on one task exchange,
 with no sort: one split task (``_split``; one remote task per run of
-consecutive blocks, up to ``_SPLIT_TARGET_BYTES``, scatters rows into
-per-bucket table refs, so part refs grow with the input's bytes, not
-its block count) and one gather task. Three consumers build on it:
+consecutive blocks, up to ``_SPLIT_TARGET_BYTES`` and the input's
+bytes per session CPU, scatters rows into per-bucket table refs, so
+part refs grow with the input's bytes and the session's width, not its
+block count) and one gather task. Three consumers build on it:
 
 - ``split_dataset_by_bucket``: shard actors ``ray.get`` exactly their
   column of refs at load (the driver relays refs, never rows);
@@ -107,23 +108,24 @@ def split_dataset_by_bucket(ds, col: str, n_buckets: int) -> list[list]:
     return _split(ds, col, n_buckets, lambda v: bucket_of(v, n_buckets))
 
 
-# input bytes one split task takes (block metadata); a larger block
-# is split alone
+# most input bytes one split task takes (block metadata)
 _SPLIT_TARGET_BYTES = 64 << 20
 
 
-def _block_groups(ds) -> list[list]:
-    """Materialized ``ds``'s block refs in runs of consecutive blocks
-    of at most ``_SPLIT_TARGET_BYTES``."""
+def _block_groups(blocks: list[tuple], n_cpus: int) -> list[list]:
+    """``(ref, size_bytes)`` pairs -> runs of consecutive refs of at
+    most ``min(_SPLIT_TARGET_BYTES, total bytes / n_cpus)`` each (or
+    one larger block), so equal blocks make at least
+    ``min(len(blocks), n_cpus)`` runs and every CPU gets a task."""
+    target = min(_SPLIT_TARGET_BYTES,
+                 sum(n for _, n in blocks) // max(n_cpus, 1))
     groups, size = [], 0
-    for bundle in ds.iter_internal_ref_bundles():
-        for ref, meta in bundle.blocks:
-            n = meta.size_bytes or 0
-            if not groups or size + n > _SPLIT_TARGET_BYTES:
-                groups.append([])
-                size = 0
-            groups[-1].append(ref)
-            size += n
+    for ref, n in blocks:
+        if not groups or size + n > target:
+            groups.append([])
+            size = 0
+        groups[-1].append(ref)
+        size += n
     return groups
 
 
@@ -158,7 +160,11 @@ def _split(ds, col: str, B: int, to_bucket) -> list[list]:
 
     cols: list[list] = [[] for _ in range(B)]
     # materialize() first: the groups read the pinned blocks' metadata
-    for group in _block_groups(ds.materialize()):
+    blocks = [(ref, meta.size_bytes or 0)
+              for bundle in ds.materialize().iter_internal_ref_bundles()
+              for ref, meta in bundle.blocks]
+    n_cpus = int(ray.cluster_resources().get("CPU", 1))
+    for group in _block_groups(blocks, n_cpus):
         out = split.remote(*group)
         for t, part in enumerate(out if B > 1 else [out]):
             cols[t].append(part)

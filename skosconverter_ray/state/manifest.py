@@ -67,7 +67,11 @@ class Manifest:
         self.stage = stage
         os.makedirs(out_dir, exist_ok=True)
 
-    def done_partitions(self) -> set[int]:
+    def done_partitions(self, lineage: str | None = None) -> set[int]:
+        """Partitions recorded ``done`` for this stage. Refuses a
+        manifest written by another partitioner, or (``lineage`` given)
+        one whose done partitions came from another input lineage:
+        resuming would keep that input's rows in the output."""
         done = set()
         algo = partitioner_algo()
         if os.path.exists(self.path):
@@ -83,8 +87,14 @@ class Manifest:
                             f" but this build uses {algo!r}; resuming "
                             "would mix partition layouts — rerun from "
                             "scratch or restore the matching build")
-                    if rec["status"] == "done":
-                        done.add(rec["partition_id"])
+                    if rec["status"] != "done":
+                        continue
+                    if lineage is not None \
+                            and rec["input_lineage"] != lineage:
+                        raise ValueError(
+                            f"manifest {self.path} is of input "
+                            f"{rec['input_lineage']!r}, not {lineage!r}")
+                    done.add(rec["partition_id"])
         return done
 
     def record(self, partition_id: int, row_count: int, lineage: str,
@@ -115,7 +125,8 @@ def write_partitioned(ds, out_dir: str, *, key_col: str, n_parts: int,
     name, then rename), and returns its row count and its own wall;
     the driver appends one manifest row per non-empty partition from
     those returns. Partitions already in the manifest are neither
-    written nor recorded again. The file name depends only on
+    written nor recorded again; a manifest whose done partitions carry
+    another ``lineage`` is refused. The file name depends only on
     (partition, stage), so a rerun after a write whose manifest append
     was lost replaces the file instead of adding a copy. Returns the
     manifest path.
@@ -123,7 +134,7 @@ def write_partitioned(ds, out_dir: str, *, key_col: str, n_parts: int,
     from ..stages.shardutil import multiway_cogroup_scatter
 
     mani = Manifest(out_dir, stage)
-    done = mani.done_partitions()
+    done = mani.done_partitions(lineage)
     result_schema = pa.schema([("part", pa.int32()), ("rows", pa.int64()),
                                ("wall_s", pa.float64())])
 
@@ -155,17 +166,3 @@ def write_partitioned(ds, out_dir: str, *, key_col: str, n_parts: int,
         mani.record(int(rec["part"]), int(rec["rows"]), lineage, "done",
                     float(rec["wall_s"]))
     return mani.path
-
-
-def read_partitioned(out_dir: str, stage: str, schema: pa.Schema):
-    """Lazy Dataset over ``stage``'s file in each partition the
-    manifest under ``out_dir`` records as done, without a ``part``
-    column (``schema``'s empty table if there is none)."""
-    import ray.data as rd
-
-    done = sorted(Manifest(out_dir, stage).done_partitions())
-    if not done:
-        return rd.from_arrow(schema.empty_table())
-    return rd.read_parquet(
-        [os.path.join(out_dir, f"part={p}", f"{stage}.parquet")
-         for p in done], partitioning=None, schema=schema)

@@ -154,7 +154,8 @@ def test_split_coalesces_small_blocks(ray_session):
     cols = _split(ds, "k", B, lambda v: v.to_numpy() % B)
     n_tasks = len(cols[0])
     assert all(len(c) == n_tasks for c in cols)
-    assert n_tasks < n_blocks
+    # fewer tasks than blocks, but never fewer than the session's CPUs
+    assert int(ray.cluster_resources()["CPU"]) <= n_tasks < n_blocks
     assert sum(len(c) for c in cols) < n_blocks * B
     seen = []
     for t, refs in enumerate(cols):
@@ -163,6 +164,24 @@ def test_split_coalesces_small_blocks(ray_session):
         assert all(k % B == t for k in keys)
         seen += keys
     assert sorted(seen) == list(range(400))
+
+
+@pytest.mark.parametrize("n_cpus,sizes,want", [
+    (1, [100] * 64, 1),             # one CPU: every block in one task
+    (4, [100] * 64, 4),             # one task per CPU, not one in all
+    (16, [100] * 64, 16),
+    (128, [100] * 64, 64),          # no wider than one block a task
+    (1, [32 << 20] * 8, 4),         # the byte target caps a task
+    (4, [0] * 5, 1),                # size-less blocks share a task
+])
+def test_block_groups_width(n_cpus, sizes, want):
+    """Consecutive blocks coalesce up to min(target, bytes / CPUs), so
+    equal blocks make min(blocks, CPUs) tasks or more."""
+    from skosconverter_ray.stages.shardutil import _block_groups
+
+    groups = _block_groups(list(enumerate(sizes)), n_cpus)
+    assert len(groups) == want
+    assert [r for g in groups for r in g] == list(range(len(sizes)))
 
 
 def test_split_block_over_target_runs_alone(ray_session, monkeypatch):

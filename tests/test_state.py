@@ -128,6 +128,18 @@ def test_write_partitioned_applies_kernel(ray_session, tmp_path):
     assert sum(r["row_count"] for r in recs) == back.num_rows == 100
 
 
+def test_resume_refuses_other_lineage(ray_session, tmp_path):
+    """Done partitions from another input lineage are not kept: the
+    write refuses the manifest instead of mixing two inputs' rows."""
+    out = str(tmp_path / "graph")
+    write_partitioned(_triples(), out, key_col="subj", n_parts=8,
+                      stage="graph", lineage="corpus-a")
+    with pytest.raises(ValueError, match="corpus-a"):
+        write_partitioned(_triples(), out, key_col="subj", n_parts=8,
+                          stage="graph", lineage="corpus-b")
+    assert Manifest(out, "graph").done_partitions("corpus-a")
+
+
 def test_salted_aggregate_matches_plain_groupby(ray_session):
     from ray.data.aggregate import Count, Max, Min, Sum
 
