@@ -23,7 +23,9 @@ The BASELINE.json north-star pipeline, end to end:
 6. **adjacency-partitioned materialization** with a checkpoint manifest
    (state/manifest.py) when ``out_dir`` is given. Its exchange keys on
    ``subj``, so all copies of a triple meet in one partition task,
-   which dedups them before it writes.
+   which dedups them before it writes. ``graph`` is then a lazy read
+   of the files the manifest records done, which starts no task until
+   it is consumed.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from ..config import (
 )
 from ..stages.canonicalize import apply_canonicalization, canonical_map_table
 from ..stages.linker import build_label_index, link_documents
+from ..stages.shardutil import block_meta, blocks_dataset
 from ..stages.triples import dedup_table, dedup_triples
 
 ENGINE_NS = "http://skosconverter-ray.example.org/ns#"
@@ -187,6 +190,15 @@ class EmitTriples:
         return pa.concat_tables([mentions, subgraph])
 
 
+def _read_files(batch: pa.Table) -> pa.Table:
+    """A batch of parquet paths (``item``) -> their triples."""
+    import pyarrow.parquet as pq
+
+    return pa.concat_tables(
+        [pq.read_table(p, schema=schemas.TRIPLES, partitioning=None)
+         for p in batch["item"].to_pylist()])
+
+
 def link_plan(n_entries: int, total_cpus: int):
     """The linker's physical plan for ``link_concurrency="auto"``:
     ``None`` (elastic tasks) or a ``(min, max)`` actor-pool spec, from
@@ -232,9 +244,11 @@ def run_flagship(docs_ds, vocab_triples: pa.Table, *,
     one file per partition; see state/manifest.write_partitioned) with
     a resumable manifest, in ONE exchange: each partition task dedups
     its rows (a triple's copies share its ``subj``) before it writes
-    them, and ``graph`` reads ``out_dir`` back lazily, so a resumed
-    run's graph holds the partitions an earlier run wrote (the same
-    ``doc_ns`` is required; a new corpus needs a fresh ``out_dir``).
+    them. ``graph`` is then a lazy Dataset over the files the manifest
+    records done (one file per block; building it starts no Ray
+    task), so a resumed run's graph holds the partitions an earlier
+    run wrote (the same ``doc_ns`` is required, and a manifest of
+    another one is refused; a new corpus needs a fresh ``out_dir``).
 
     ``link_concurrency``: "auto" (default) picks the measured-best
     physical plan (elastic tasks vs autoscaling actor pool) from the
@@ -292,14 +306,17 @@ def run_flagship(docs_ds, vocab_triples: pa.Table, *,
     if out_dir is None:
         graph = dedup_triples(triples, coalesce=True)
     else:
-        from ..state.manifest import write_partitioned
+        from ..state.manifest import Manifest, write_partitioned
 
         write_partitioned(triples, out_dir, key_col="subj",
                           n_parts=n_parts, stage="graph", lineage=doc_ns,
                           kernel=dedup_table)
-        # discovery skips _manifest.jsonl and the '.'-prefixed temp
-        # files, and the rename makes every visible file whole
-        graph = rd.read_parquet(out_dir, partitioning=None,
-                                schema=schemas.TRIPLES)
-    canon = rd.from_arrow(canon_tbl)
+        mani = Manifest(out_dir, "graph")
+        files = [mani.part_file(p)
+                 for p in sorted(mani.done_partitions(doc_ns))]
+        # a parquet read of out_dir would start metadata tasks here
+        graph = rd.from_items(files).map_batches(
+            _read_files, batch_format="pyarrow", batch_size=1)
+    # from_arrow would start a metadata task for this driver-side table
+    canon = blocks_dataset([ray.put(canon_tbl)], [block_meta(canon_tbl)])
     return {"mentions": mentions, "graph": graph, "canon_map": canon}

@@ -276,8 +276,8 @@ def ingest_near_dup(docs_ds, store_dir: str, *, text_col: str = "text",
     driver (like append_fingerprints — bounded by the ingest round,
     never the accumulated corpus); a crawl whose single round exceeds
     driver memory writes shards from tasks instead, like
-    state/manifest.write_partitioned (one keyed exchange; each gather
-    task writes its partition's file)."""
+    state/manifest.write_partitioned (one keyed exchange; the gather
+    holding a partition writes its file)."""
     import ray
     import ray.data as rd
 

@@ -9,8 +9,8 @@ so the engine's dedup/verify paths use this instead:
 
 1. each side is split on its own key column by one shared key hash
    (shardutil.multiway_cogroup_scatter): no tagged union, no sort;
-2. one gather task per bucket receives that bucket's left and right
-   rows (``None`` for a side with none there);
+2. each bucket's left and right rows reach one gather call (``None``
+   for a side with none there; a gather task takes a run of buckets);
 3. inside each bucket the join is a LOCAL vectorized
    ``pa.Table.join`` — one Python call per bucket (B total), never
    one per key.

@@ -12,11 +12,15 @@ B×B per-peer message refs and collects the results.
 
 Every grouping of rows by bucket in the engine (bar
 ``dedup_triples``' uncoalesced branch) runs on one task exchange,
-with no sort: one split task (``_split``; one remote task per run of
-consecutive blocks, up to ``_SPLIT_TARGET_BYTES`` and the input's
-bytes per session CPU, scatters rows into per-bucket table refs, so
-part refs grow with the input's bytes and the session's width, not its
-block count) and one gather task. Three consumers build on it:
+with no sort, sized by bytes and session width at both ends: split
+tasks (``_split_blocks``; one per run of consecutive blocks, up to
+``_SPLIT_TARGET_BYTES`` and the input's bytes per session CPU,
+scattering rows into per-bucket parts, so part refs grow with the
+input's bytes and the session's width, not its block count) and
+gather tasks (``_gather_run``; one per run of consecutive buckets,
+cut the same way). When one split run and one gather run cover the
+input (a small input on one CPU), one task does both. Three
+consumers build on it:
 
 - ``split_dataset_by_bucket``: shard actors ``ray.get`` exactly their
   column of refs at load (the driver relays refs, never rows);
@@ -26,6 +30,10 @@ block count) and one gather task. Three consumers build on it:
 - ``multiway_cogroup_scatter`` hashes each side's key column and hands
   ``fn`` one table per side per bucket (joins, as-of join, closure,
   partitioned write).
+
+Gathers and shard results return each block's metadata with it, and
+``blocks_dataset`` builds the output Dataset from those: no metadata
+task per block, as ``from_arrow_refs`` would start.
 
 Fault model (deliberate): shard actors are assumed live for the
 duration of ONE stage run — they hold in-memory iteration state that
@@ -92,11 +100,48 @@ class ShardGroup:
 
     def collect(self):
         """Every shard's ``result()`` table as one materialized
-        Dataset (materialized before the actors die)."""
-        import ray.data as rd
+        Dataset; each shard returns the table's block metadata with
+        it (``blocks_dataset``)."""
+        import ray
 
-        return rd.from_arrow_refs(
-            [s.result.remote() for s in self.shards]).materialize()
+        outs = [s.__ray_call__.options(num_returns=2).remote(_result_meta)
+                for s in self.shards]
+        metas = ray.get([m for _, m in outs])
+        return blocks_dataset([t for t, _ in outs], metas)
+
+
+def _result_meta(shard) -> tuple:
+    t = shard.result()
+    return t, block_meta(t)
+
+
+# The two helpers below use Ray Data internals (as of ray 2.49.2): they
+# are ``from_arrow_refs`` split in two, so the metadata is computed by
+# the task that made the block instead of one extra task per block.
+def block_meta(block):
+    """``block``'s ``BlockMetadataWithSchema``, for ``blocks_dataset``
+    (call it in the task that produced the block)."""
+    from ray.data._internal.util import get_table_block_metadata_schema
+
+    return get_table_block_metadata_schema(block)
+
+
+def blocks_dataset(refs: list, metas: list):
+    """Block refs plus their ``block_meta`` results -> the
+    MaterializedDataset ``rd.from_arrow_refs(refs)`` would build,
+    starting no task."""
+    from ray.data._internal.logical.interfaces import LogicalPlan
+    from ray.data._internal.logical.operators.from_operators import FromArrow
+    from ray.data._internal.plan import ExecutionPlan
+    from ray.data._internal.stats import DatasetStats
+    from ray.data.context import DataContext
+    from ray.data.dataset import MaterializedDataset
+
+    plan = ExecutionPlan(
+        DatasetStats(metadata={"FromArrow": metas}, parent=None),
+        DataContext.get_current().copy())
+    return MaterializedDataset(
+        plan, LogicalPlan(FromArrow(refs, metas), plan._context))
 
 
 def split_dataset_by_bucket(ds, col: str, n_buckets: int) -> list[list]:
@@ -108,8 +153,15 @@ def split_dataset_by_bucket(ds, col: str, n_buckets: int) -> list[list]:
     return _split(ds, col, n_buckets, lambda v: bucket_of(v, n_buckets))
 
 
-# most input bytes one split task takes (block metadata)
+# most input bytes one split or gather task takes
 _SPLIT_TARGET_BYTES = 64 << 20
+
+
+def _session_cpus() -> int:
+    """The session's CPUs: the width every run below is cut for."""
+    import ray
+
+    return int(ray.cluster_resources().get("CPU", 1))
 
 
 def _block_groups(blocks: list[tuple], n_cpus: int) -> list[list]:
@@ -129,46 +181,92 @@ def _block_groups(blocks: list[tuple], n_cpus: int) -> list[list]:
     return groups
 
 
-def _split(ds, col: str, B: int, to_bucket) -> list[list]:
-    """The one split task behind every exchange here: one task per
-    run of blocks of ``ds`` (``_block_groups``, passed as arguments)
-    routes their rows by ``to_bucket(col values) -> int ids`` into
-    ``B`` parts; returns ``B`` lists of part refs. Blocks that are
-    empty or lack ``col`` (the schema-less empties Ray Data can leave)
-    add no rows; a task of only such blocks yields zero-row parts,
-    which every consumer drops. A bucket id outside ``[0, B)`` raises
-    instead of losing its row."""
+def _gather_runs(B: int, n_bytes: int, n_cpus: int) -> list[list[int]]:
+    """Runs of consecutive bucket ids, one gather task each: the
+    ``_block_groups`` of ``B`` buckets holding an equal share of the
+    input's ``n_bytes`` (one byte at least). So a wide session gets at
+    least ``min(B, n_cpus)`` gathers, one CPU gets one for up to
+    ``_SPLIT_TARGET_BYTES``, and a bucket of that size or more gets its
+    own."""
+    return _block_groups([(t, max(n_bytes // B, 1)) for t in range(B)],
+                         n_cpus)
+
+
+def _blocks(ds) -> list[tuple]:
+    """``(ref, size_bytes)`` of every block of ``ds``, materialized
+    first so the sizes are known."""
+    return [(ref, meta.size_bytes or 0)
+            for bundle in ds.materialize().iter_internal_ref_bundles()
+            for ref, meta in bundle.blocks]
+
+
+def _split_blocks(blocks, col: str, B: int, to_bucket) -> list[pa.Table]:
+    """The split behind every exchange here (run in a task): rows of
+    ``blocks`` routed by ``to_bucket(col values) -> int ids`` into
+    ``B`` tables. Blocks that are empty or lack ``col`` (the
+    schema-less empties Ray Data can leave) add no rows; with no
+    others the parts are zero-row, which every consumer drops. A
+    bucket id outside ``[0, B)`` raises instead of losing its row."""
     import numpy as np
-    import ray
     from ray.data.block import BlockAccessor
 
-    @ray.remote(num_returns=B)
+    tbls = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
+    got = [t for t in tbls if t.num_rows and col in t.column_names]
+    if not got:
+        return [tbls[0].slice(0, 0)] * B
+    tbl = pa.concat_tables(got).combine_chunks()
+    bk = np.asarray(to_bucket(tbl[col].combine_chunks()))
+    if not ((bk >= 0) & (bk < B)).all():
+        raise ValueError(f"bucket id of {col!r} outside "
+                         f"[0, {B}): {bk.min()}..{bk.max()}")
+    return [tbl.filter(pa.array(bk == t)) for t in range(B)]
+
+
+def _split_runs(groups: list[list], col: str, B: int,
+                to_bucket) -> list[list]:
+    """One split task per run of block refs (``_block_groups``, passed
+    as arguments) -> ``B`` lists of part refs, one per task each."""
+    import ray
+
+    @ray.remote
     def split(*blocks):
-        tbls = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
-        got = [t for t in tbls if t.num_rows and col in t.column_names]
-        if not got:
-            parts = tuple(tbls[0].slice(0, 0) for _ in range(B))
-        else:
-            tbl = pa.concat_tables(got).combine_chunks()
-            bk = np.asarray(to_bucket(tbl[col].combine_chunks()))
-            if not ((bk >= 0) & (bk < B)).all():
-                raise ValueError(f"bucket id of {col!r} outside "
-                                 f"[0, {B}): {bk.min()}..{bk.max()}")
-            parts = tuple(tbl.filter(pa.array(bk == t))
-                          for t in range(B))
-        return parts if B > 1 else parts[0]
+        parts = _split_blocks(blocks, col, B, to_bucket)
+        return tuple(parts) if B > 1 else parts[0]
 
     cols: list[list] = [[] for _ in range(B)]
-    # materialize() first: the groups read the pinned blocks' metadata
-    blocks = [(ref, meta.size_bytes or 0)
-              for bundle in ds.materialize().iter_internal_ref_bundles()
-              for ref, meta in bundle.blocks]
-    n_cpus = int(ray.cluster_resources().get("CPU", 1))
-    for group in _block_groups(blocks, n_cpus):
-        out = split.remote(*group)
+    for group in groups:
+        out = split.options(num_returns=B).remote(*group)
         for t, part in enumerate(out if B > 1 else [out]):
             cols[t].append(part)
     return cols
+
+
+def _split(ds, col: str, B: int, to_bucket) -> list[list]:
+    """``ds``'s blocks split by ``_split_runs`` in runs cut for the
+    session's width; returns ``B`` lists of part refs."""
+    return _split_runs(_block_groups(_blocks(ds), _session_cpus()),
+                       col, B, to_bucket)
+
+
+def _gather_run(buckets: list[list[list]], fn, empty_result) -> tuple:
+    """The gather behind every exchange here (run in a task):
+    ``buckets[i][s]`` holds side ``s``'s part tables of the run's
+    ``i``-th bucket. Each side's parts are concatenated (``None`` when
+    none has rows) and handed to ``fn``; a bucket with no rows on any
+    side returns ``empty_result`` when given. Returns every bucket's
+    output, then the list of their ``block_meta``."""
+    outs = []
+    for sides in buckets:
+        tbls = []
+        for parts in sides:
+            got = [t for t in parts if t.num_rows]
+            tbls.append(pa.concat_tables(got).combine_chunks()
+                        if got else None)
+        if empty_result is not None and all(t is None for t in tbls):
+            outs.append(empty_result)
+        else:
+            outs.append(fn(*tbls))
+    return (*outs, [block_meta(t) for t in outs])
 
 
 def scatter_apply_by_value(ds, bucket_col: str, n_buckets: int, fn,
@@ -234,43 +332,64 @@ def multiway_cogroup_scatter(sides, n_buckets: int, fn,
     """N-ary task-level hash cogroup: ``fn(t0, …, tN-1)`` per bucket
     over any number of sides, each given as ``(dataset, key_column)``,
     with NO sort and no tagged union. Each side is split on its own
-    key column by the shared split task; one gather task per bucket
-    concatenates each side and applies ``fn``. Every row moves once
-    through the object store; wall is max(split) + max(gather). A
-    side's table arrives as ``None`` when its bucket holds none of its
-    rows; a bucket with no rows at all returns ``empty_result`` when
-    given. k sequential binary joins on ONE shared key pay k exchange
-    barriers for what is one co-partitioned local join — this pays one.
+    key column by the shared split (``_split_runs``); one gather task
+    per run of consecutive buckets (``_gather_runs``) concatenates
+    each side and applies ``fn`` once per bucket. When one split run
+    per side and one gather run cover everything, one task does the
+    splits and the gather. Every row moves once through the object
+    store. A side's table arrives as ``None`` when its bucket holds
+    none of its rows; a bucket with no rows at all returns
+    ``empty_result`` when given. The output is one block per bucket,
+    in bucket order. k sequential binary joins on ONE shared key pay
+    k exchange barriers for what is one co-partitioned local join —
+    this pays one.
 
     Lazy sides are materialized here; materialized ones
     (``from_arrow_refs`` outputs included) hand over their blocks.
+    Returns once every gather is done.
 
     ``key_to_bucket``: vectorized ``values -> int bucket ids``, the
     SAME function for every side (default ``_hash_key``)."""
     import ray
-    import ray.data as rd
 
     B = n_buckets
     to_bucket = key_to_bucket or (lambda v: _hash_key(v, B))
+    keys = [key for _, key in sides]
+    n_cpus = _session_cpus()
+    sized = [_blocks(ds) for ds, _ in sides]
+    groups = [_block_groups(b, n_cpus) for b in sized]
+    runs = _gather_runs(B, sum(n for b in sized for _, n in b), n_cpus)
 
-    @ray.remote
-    def gather(counts, *parts):
-        # parts arrive as task arguments, resolved before the task
-        # starts: a gather never blocks a worker waiting on its splits
-        tbls, i = [], 0
-        for n in counts:
-            got = [t for t in parts[i:i + n] if t.num_rows]
-            tbls.append(pa.concat_tables(got).combine_chunks()
-                        if got else None)
-            i += n
-        if empty_result is not None and all(t is None for t in tbls):
-            return empty_result
-        return fn(*tbls)
+    if len(runs) == 1 and all(len(g) <= 1 for g in groups):
+        @ray.remote
+        def exchange(counts, *blocks):
+            it = iter(blocks)
+            parts = [_split_blocks([next(it) for _ in range(n)], key, B,
+                                   to_bucket) if n else []
+                     for n, key in zip(counts, keys)]
+            return _gather_run([[p[t:t + 1] for p in parts]
+                                for t in range(B)], fn, empty_result)
 
-    all_cols = [_split(ds, key, B, to_bucket) for ds, key in sides]
-    # gather outputs are driver-owned task returns (refs only — rows
-    # never land on the driver)
-    return rd.from_arrow_refs([
-        gather.remote([len(c[t]) for c in all_cols],
-                      *[r for c in all_cols for r in c[t]])
-        for t in range(B)])
+        outs = [exchange.options(num_returns=B + 1).remote(
+            [len(g[0]) if g else 0 for g in groups],
+            *[r for g in groups for run in g for r in run])]
+    else:
+        @ray.remote
+        def gather(shape, *parts):
+            # parts arrive as task arguments, resolved before the task
+            # starts: a gather never blocks a worker waiting on splits
+            it = iter(parts)
+            return _gather_run([[[next(it) for _ in range(n)] for n in row]
+                                for row in shape], fn, empty_result)
+
+        cols = [_split_runs(g, key, B, to_bucket)
+                for g, key in zip(groups, keys)]
+        outs = [gather.options(num_returns=len(run) + 1).remote(
+            [[len(c[t]) for c in cols] for t in run],
+            *[r for t in run for c in cols for r in c[t]])
+            for run in runs]
+    # gather outputs are driver-owned task returns (refs only: rows
+    # never land on the driver; the metadata lists do)
+    metas = ray.get([out[-1] for out in outs])
+    return blocks_dataset([r for out in outs for r in out[:-1]],
+                          [m for ms in metas for m in ms])

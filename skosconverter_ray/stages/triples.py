@@ -99,9 +99,14 @@ def dedup_triples(triples_ds, *, num_buckets: int = 64,
     ``source_doc`` is the min over duplicates (deterministic witness).
 
     Two-phase: vectorized per-batch pre-dedup (shrinks the shuffle),
-    then ONE groupby over ``_h1 % num_buckets`` cogroups with a numpy
+    then ONE grouping over ``_h1 % num_buckets`` with a numpy
     per-bucket dedup — O(num_buckets) Python calls, never one per
-    distinct triple, and no Python-object comparisons in the sort."""
+    distinct triple, and no Python-object comparisons.
+
+    With ``coalesce=True`` the grouping is shardutil's task exchange,
+    and it is eager: the call materializes its input and submits the
+    whole exchange when called, not when the returned Dataset is
+    read."""
 
     def local(batch: pa.Table) -> pa.Table:
         return _first_per_hash(_hash_key_batch(batch, num_buckets))
@@ -110,8 +115,8 @@ def dedup_triples(triples_ds, *, num_buckets: int = 64,
     if coalesce:
         # corpus-scale path (round 4): rows already carry the int
         # bucket, so grouping needs no sort — a task-level hash
-        # scatter/gather (one split task per block, one dedup task per
-        # bucket) replaces Ray's SORT-based groupby exchange, which
+        # scatter/gather (split and dedup tasks per run of blocks and
+        # of buckets) replaces Ray's SORT-based groupby exchange, which
         # dominated the 1M-doc flagship wall (41 s of 60 s at 16 cpus;
         # sample+range-partition+sort is wasted work for hash groups).
         from .shardutil import scatter_apply_by_value

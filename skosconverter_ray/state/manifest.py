@@ -64,6 +64,7 @@ class Manifest:
         # '_'-prefixed so Arrow/Ray parquet dataset discovery over
         # out_dir skips it (default ignore_prefixes ['.', '_'])
         self.path = os.path.join(out_dir, "_manifest.jsonl")
+        self.out_dir = out_dir
         self.stage = stage
         os.makedirs(out_dir, exist_ok=True)
 
@@ -97,6 +98,11 @@ class Manifest:
                     done.add(rec["partition_id"])
         return done
 
+    def part_file(self, partition_id: int) -> str:
+        """The one file this stage writes for ``partition_id``."""
+        return os.path.join(self.out_dir, f"part={partition_id}",
+                            f"{self.stage}.parquet")
+
     def record(self, partition_id: int, row_count: int, lineage: str,
                status: str, wall_s: float) -> None:
         rec = {
@@ -118,9 +124,10 @@ def write_partitioned(ds, out_dir: str, *, key_col: str, n_parts: int,
 
     One keyed exchange (shardutil.multiway_cogroup_scatter, bucket =
     ``partition_id_array(key)``) hands each partition's rows to one
-    task. That task applies ``kernel`` (optional ``pa.Table ->
-    pa.Table`` on the whole partition, e.g. ``triples.dedup_table``,
-    so an operation keyed on ``key_col`` needs no exchange of its own),
+    call in a gather task. That call applies ``kernel`` (optional
+    ``pa.Table -> pa.Table`` on the whole partition, e.g.
+    ``triples.dedup_table``, so an operation keyed on ``key_col`` needs
+    no exchange of its own),
     writes the result as ONE file, ``part=<i>/<stage>.parquet`` (temp
     name, then rename), and returns its row count and its own wall;
     the driver appends one manifest row per non-empty partition from
@@ -146,13 +153,13 @@ def write_partitioned(ds, out_dir: str, *, key_col: str, n_parts: int,
         t0 = time.monotonic()
         if kernel is not None:
             tbl = kernel(tbl)
-        part_dir = os.path.join(out_dir, f"part={part}")
-        os.makedirs(part_dir, exist_ok=True)
+        path = mani.part_file(part)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
         # '.'-prefixed temp name: dataset discovery skips it, and the
         # rename makes the file appear whole or not at all
-        tmp = os.path.join(part_dir, f".{stage}.parquet.tmp")
+        tmp = os.path.join(os.path.dirname(path), f".{stage}.parquet.tmp")
         pq.write_table(tbl, tmp)
-        os.replace(tmp, os.path.join(part_dir, f"{stage}.parquet"))
+        os.replace(tmp, path)
         return pa.table({"part": [part], "rows": [tbl.num_rows],
                          "wall_s": [time.monotonic() - t0]},
                         schema=result_schema)

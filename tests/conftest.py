@@ -29,3 +29,36 @@ def sf001():
     import __ray_entry__
 
     return os.path.join(os.path.dirname(__ray_entry__.SF0001), "sf0.01")
+
+
+def _exchange_width(monkeypatch, n_cpus: int) -> list:
+    """Cut shardutil's exchanges for ``n_cpus`` CPUs; returns the list
+    of ``_split_runs`` calls (split tasks started on their own)."""
+    from skosconverter_ray.stages import shardutil
+
+    monkeypatch.setattr(shardutil, "_session_cpus", lambda: n_cpus)
+    real, calls = shardutil._split_runs, []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(shardutil, "_split_runs", spy)
+    return calls
+
+
+@pytest.fixture
+def one_task(monkeypatch):
+    """Exchanges cut for one CPU: on inputs under the split target the
+    split and the gather run in one task, so no split task runs on its
+    own."""
+    calls = _exchange_width(monkeypatch, 1)
+    yield
+    assert not calls
+
+
+@pytest.fixture
+def split_gather(monkeypatch):
+    """Exchanges cut for four CPUs: split tasks, then at least
+    min(B, 4) gather tasks (an empty input may start no exchange)."""
+    _exchange_width(monkeypatch, 4)

@@ -1,7 +1,9 @@
 """Every stage that groups rows on the shared task exchange
-(shardutil's one split task) against an in-process reference, on two
+(shardutil's split and gather) against an in-process reference, on two
 inputs each: a few keys spread over many more buckets (most buckets
-empty on every side) and an empty input."""
+empty on every side) and an empty input. Each case runs at the test
+session's width (split tasks, then gather tasks) and cut for one CPU
+(one task does both)."""
 
 from __future__ import annotations
 
@@ -164,11 +166,22 @@ def _emptied(inputs):
     return []
 
 
-@pytest.mark.parametrize("empty", [False, True], ids=["sparse", "empty"])
-@pytest.mark.parametrize("stage", list(STAGES))
-def test_exchange_stage_matches_reference(ray_session, stage, empty):
+def _check(stage, empty):
     run, inputs = STAGES[stage]
     got, cols, want = run(_emptied(inputs) if empty else inputs)
     got_rows = [tuple(r[c] for c in cols) for r in got.take_all()]
     assert sorted(got_rows, key=repr) == sorted(want, key=repr)
     assert bool(want) != empty
+
+
+@pytest.mark.parametrize("empty", [False, True], ids=["sparse", "empty"])
+@pytest.mark.parametrize("stage", list(STAGES))
+def test_exchange_stage_matches_reference(ray_session, split_gather, stage,
+                                          empty):
+    _check(stage, empty)
+
+
+@pytest.mark.parametrize("empty", [False, True], ids=["sparse", "empty"])
+@pytest.mark.parametrize("stage", list(STAGES))
+def test_exchange_stage_one_task(ray_session, one_task, stage, empty):
+    _check(stage, empty)

@@ -1,7 +1,9 @@
 """Task-level exchange primitives: scatter_apply_by_value and
 multiway_cogroup_scatter edge cases (empty buckets, schema-less
 empties, zero-block inputs, int vs string keys, two and three
-sides), and the split's coalescing of small blocks."""
+sides) on both sides of the one-task choice, the split's coalescing
+of small blocks, the gather's runs of buckets, and the Dataset built
+from task-returned block metadata."""
 
 import pyarrow as pa
 import pytest
@@ -207,3 +209,93 @@ def test_split_rejects_bucket_outside_range(ray_session):
                   lambda v: v.to_numpy() % 4 + 1)
     with pytest.raises(ValueError, match="outside"):
         ray.get([r for c in cols for r in c])
+
+
+def test_cogroup_rejects_bucket_outside_range(ray_session, split_gather):
+    def fn(t):
+        return t
+
+    with pytest.raises(ValueError, match="outside"):
+        multiway_cogroup_scatter([(_tiny_blocks(n_blocks=3), "k")], 4, fn,
+                                 key_to_bucket=lambda v: v.to_numpy() % 4 + 1)
+
+
+def test_cogroup_schemaless_blocks_every_row_once(ray_session, split_gather):
+    """Zero-row and schema-less blocks add no rows; each bucket's rows
+    reach ``fn`` once, and the output is one block per bucket in
+    bucket order."""
+    B = 6
+
+    def fn(t):
+        keys = [] if t is None else sorted(t["k"].to_pylist())
+        return pa.table({"keys": pa.array([keys], pa.list_(pa.int64()))})
+
+    out = multiway_cogroup_scatter([(_tiny_blocks(), "k")], B, fn,
+                                   key_to_bucket=lambda v: v.to_numpy() % B)
+    assert out.num_blocks() == B
+    rows = [r["keys"] for r in out.take_all()]
+    assert rows == [list(range(t, 400, B)) for t in range(B)]
+
+
+_ONE_TASK_CASES = [
+    test_scatter_groups_every_row_once,
+    test_scatter_empty_bucket_calls_fn_with_schema,
+    test_scatter_empty_result_shortcut,
+    test_cogroup_scatter_int_keys_joins_all_rows,
+    test_cogroup_scatter_string_keys,
+    test_multiway_cogroup_scatter_three_sides,
+    test_cogroup_rejects_bucket_outside_range,
+    test_cogroup_schemaless_blocks_every_row_once,
+]
+
+
+@pytest.mark.parametrize("case", _ONE_TASK_CASES,
+                         ids=[c.__name__[5:] for c in _ONE_TASK_CASES])
+def test_one_task_exchange(ray_session, one_task, case):
+    """The exchange cases above, cut for one CPU: one task splits and
+    gathers, and the results are the same (fixtures the case names are
+    passed as None: the session is up and the width is set here)."""
+    import inspect
+
+    case(*[None] * len(inspect.signature(case).parameters))
+
+
+@pytest.mark.parametrize("n_cpus", [1, 4, 16, 128])
+@pytest.mark.parametrize("B", [1, 8, 64])
+def test_gather_runs_width(n_cpus, B):
+    """Consecutive buckets share a gather up to min(target, bytes /
+    CPUs): one gather on one CPU, min(B, CPUs) or more on a wider
+    session, and one bucket per gather once a bucket's share reaches
+    the byte target."""
+    from skosconverter_ray.stages.shardutil import (_SPLIT_TARGET_BYTES,
+                                                    _gather_runs)
+
+    for n_bytes, want in [(0, 1 if n_cpus == 1 else min(B, n_cpus)),
+                          (1 << 20, 1 if n_cpus == 1 else min(B, n_cpus)),
+                          (B * _SPLIT_TARGET_BYTES, B)]:
+        runs = _gather_runs(B, n_bytes, n_cpus)
+        assert len(runs) == want
+        assert [t for run in runs for t in run] == list(range(B))
+
+
+def test_blocks_dataset_matches_from_arrow_refs(ray_session):
+    """Metadata the producing task returned builds the same Dataset as
+    ``from_arrow_refs``: blocks, their order, rows, bytes and schema."""
+    from skosconverter_ray.stages.shardutil import block_meta, blocks_dataset
+
+    tables = [pa.table({"k": pa.array(range(n), pa.int64()),
+                        "s": [f"s{i}" for i in range(n)]})
+              for n in (5, 0, 300)] + [pa.table({})]
+    refs = [ray.put(t) for t in tables]
+    want = rd.from_arrow_refs(refs)
+    got = blocks_dataset(refs, [block_meta(t) for t in tables])
+
+    def blocks(ds):
+        return [(ref.hex(), m.num_rows, m.size_bytes, bundle.schema)
+                for bundle in ds.iter_internal_ref_bundles()
+                for ref, m in bundle.blocks]
+
+    assert blocks(got) == blocks(want)
+    assert [r for r, *_ in blocks(got)] == [r.hex() for r in refs]
+    assert got.schema() == want.schema()
+    assert got.take_all() == want.take_all()

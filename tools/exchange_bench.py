@@ -1,16 +1,20 @@
 """Layer microbench for the task exchange: sweep
 ``shardutil.multiway_cogroup_scatter`` over input rows x input blocks x
-buckets (B) and print, per cell, the part refs the split makes and the
-exchange wall.
+buckets (B) and print, per cell, the Ray tasks one exchange starts
+(split, gather and block-metadata tasks), the part refs its splits
+make and the exchange wall.
 
 Method: each cell builds one materialized table of ``rows`` rows (an
 int64 key over rows/4 distinct values, an int64 payload and a short
-string) cut into ``blocks`` blocks; building is not timed. Part refs
-are counted from one untimed ``_split`` call (tasks x B). The wall is
+string) cut into ``blocks`` blocks; building is not timed. The wall is
 one one-side cogroup whose per-bucket ``fn`` counts its rows, consumed
 with ``take_all`` (which waits for every gather) and checked to total
-``rows``. Each cell runs ``--repeats`` times; the table gives the
-median and the min-max spread.
+``rows``. Tasks are counted by wrapping Ray's task submission in this
+driver and keyed by the remote function's name: ``split``, ``gather``
+(a one-task exchange, which splits and gathers, counts as one gather)
+and ``get_table_block_metadata_schema`` (``from_arrow_refs``' metadata
+task); part refs are split tasks x B. Each cell runs ``--repeats``
+times; the table gives the median and the min-max spread.
 
 Usage (from the root of a checkout):
 
@@ -52,32 +56,53 @@ def build(rows: int, blocks: int):
     return rd.from_arrow(t).repartition(blocks).materialize()
 
 
+# remote function name -> the column its tasks count in
+_TASK_KINDS = {"split": "split", "gather": "gather", "exchange": "gather",
+               "get_table_block_metadata_schema": "meta"}
+
+
+def count_tasks(counts: dict):
+    """Count every task this driver submits into ``counts`` by kind
+    (``_TASK_KINDS``); returns the undo."""
+    from ray.remote_function import RemoteFunction
+
+    real = RemoteFunction._remote
+
+    def counting(self, *args, **kwargs):
+        kind = _TASK_KINDS.get(self._function.__name__)
+        if kind:
+            counts[kind] = counts.get(kind, 0) + 1
+        return real(self, *args, **kwargs)
+
+    RemoteFunction._remote = counting
+    return lambda: setattr(RemoteFunction, "_remote", real)
+
+
 def cell(ds, rows: int, B: int, repeats: int) -> dict:
     import pyarrow as pa
-    import ray
 
-    from skosconverter_ray.stages.shardutil import (_hash_key, _split,
-                                                    multiway_cogroup_scatter)
-
-    cols = _split(ds, "k", B, lambda v: _hash_key(v, B))
-    refs = [r for c in cols for r in c]
-    ray.get(refs)
-    part_refs = len(refs)
-    del cols, refs
+    from skosconverter_ray.stages.shardutil import multiway_cogroup_scatter
 
     def count(t):
         return pa.table({"n": pa.array([0 if t is None else t.num_rows],
                                        pa.int64())})
 
-    walls = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        got = sum(r["n"] for r in
-                  multiway_cogroup_scatter([(ds, "k")], B, count).take_all())
-        walls.append(time.perf_counter() - t0)
-        if got != rows:
-            raise RuntimeError(f"exchange returned {got} rows of {rows}")
-    return {"part_refs": part_refs, "walls": walls}
+    walls, counts = [], {}
+    undo = count_tasks(counts)
+    try:
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            got = sum(r["n"] for r in multiway_cogroup_scatter(
+                [(ds, "k")], B, count).take_all())
+            walls.append(time.perf_counter() - t0)
+            if got != rows:
+                raise RuntimeError(f"exchange returned {got} rows of "
+                                   f"{rows}")
+    finally:
+        undo()
+    tasks = {k: counts.get(k, 0) // repeats
+             for k in ("split", "gather", "meta")}
+    return {**tasks, "part_refs": tasks["split"] * B, "walls": walls}
 
 
 def main() -> None:
@@ -112,11 +137,13 @@ def main() -> None:
         ray.shutdown()
 
     print(f"cpus={args.cpus} repeats={args.repeats}")
-    print(f"{'rows':>8} {'blocks':>6} {'B':>4} {'part_refs':>9} "
-          f"{'median_s':>8}  spread_s")
+    print(f"{'rows':>8} {'blocks':>6} {'B':>4} {'split':>5} "
+          f"{'gather':>6} {'meta':>4} {'part_refs':>9} {'median_s':>8}"
+          "  spread_s")
     for c in cells:
         w = c["walls"]
         print(f"{c['rows']:>8} {c['blocks']:>6} {c['B']:>4} "
+              f"{c['split']:>5} {c['gather']:>6} {c['meta']:>4} "
               f"{c['part_refs']:>9} {statistics.median(w):>8.3f}  "
               f"{min(w):.3f}-{max(w):.3f}")
     print(json.dumps({"cpus": args.cpus, "repeats": args.repeats,
