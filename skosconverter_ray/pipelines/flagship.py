@@ -9,8 +9,9 @@ The BASELINE.json north-star pipeline, end to end:
    ``(doc_uri, engine:mentions, concept)`` plus the vocabulary subgraph
    of the mentioned concept (skos:broader / narrower / related /
    exactMatch + notation / definition, per the north star), stamped
-   with ``source_doc``. The subgraph lookup is a broadcast dict
-   (vocabulary is dimension-sized).
+   with ``source_doc``. The subgraph is a broadcast table keyed by
+   the mentioned concept (vocabulary is dimension-sized), joined to
+   each batch's distinct concepts.
 3. **canonicalization** — union-find over owl:sameAs / skos:exactMatch
    (stages/canonicalize.py), applied as a broadcast rewrite.
 4. **set-semantics dedup** (min-``source_doc`` witness): one hash
@@ -26,11 +27,24 @@ The BASELINE.json north-star pipeline, end to end:
    which dedups them before it writes. ``graph`` is then a lazy read
    of the files the manifest records done, which starts no task until
    it is consumed.
+
+Vocabulary state: the label index, the subgraph table and the
+canonical map are built on the driver and put in the object store
+ONCE per vocabulary (``_vocab_state``). The module keeps the refs of
+one vocabulary, keyed by the identity of the ``vocab_triples`` object,
+``preferred_ns`` and the Ray session, until a call with another key
+replaces them; so a driver that links successive document batches
+against one vocabulary table builds and puts it once. On the workers,
+``linker.built_once`` resolves each ref (and builds the linker's
+automaton) once per process.
 """
 
 from __future__ import annotations
 
+import weakref
+
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from .. import schemas
 from ..config import (
@@ -42,8 +56,12 @@ from ..config import (
     SKOS_NOTATION,
     SKOS_RELATED,
 )
-from ..stages.canonicalize import apply_canonicalization, canonical_map_table
-from ..stages.linker import build_label_index, link_documents
+from ..stages.canonicalize import (
+    apply_canonicalization,
+    canonical_map_ref,
+    canonical_map_table,
+)
+from ..stages.linker import build_label_index, built_once, link_documents
 from ..stages.shardutil import block_meta, blocks_dataset
 from ..stages.triples import dedup_table, dedup_triples
 
@@ -62,46 +80,45 @@ EMITTED_PREDS = (
 )
 
 
-def _vocab_subgraph(vocab_triples: pa.Table) -> dict[str, list[tuple]]:
-    """uri -> [(subj, pred, obj, obj_is_literal, lang)] for
-    EMITTED_PREDS, CLOSED under inverse/symmetric pairs.
+# the subgraph table: the mentioned concept, then its triple
+_SUBGRAPH = pa.schema([pa.field("key", pa.string()),
+                       *list(schemas.TRIPLES)[:5]])
+
+
+def _vocab_subgraph(vocab_triples: pa.Table) -> pa.Table:
+    """The EMITTED_PREDS triples of the vocabulary, CLOSED under
+    inverse/symmetric pairs, as a table of ``key`` (the concept whose
+    mention emits the row) plus the triple columns (``_SUBGRAPH``).
 
     The closure (broader⇔narrower, hasTopConcept⇔topConceptOf,
     related/sameAs/exactMatch mirrored — the reference's paired
     emission, skos_converter.py:1540-1546) is applied HERE, on the
     driver, because every hierarchical edge in the flagship graph
     originates from this dimension-sized vocabulary: closing ~10^5
-    dict entries once replaces an entire corpus-wide
+    rows once replaces an entire corpus-wide
     inverse-consistency shuffle+materialize downstream (~25% of
     flagship wall at 4 cpus). The closure commutes with URI
     canonicalization (flip of a rewrite = rewrite of the flip) and
     dedup, so the output graph is identical to running
     stages/triples.inverse_consistency after the fact — pinned by
     test_flagship.test_vocab_closure_matches_inverse_pass. A flipped
-    edge is attached to the MENTIONED concept's entry so it is
-    emitted whenever the original edge is."""
+    edge is keyed by the MENTIONED concept (the original subject) so
+    it is emitted whenever the original edge is; a null
+    ``obj_is_literal`` counts as an IRI object and is flipped."""
     from ..config import INVERSE_PAIRS, SYMMETRIC_PREDS
 
-    keep = set(EMITTED_PREDS)
-    inv_map = dict(INVERSE_PAIRS)
-    sym = set(SYMMETRIC_PREDS)
-    out: dict[str, list[tuple]] = {}
-    for subj, pred, obj, lit, lang in zip(
-        vocab_triples["subj"].to_pylist(),
-        vocab_triples["pred"].to_pylist(),
-        vocab_triples["obj"].to_pylist(),
-        vocab_triples["obj_is_literal"].to_pylist(),
-        vocab_triples["lang"].to_pylist(),
-    ):
-        if pred not in keep:
-            continue
-        entry = out.setdefault(subj, [])
-        entry.append((subj, pred, obj, lit, lang))
-        if not lit:
-            flip = inv_map.get(pred) or (pred if pred in sym else None)
-            if flip is not None:
-                entry.append((obj, flip, subj, lit, lang))
-    return out
+    t = vocab_triples.select(_SUBGRAPH.names[1:])
+    t = t.filter(pc.is_in(t["pred"], value_set=pa.array(EMITTED_PREDS)))
+    inv = {**INVERSE_PAIRS, **{p: p for p in SYMMETRIC_PREDS}}
+    src, dst = pa.array(list(inv)), pa.array(list(inv.values()))
+    e = t.filter(pc.and_(pc.is_in(t["pred"], value_set=src),
+                         pc.invert(t["obj_is_literal"].fill_null(False))))
+    flips = pa.table([e["subj"], e["obj"],
+                      dst.take(pc.index_in(e["pred"], value_set=src)),
+                      e["subj"], e["obj_is_literal"], e["lang"]],
+                     schema=_SUBGRAPH)
+    return pa.concat_tables(
+        [t.add_column(0, "key", t["subj"]).cast(_SUBGRAPH), flips])
 
 
 class EmitTriples:
@@ -109,32 +126,15 @@ class EmitTriples:
 
     Usable both as an actor-pool class (``map_batches(EmitTriples,
     fn_constructor_args=...)``) and as a serialized task callable: the
-    broadcast subgraph rides as an ObjectRef (tiny to ship) and is
-    ray.get-resolved lazily on first use in the worker — never
-    materialized into the serialized closure."""
+    broadcast subgraph table rides as an ObjectRef (tiny to ship) and
+    is resolved once per worker process per ref (linker.built_once) —
+    never materialized into the serialized closure."""
 
     def __init__(self, subgraph_ref, doc_ns: str):
         self._ref = subgraph_ref
-        self._sub = None
         self.doc_ns = doc_ns
 
-    @property
-    def sub(self):
-        if self._sub is None:
-            import ray
-
-            self._sub = (ray.get(self._ref)
-                         if isinstance(self._ref, ray.ObjectRef)
-                         else self._ref)
-        return self._sub
-
-    def __getstate__(self):
-        # never pickle the resolved dict into task closures
-        return {"_ref": self._ref, "_sub": None, "doc_ns": self.doc_ns}
-
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         n = batch.num_rows
         doc_ids = batch["doc_id"].combine_chunks() \
             if isinstance(batch["doc_id"], pa.ChunkedArray) \
@@ -158,33 +158,18 @@ class EmitTriples:
         # batch-MIN mentioning doc. min is associative, so the global
         # dedup's min-source_doc tiebreak still lands on the overall
         # min mentioning doc — identical output, ~4-5x fewer rows into
-        # the object store and the dedup shuffle. The loop below is
-        # over DISTINCT batch concepts (vectorized group_by min), not
-        # mention rows.
+        # the object store and the dedup shuffle. The subgraph rows of
+        # the batch's DISTINCT concepts are one semi-join of the
+        # subgraph table on them (index_in), each row stamped with its
+        # concept's min doc.
         mins = (batch.select(["concept_uri", "doc_id"])
                 .group_by("concept_uri").aggregate([("doc_id", "min")]))
-        rows = {k: [] for k in
-                ("subj", "pred", "obj", "obj_is_literal", "lang",
-                 "source_doc")}
-        for uri, doc_id in zip(mins["concept_uri"].to_pylist(),
-                               mins["doc_id_min"].to_pylist()):
-            for subj, pred, obj, lit, lang in self.sub.get(uri, ()):
-                rows["subj"].append(subj)
-                rows["pred"].append(pred)
-                rows["obj"].append(obj)
-                rows["obj_is_literal"].append(lit)
-                rows["lang"].append(lang)
-                rows["source_doc"].append(doc_id)
+        sub = built_once("emit", self._ref, lambda t: t)
+        pos = pc.index_in(sub["key"],
+                          value_set=mins["concept_uri"].combine_chunks())
+        got = sub.filter(pc.is_valid(pos))
         subgraph = pa.table(
-            {
-                "subj": pa.array(rows["subj"], pa.string()),
-                "pred": pa.array(rows["pred"], pa.string()),
-                "obj": pa.array(rows["obj"], pa.string()),
-                "obj_is_literal": pa.array(rows["obj_is_literal"],
-                                           pa.bool_()),
-                "lang": pa.array(rows["lang"], pa.string()),
-                "source_doc": pa.array(rows["source_doc"], pa.string()),
-            },
+            [*got.columns[1:], mins["doc_id_min"].take(pos.drop_null())],
             schema=schemas.TRIPLES,
         )
         return pa.concat_tables([mentions, subgraph])
@@ -231,6 +216,52 @@ def link_plan(n_entries: int, total_cpus: int):
     return pool
 
 
+# The broadcast state of the one vocabulary run_flagship last linked
+# against: (weakref to its vocab table, (preferred_ns, session key),
+# state). See _vocab_state.
+_VOCAB: tuple | None = None
+
+
+def _session_key() -> tuple:
+    """The Ray session object refs belong to: (node id, job id). A new
+    ``ray.init``, even in the same process, makes earlier refs stale."""
+    import ray
+
+    ctx = ray.get_runtime_context()
+    return ctx.get_node_id(), ctx.get_job_id()
+
+
+def _vocab_state(vocab_triples: pa.Table, preferred_ns: str | None):
+    """``(n_entries, index_ref, sub_ref, canon_dict_ref, canon_map)`` of
+    a vocabulary: the label index's size and broadcast ref, the
+    subgraph table's ref, the canonical map's dict ref and its Dataset.
+
+    Kept for ONE vocabulary, keyed by the identity of the
+    ``vocab_triples`` object (held weakly; a ``pa.Table`` is
+    immutable), ``preferred_ns`` and the session. A call with the same
+    key builds and puts nothing; any other key (an equal-content new
+    table included: no content is hashed) drops the held state and
+    runs the builders and puts again."""
+    import ray
+
+    global _VOCAB
+    key = (preferred_ns, _session_key())
+    if _VOCAB is not None:
+        table, held_key, state = _VOCAB
+        if table() is vocab_triples and held_key == key:
+            return state
+    _VOCAB = None  # release the old refs before putting new ones
+    label_index = build_label_index(vocab_triples)
+    canon_tbl = canonical_map_table(vocab_triples, preferred_ns=preferred_ns)
+    # from_arrow would start a metadata task for this driver-side table
+    canon = blocks_dataset([ray.put(canon_tbl)], [block_meta(canon_tbl)])
+    state = (len(label_index), ray.put(label_index),
+             ray.put(_vocab_subgraph(vocab_triples)),
+             canonical_map_ref(canon_tbl), canon)
+    _VOCAB = (weakref.ref(vocab_triples), key, state)
+    return state
+
+
 def run_flagship(docs_ds, vocab_triples: pa.Table, *,
                  doc_ns: str = "http://skosconverter-ray.example.org/doc/",
                  preferred_ns: str | None = None,
@@ -255,17 +286,24 @@ def run_flagship(docs_ds, vocab_triples: pa.Table, *,
     index size and session width; any other value — ``None`` (tasks)
     or an int / ``(min, max)`` pool spec — is passed straight to the
     linker stage as an explicit override.
+
+    The vocabulary's broadcast state (label index, subgraph table,
+    canonical map; see ``_vocab_state``) is reused from the previous
+    call when it got the same ``vocab_triples`` object and
+    ``preferred_ns`` in the same Ray session, and rebuilt otherwise;
+    the module holds that one vocabulary's refs until a call with
+    another vocabulary, ``preferred_ns`` or session replaces them. The
+    returned ``canon_map`` is then the same Dataset on every such call.
     """
     import ray
     import ray.data as rd
 
-    label_index = build_label_index(vocab_triples)
-    index_ref = ray.put(label_index)
-    sub_ref = ray.put(_vocab_subgraph(vocab_triples))
+    n_entries, index_ref, sub_ref, canon_ref, canon = _vocab_state(
+        vocab_triples, preferred_ns)
 
     total_cpus = int(ray.cluster_resources().get("CPU", 8))
     if link_concurrency == "auto":
-        link_concurrency = link_plan(len(label_index), total_cpus)
+        link_concurrency = link_plan(n_entries, total_cpus)
 
     mentions = link_documents(docs_ds, index_ref,
                               concurrency=link_concurrency,
@@ -283,10 +321,10 @@ def run_flagship(docs_ds, vocab_triples: pa.Table, *,
     # a broader edge), so running the set-semantics dedup downstream of
     # it removes those at zero extra cost — the alternative (dedup
     # first, then rewrite) would need a SECOND full dedup to restore
-    # the U4 invariant. vocab_triples is already on the driver: solve
-    # union-find in-memory (no Ray round-trips; see canonical_map_table).
-    canon_tbl = canonical_map_table(vocab_triples, preferred_ns=preferred_ns)
-    triples = apply_canonicalization(triples, canon_tbl)
+    # the U4 invariant. The map was solved on the driver from
+    # vocab_triples (union-find in memory, no Ray round-trips; see
+    # canonical_map_table) and put once with the vocabulary's state.
+    triples = apply_canonicalization(triples, canon_ref)
     # Physical-plan choice, measured at 300k docs: on WIDE sessions,
     # materializing the rewritten triples before the dedup shuffle
     # beats the fully-fused DAG (16 cpus: 8.6s split vs 12.7s fused —
@@ -317,6 +355,4 @@ def run_flagship(docs_ds, vocab_triples: pa.Table, *,
         # a parquet read of out_dir would start metadata tasks here
         graph = rd.from_items(files).map_batches(
             _read_files, batch_format="pyarrow", batch_size=1)
-    # from_arrow would start a metadata task for this driver-side table
-    canon = blocks_dataset([ray.put(canon_tbl)], [block_meta(canon_tbl)])
     return {"mentions": mentions, "graph": graph, "canon_map": canon}

@@ -436,18 +436,31 @@ def _broadcast_map(ds, key_col: str, val_col: str):
     return ray.put(d)
 
 
+def canonical_map_ref(canon_map: pa.Table):
+    """An in-memory canonical map (``canonical_map_table``) -> the
+    ``ray.put`` ref of its ``uri -> canonical_uri`` dict, the broadcast
+    ``apply_canonicalization`` rewrites through."""
+    import ray
+
+    return ray.put(dict(zip(canon_map["uri"].to_pylist(),
+                            canon_map["canonical_uri"].to_pylist())))
+
+
 def apply_canonicalization(triples_ds, canon_map_ds):
     """Rewrite subj and non-literal obj through canon_map (graft J7).
 
     Broadcast map application per batch — zero shuffles on the big
     side. Equivalence triples collapse to self-loops and are dropped;
-    callers should dedup afterwards. ``canon_map_ds`` may be a Dataset
-    or an in-memory ``pa.Table`` (from ``canonical_map_table``)."""
+    callers should dedup afterwards. ``canon_map_ds`` may be a Dataset,
+    an in-memory ``pa.Table`` (from ``canonical_map_table``), or the
+    dict ref ``canonical_map_ref`` made of one (so a caller that
+    rewrites many datasets through one map puts it once)."""
     import ray
 
-    if isinstance(canon_map_ds, pa.Table):
-        ref = ray.put(dict(zip(canon_map_ds["uri"].to_pylist(),
-                               canon_map_ds["canonical_uri"].to_pylist())))
+    if isinstance(canon_map_ds, ray.ObjectRef):
+        ref = canon_map_ds
+    elif isinstance(canon_map_ds, pa.Table):
+        ref = canonical_map_ref(canon_map_ds)
     else:
         ref = _broadcast_map(canon_map_ds, "uri", "canonical_uri")
 

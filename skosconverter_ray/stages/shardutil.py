@@ -28,8 +28,9 @@ consumers build on it:
   carry an int bucket id and applies ``fn`` to it (dedup, sessions,
   aggregates, scans, per-bucket query bodies);
 - ``multiway_cogroup_scatter`` hashes each side's key column and hands
-  ``fn`` one table per side per bucket (joins, as-of join, closure,
-  partitioned write).
+  ``fn`` one table per side per bucket (joins, as-of join, closure);
+  ``cogroup_scatter_refs`` is the same exchange returning its output
+  refs, for a caller that reads them itself (partitioned write).
 
 Gathers and shard results return each block's metadata with it, and
 ``blocks_dataset`` builds the output Dataset from those: no metadata
@@ -350,6 +351,16 @@ def multiway_cogroup_scatter(sides, n_buckets: int, fn,
 
     ``key_to_bucket``: vectorized ``values -> int bucket ids``, the
     SAME function for every side (default ``_hash_key``)."""
+    return blocks_dataset(*cogroup_scatter_refs(
+        sides, n_buckets, fn, key_to_bucket, empty_result))
+
+
+def cogroup_scatter_refs(sides, n_buckets: int, fn, key_to_bucket=None,
+                         empty_result: pa.Table = None) -> tuple:
+    """``multiway_cogroup_scatter``'s exchange -> ``(refs, metas)``:
+    one output block ref per bucket, in bucket order, and their
+    ``block_meta``. For a caller that reads the (small) outputs itself
+    with ``ray.get``, which starts no Dataset execution."""
     import ray
 
     B = n_buckets
@@ -391,5 +402,5 @@ def multiway_cogroup_scatter(sides, n_buckets: int, fn,
     # gather outputs are driver-owned task returns (refs only: rows
     # never land on the driver; the metadata lists do)
     metas = ray.get([out[-1] for out in outs])
-    return blocks_dataset([r for out in outs for r in out[:-1]],
-                          [m for ms in metas for m in ms])
+    return ([r for out in outs for r in out[:-1]],
+            [m for ms in metas for m in ms])

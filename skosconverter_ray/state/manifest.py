@@ -122,7 +122,7 @@ def write_partitioned(ds, out_dir: str, *, key_col: str, n_parts: int,
                       stage: str, lineage: str = "", kernel=None):
     """Adjacency-partitioned, resumable sink, in one pass over ``ds``.
 
-    One keyed exchange (shardutil.multiway_cogroup_scatter, bucket =
+    One keyed exchange (shardutil.cogroup_scatter_refs, bucket =
     ``partition_id_array(key)``) hands each partition's rows to one
     call in a gather task. That call applies ``kernel`` (optional
     ``pa.Table -> pa.Table`` on the whole partition, e.g.
@@ -138,7 +138,9 @@ def write_partitioned(ds, out_dir: str, *, key_col: str, n_parts: int,
     was lost replaces the file instead of adding a copy. Returns the
     manifest path.
     """
-    from ..stages.shardutil import multiway_cogroup_scatter
+    import ray
+
+    from ..stages.shardutil import cogroup_scatter_refs
 
     mani = Manifest(out_dir, stage)
     done = mani.done_partitions(lineage)
@@ -164,12 +166,14 @@ def write_partitioned(ds, out_dir: str, *, key_col: str, n_parts: int,
                          "wall_s": [time.monotonic() - t0]},
                         schema=result_schema)
 
-    written = multiway_cogroup_scatter(
+    refs, _ = cogroup_scatter_refs(
         [(ds, key_col)], n_parts, write_one,
         key_to_bucket=lambda keys: partition_id_array(
             keys, n_parts).to_numpy(),
         empty_result=result_schema.empty_table())
-    for rec in written.take_all():
-        mani.record(int(rec["part"]), int(rec["rows"]), lineage, "done",
-                    float(rec["wall_s"]))
+    # one row per written partition: read straight from the refs (a
+    # Dataset read of them would start a streaming-executor run)
+    for rec in pa.concat_tables(ray.get(refs)).to_pylist():
+        mani.record(rec["part"], rec["rows"], lineage, "done",
+                    rec["wall_s"])
     return mani.path

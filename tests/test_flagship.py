@@ -367,3 +367,155 @@ def test_flagship_graph_row_corpus_link_pr_and_inverse_fixpoint(sf001):
     graph = _flagship_graph_outputs(sf001)["graph"].materialize()
     assert graph.count() > 0
     assert inverse_consistency(graph).count() == graph.count()
+
+
+def _dict_subgraph(vocab_triples: pa.Table) -> dict[str, list[tuple]]:
+    """The subgraph as a per-concept dict loop (the transcription the
+    Arrow build must equal)."""
+    from skosconverter_ray.config import SYMMETRIC_PREDS
+    from skosconverter_ray.pipelines.flagship import EMITTED_PREDS
+
+    keep, inv_map = set(EMITTED_PREDS), dict(INVERSE_PAIRS)
+    out: dict[str, list[tuple]] = {}
+    for subj, pred, obj, lit, lang in zip(
+            *(vocab_triples[c].to_pylist() for c in
+              ("subj", "pred", "obj", "obj_is_literal", "lang"))):
+        if pred not in keep:
+            continue
+        entry = out.setdefault(subj, [])
+        entry.append((subj, pred, obj, lit, lang))
+        if not lit:
+            flip = inv_map.get(pred) or (
+                pred if pred in SYMMETRIC_PREDS else None)
+            if flip is not None:
+                entry.append((obj, flip, subj, lit, lang))
+    return out
+
+
+def _mixed_vocab() -> pa.Table:
+    """Hierarchy, symmetric predicates, literal objects (one on a
+    flippable predicate), a null ``obj_is_literal`` and a predicate the
+    subgraph does not emit."""
+    from skosconverter_ray.config import (
+        SKOS_DEFINITION,
+        SKOS_NARROWER,
+        SKOS_NOTATION,
+        SKOS_PREF_LABEL,
+        SKOS_RELATED,
+    )
+
+    A, B, C, D = (ALIAS_NS + c for c in "abcd")
+    rows = [
+        (A, SKOS_BROADER, B, False, None),
+        (A, SKOS_RELATED, C, False, None),
+        (B, SKOS_EXACT_MATCH, D, None, None),
+        (C, OWL_SAME_AS, A, False, None),
+        (D, SKOS_NARROWER, A, False, None),
+        (A, SKOS_NOTATION, "1.2", True, None),
+        (A, SKOS_DEFINITION, "a thing", True, "en"),
+        (B, SKOS_BROADER, "not an iri", True, None),
+        (A, SKOS_PREF_LABEL, "alpha", True, "en"),
+    ]
+    return pa.table(
+        [pa.array([r[i] for r in rows], f.type)
+         for i, f in enumerate(list(schemas.TRIPLES)[:5])]
+        + [pa.nulls(len(rows), pa.string())],
+        schema=schemas.TRIPLES)
+
+
+@pytest.mark.parametrize("which", ["mixed", "generated"])
+def test_subgraph_table_and_emission_match_dict_loop(voc, which):
+    """The Arrow subgraph table holds the dict loop's rows, and the
+    emission's semi-join gives the per-concept loop's rows: each
+    mentioned concept's subgraph once per batch, stamped with its
+    batch-min document."""
+    from collections import Counter
+
+    from skosconverter_ray.pipelines.flagship import (
+        PRED_MENTIONS,
+        EmitTriples,
+        _vocab_subgraph,
+    )
+
+    vt = _mixed_vocab() if which == "mixed" else voc.triples
+    want = _dict_subgraph(vt)
+    sub = _vocab_subgraph(vt)
+    assert sub.column_names == ["key", "subj", "pred", "obj",
+                                "obj_is_literal", "lang"]
+    assert Counter(zip(*(sub[c].to_pylist() for c in sub.column_names))) \
+        == Counter((k, *r) for k, rs in want.items() for r in rs)
+
+    concepts = sorted(want)[:3] + [ALIAS_NS + "unknown"]
+    mention_rows = [(f"d{i}", concepts[i % len(concepts)])
+                    for i in (7, 2, 5, 0, 3, 1, 6)]
+    batch = pa.table({"doc_id": [d for d, _ in mention_rows],
+                      "concept_uri": [c for _, c in mention_rows]})
+    doc_ns = "http://example.org/doc/"
+    got = EmitTriples(sub, doc_ns)(batch)
+    assert got.schema == schemas.TRIPLES
+    first = {}
+    for d, c in mention_rows:
+        first[c] = min(first.get(c, d), d)
+    expected = [(doc_ns + d, PRED_MENTIONS, c, False, None, d)
+                for d, c in mention_rows]
+    expected += [(*r, first[c]) for c in first for r in want.get(c, ())]
+    assert Counter(_rows(got)) == Counter(expected)
+
+
+def test_vocab_state_built_once_per_vocabulary(monkeypatch):
+    """A second run_flagship on the same vocab table object builds and
+    puts nothing and gives the same graph; an equal-content new table,
+    another preferred_ns and another session each rebuild."""
+    import sys
+
+    import ray
+    import ray.data as rd
+
+    from skosconverter_ray.pipelines import flagship
+    from skosconverter_ray.stages import canonicalize
+
+    monkeypatch.setattr(flagship, "_VOCAB", None)
+    builds, puts = [], []
+    for name in ("build_label_index", "_vocab_subgraph",
+                 "canonical_map_table", "canonical_map_ref"):
+        real = getattr(flagship, name)
+        monkeypatch.setattr(
+            flagship, name,
+            lambda *a, _real=real, _name=name, **k:
+                builds.append(_name) or _real(*a, **k))
+    real_put = ray.put
+
+    def put(*a, **k):
+        # the vocabulary's puts (Ray Data puts its own map functions)
+        caller = sys._getframe(1).f_globals["__name__"]
+        if caller in (flagship.__name__, canonicalize.__name__):
+            puts.append(caller)
+        return real_put(*a, **k)
+
+    monkeypatch.setattr(ray, "put", put)
+
+    docs = corpus.from_flat_documents(rd.from_items(
+        [{"doc_id": f"d{i}", "text": "alpha tango met bravo tango"}
+         for i in range(4)]))
+    vt = _alias_vocab()
+
+    def run(table, ns=ALIAS_NS):
+        builds.clear()
+        puts.clear()
+        out = flagship.run_flagship(docs, table, preferred_ns=ns,
+                                    link_concurrency=None, batch_size=16)
+        return sorted(_rows(table_of(out["graph"], schemas.TRIPLES)))
+
+    first = run(vt)
+    assert len(builds) == 4 and len(puts) == 4
+    assert run(vt) == first
+    assert builds == [] and puts == []
+    assert run(_alias_vocab()) == first
+    assert len(builds) == 4
+    run(vt)
+    run(vt, ns=None)
+    assert len(builds) == 4
+    assert run(vt, ns=None) and builds == []
+    monkeypatch.setattr(flagship, "_session_key", lambda: ("other", "job"))
+    run(vt, ns=None)
+    assert len(builds) == 4

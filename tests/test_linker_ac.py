@@ -105,3 +105,92 @@ def test_linker_stage_scores_from_model():
     assert out["concept_uri"].to_pylist() == ["uri:ny", "uri:z"]
     s = out["score"].to_pylist()
     assert all(0 < v < 1 for v in s)
+
+
+def test_automaton_built_once_per_process_per_ref(monkeypatch):
+    """A linker task gets a pickled copy of the stage (the ref only);
+    copies in one process build the automaton once per index ref, and
+    a new ref builds it again."""
+    import pickle
+
+    import pyarrow as pa
+    import ray
+
+    from skosconverter_ray import schemas
+    from skosconverter_ray.stages import linker
+
+    built = []
+    real = linker._TokenAC
+    monkeypatch.setattr(linker, "_TokenAC",
+                        lambda idx: built.append(idx) or real(idx))
+    monkeypatch.setattr(linker, "_BUILT", {})
+    batch = pa.table({
+        "doc_id": ["d1"],
+        "spans": pa.array([[{"kind": "text", "text": "New York",
+                             "media_ref": "", "offset": 0}]],
+                          pa.list_(schemas.SPAN_STRUCT)),
+    }, schema=schemas.DOCUMENTS)
+    idx = {"new york": ("uri:ny", "pref")}
+    for ref in (ray.put(idx), ray.put(dict(idx))):
+        blob = pickle.dumps(LinkerStage(ref))
+        for _ in range(3):
+            out = pickle.loads(blob)(batch)
+            assert out["concept_uri"].to_pylist() == ["uri:ny"]
+    assert len(built) == 2
+
+
+def _row_loop_mentions(stage: LinkerStage, batch) -> list[tuple]:
+    """Mention tuples from the per-row ``spans.to_pylist()`` loop (the
+    transcription the flattened read must equal)."""
+    out = []
+    for doc_id, spans in zip(batch["doc_id"].to_pylist(),
+                             batch["spans"].to_pylist()):
+        for si, span in enumerate(spans or []):
+            if not span["text"]:
+                continue
+            for surface, uri, kind in stage._match_span(span["text"])[0]:
+                out.append((doc_id, si, surface, uri, kind))
+    return out
+
+
+def test_flattened_spans_match_row_loop():
+    """The flattened span read gives the row loop's mentions, span
+    indices and order on a sliced, two-chunk batch with null span
+    lists, empty lists and empty or null texts."""
+    import pyarrow as pa
+
+    from skosconverter_ray import schemas
+
+    def span(text):
+        return {"kind": "text", "text": text, "media_ref": "", "offset": 0}
+
+    docs = [
+        ("d0", [span("new york")]),
+        ("d1", [span(""), span("z new york city z")]),
+        ("d2", None),
+        ("d3", []),
+        ("d4", [span(None), span("nothing"), span("z z")]),
+        ("d5", [span("new york"), span("NEW YORK CITY")]),
+        ("d6", None),
+        ("d7", [span("z")]),
+    ]
+
+    def table(rows):
+        return pa.table({
+            "doc_id": [d for d, _ in rows],
+            "spans": pa.array([s for _, s in rows],
+                              pa.list_(schemas.SPAN_STRUCT)),
+        }, schema=schemas.DOCUMENTS)
+
+    idx = {"new york": ("uri:ny", "pref"),
+           "new york city": ("uri:nyc", "alt"), "z": ("uri:z", "hidden")}
+    st = LinkerStage(idx)
+    whole = pa.concat_tables([table(docs[:5]), table(docs[5:])])
+    for batch in (whole, whole.slice(1), whole.slice(2, 5),
+                  table(docs).slice(3, 4), whole.slice(8)):
+        out = st(batch)
+        want = _row_loop_mentions(st, batch)
+        assert list(zip(*(out[c].to_pylist() for c in
+                          ("doc_id", "span_idx", "surface", "concept_uri",
+                           "label_kind")))) == want
+    assert len(_row_loop_mentions(st, whole)) == 9
