@@ -5,7 +5,8 @@ pyarrow.compute kernels, so the table kernels run without Python-object
 rows: XML escaping (skos_converter.py:1162-1170), URI-tail label
 fallback (394, 434), id sanitization (1193, 1236), plus the one escape
 rule of each text format the writers emit (CSV fields, N-Triples /
-Turtle literals, JSON strings) and the join of a column into one text.
+Turtle literals, Markdown lines, JSON strings) and the join of a column
+into one text.
 Scalar helpers remain where a parser works one string at a time: URI
 validation and deterministic minting (72-90, 1464-1482) and the
 linker's surface normalization.
@@ -111,6 +112,40 @@ def rdf_literal_array(values: pa.Array, langs: pa.Array) -> pa.Array:
         out = pc.replace_substring(out, raw, esc)
     tag = pc.if_else(nonempty_array(langs), concat_array("@", langs), "")
     return concat_array('"', out, '"', tag)
+
+
+# Markdown line breaks inside one heading or metadata line, in forms
+# CommonMark renders as written: LF as ``<br>`` (a line break), CR as
+# ``&#13;``. A literal ``<br>`` is written ``&lt;br>``, and a literal
+# ``&`` followed by ``lt;br>``, ``#13;`` or either after one or more
+# ``amp;`` gets one more ``amp;``. So every value reads back whole, and
+# any other text (``C:\new``, ``\\``, ``&``, ``<b>``) is written and
+# read as it stands.
+_MD_AMP_RE = r"&((?:amp;)*(?:lt;br>|#13;))"
+_MD_UNESC_RE = re.compile(r"<br>|&((?:amp;)*)(lt;br>|#13;)")
+
+
+def md_escape_array(strings: pa.Array) -> pa.Array:
+    """Markdown heading and metadata text kept on its one line (see
+    ``_MD_AMP_RE``; ``md_unescape`` reads it back). The ``&`` forms go
+    first, so the ones the later steps write are not escaped again."""
+    out = pc.replace_substring_regex(strings, _MD_AMP_RE, r"&amp;\1")
+    for raw, esc in (("<br>", "&lt;br>"), ("\r", "&#13;"), ("\n", "<br>")):
+        out = pc.replace_substring(out, raw, esc)
+    return out
+
+
+def _md_unesc(m: re.Match) -> str:
+    if m[0] == "<br>":
+        return "\n"
+    if m[1]:
+        return "&" + m[1][4:] + m[2]
+    return "<br>" if m[2] == "lt;br>" else "\r"
+
+
+def md_unescape(s: str) -> str:
+    """The inverse of ``md_escape_array`` on one string."""
+    return _MD_UNESC_RE.sub(_md_unesc, s)
 
 
 # characters N-Triples' IRIREF production excludes (Turtle's too)

@@ -10,7 +10,8 @@ XML build one line or block per row with Arrow string kernels: an
 optional metadata line is null where it is absent and
 ``binary_join_element_wise(..., null_handling="skip")`` leaves it out.
 Each format has one escape rule, in ``functions.text``. The JSON sink
-nests children with a stack over the row columns. A vocabulary's tree
+nests children with a stack over the row columns and writes the
+indented text itself (``_json_at``). A vocabulary's tree
 has one row per concept, so the table and the text are
 dimension-sized; the driver holds both.
 
@@ -25,11 +26,17 @@ Format decisions recorded against reference defects:
   (``_URI:_``, ``**URI:**``, ``<sub>URI:``) — reference defect D3.
 - CSV fields holding a comma, a quote, CR or LF are quoted, so a
   multi-line definition stays one record.
+- Markdown titles, definitions, alt labels and notations write LF as
+  ``<br>`` and CR as ``&#13;`` (``functions.text.md_escape_array``), so
+  a multi-line value renders its line breaks, stays on its one line and
+  the parser reads it back whole; the reference writes them verbatim
+  and its parser keeps the first line only.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -39,6 +46,7 @@ from ..functions.text import (
     concat_array,
     csv_field_array,
     join_text,
+    md_escape_array,
     nonempty_array,
     sanitize_id_array,
     xml_escape_array,
@@ -114,11 +122,15 @@ def _md_refs(uris):
 def to_markdown_text(tree_rows_ds) -> str:
     t = _tree(tree_rows_ds)
     has_uri = nonempty_array(t["uri"])
+
+    def esc(col):
+        return md_escape_array(t[col])
+
     blocks = pc.binary_join_element_wise(
-        md_heading(pc.add(t["level"], 1), t["title"]), "",
-        _meta(t, "notation", "_Notation:_ `", t["notation"], "`  "),
-        _meta(t, "definition", "_Definition:_ ", t["definition"], "  "),
-        _meta(t, "alt_labels", "_Alternative Labels:_ ", t["alt_labels"],
+        md_heading(pc.add(t["level"], 1), esc("title")), "",
+        _meta(t, "notation", "_Notation:_ `", esc("notation"), "`  "),
+        _meta(t, "definition", "_Definition:_ ", esc("definition"), "  "),
+        _meta(t, "alt_labels", "_Alternative Labels:_ ", esc("alt_labels"),
               "  "),
         _only(has_uri, concat_array("_URI:_ <", t["uri"], ">")),
         _meta(t, "same_as", "_Same as:_ ", _md_refs(t["same_as"]), "  "),
@@ -229,6 +241,51 @@ def to_json_obj(tree_rows_ds) -> dict:
     return {"vocabulary": {"schemes": schemes, "concepts": flat}}
 
 
+def _json_at(v, level: int, memo: dict) -> str:
+    """``v`` as ``json.dumps(indent=2, ensure_ascii=False)`` writes it
+    at nesting ``level``. Strings go through the C string encoder, and
+    each list is written once (``memo``: object identity -> its text and
+    level) however often it is shared: the flat ``concepts`` copies
+    share their node's ``children`` list, so each subtree's text is
+    built once and only re-indented for the copy (``_reindent``)."""
+    if isinstance(v, str):
+        return encode_basestring(v)
+    if isinstance(v, dict):
+        items = [encode_basestring(k) + ": " + (
+            encode_basestring(x) if isinstance(x, str)
+            else _json_at(x, level + 1, memo)) for k, x in v.items()]
+        return _json_block("{}", items, level)
+    if isinstance(v, list):
+        if id(v) in memo:
+            text, at = memo[id(v)]
+            return _reindent(text, level - at)
+        text = _json_block("[]", [_json_at(x, level + 1, memo) for x in v],
+                           level)
+        memo[id(v)] = text, level
+        return text
+    return json.dumps(v)
+
+
+def _json_block(brackets: str, items: list[str], level: int) -> str:
+    """Members written at ``level + 1`` -> their bracketed block."""
+    if not items:
+        return brackets
+    pad = "\n" + "  " * level
+    return (brackets[0] + pad + "  " + ("," + pad + "  ").join(items)
+            + pad + brackets[1])
+
+
+def _reindent(text: str, by: int) -> str:
+    """Written JSON moved ``by`` levels deeper (or shallower when
+    negative). Encoded strings hold no raw newline, and every line but
+    the first is indented at least as deep as the text's own level, so
+    a replace after each newline does it."""
+    if by >= 0:
+        return text.replace("\n", "\n" + "  " * by)
+    return text.replace("\n" + "  " * -by, "\n")
+
+
 def to_json_text(tree_rows_ds) -> str:
-    return json.dumps(to_json_obj(tree_rows_ds), indent=2,
-                      ensure_ascii=False) + "\n"
+    """``to_json_obj`` as 2-space indented JSON text, byte for byte what
+    ``json.dumps(obj, indent=2, ensure_ascii=False) + "\\n"`` writes."""
+    return _json_at(to_json_obj(tree_rows_ds), 0, {}) + "\n"

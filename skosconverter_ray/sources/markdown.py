@@ -18,6 +18,11 @@ propagates past 1326). Divergences recorded here and in tests:
 - Engine extension: ``_Same as:_`` / ``_Related:_`` metadata lines
   (which the reference writes at 996-1002 but never parses back) are
   parsed, so owl:sameAs / skos:related survive a round-trip.
+- Engine extension: titles, definitions, alt labels and notations
+  read back the writer's line breaks (``<br>`` for LF, ``&#13;`` for
+  CR; ``functions.text.md_unescape``), so a multi-line value
+  round-trips whole where the reference keeps its first line. Other
+  text, backslashes included, reads as written.
 
 Parser state (the heading stack) is local to ONE document, so parsing
 is an embarrassingly parallel ``map_batches`` over (doc_id, text) rows.
@@ -46,7 +51,7 @@ from ..config import (
     SKOS_RELATED,
     SKOS_TOP_CONCEPT_OF,
 )
-from ..functions.text import is_valid_uri, mint_uri
+from ..functions.text import is_valid_uri, md_unescape, mint_uri
 
 # provenance predicate recording a rejected source URI (M7): the
 # reference logs "Skipping invalid URI" (1453) and mints; the engine
@@ -96,7 +101,7 @@ def parse_markdown_doc(text: str, namespace: str) -> list[tuple]:
             i += 1
             continue
         level = len(m.group(1))
-        title = _clean_title(m.group(2))
+        title = md_unescape(_clean_title(m.group(2)))
         if not title or _skip_section(title):
             i += 1
             continue
@@ -125,12 +130,14 @@ def parse_markdown_doc(text: str, namespace: str) -> list[tuple]:
                     field = (mm.group(1) or mm.group(2)).strip().lower()
                     val = mm.group(3).strip()
                     if field == "definition":
-                        meta["definition"] = val
+                        meta["definition"] = md_unescape(val)
                     elif field == "alternative labels":
-                        meta["alt"] = [a.strip() for a in val.split(",")
+                        meta["alt"] = [md_unescape(a.strip())
+                                       for a in val.split(",")
                                        if a.strip() and a.strip() != "None"]
                     elif field == "notation":
-                        meta["notation"] = val.strip("`").strip()
+                        meta["notation"] = md_unescape(
+                            val.strip("`").strip())
                     elif field == "same as":
                         meta["same_as"] = _URI_LIST_RE.findall(val)
                     elif field == "related":

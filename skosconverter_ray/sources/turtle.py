@@ -10,9 +10,14 @@ datatypes).
 
 Parallelism shape: Turtle is stateful per FILE (prefix table +
 statement continuations), so the file is the parallel unit — exactly
-the reference's batch-directory granularity (S9). Each file parses
-independently inside ``map_batches``; triples stream out as Arrow rows.
-The writer is one table kernel over the whole triples table.
+the reference's batch-directory granularity (S9). ``read_turtle``
+starts one task per file, which reads, decodes and parses it and
+returns one triples block with its metadata; the CLI reads each file
+of a ``--batch-dir`` with its own call, so each of its calls starts
+one task.
+``parse_turtle_dataset`` parses a (doc_id, text) Dataset per batch with
+the same per-file kernel. The writer is one table kernel over the whole
+triples table.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import re
 
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 
 from .. import schemas
 from ..functions.text import (check_iris, concat_array, join_text,
@@ -60,6 +66,23 @@ def _unescape(s: str) -> str:
     return re.sub(r"\\[nrt\"\\]", lambda m: _UNESC[m.group(0)], s)
 
 
+# One token of the comment scan, matched where the text is outside any
+# literal or IRI: a long literal (to its closing triple quote or the end
+# of the text; it may span lines), a short literal (to its quote or the
+# end of its line), an IRI (to '>' or the end of its line), or a '#'
+# comment. A backslash escapes the next character inside both kinds of
+# literal. Every token but the comment is group 1, so ``\1`` drops only
+# comments. No token can fail once its first character matched, so the
+# nested repeats never backtrack more than one step.
+_COMMENT_SCAN_RE = re.compile(r'''
+    (  """(?:[^"\\]+|\\.?|"(?!""))*(?:"""|\Z)
+     | "(?:[^"\\\n]+|\\.?)*(?:["\n]|\Z)
+     | <[^>\n]*(?:[>\n]|\Z)
+    )
+    | \#[^\n]*
+    ''', re.VERBOSE | re.DOTALL)
+
+
 def _strip_comments(text: str) -> str:
     """Drop # comments outside quoted literals AND <...> IRIs (most
     namespace IRIs end in '#').
@@ -69,57 +92,9 @@ def _strip_comments(text: str) -> str:
     per-line scan silently truncated such literals, violating the
     parser's loud-error-over-silent-loss policy. Single-quoted
     literals reset at end-of-line (an unterminated quote is a syntax
-    error the term parser will surface)."""
-    out: list[str] = []
-    i, n = 0, len(text)
-    in_q = in_long = in_uri = False
-    while i < n:
-        c = text[i]
-        if in_long:
-            if c == "\\" and i + 1 < n:
-                out.append(text[i:i + 2])
-                i += 2
-                continue
-            if text.startswith('"""', i):
-                out.append('"""')
-                i += 3
-                in_long = False
-                continue
-            out.append(c)
-            i += 1
-            continue
-        if in_q:
-            if c == "\\" and i + 1 < n:
-                out.append(text[i:i + 2])
-                i += 2
-                continue
-            if c == '"' or c == "\n":
-                in_q = False
-            out.append(c)
-            i += 1
-            continue
-        if in_uri:
-            if c == ">" or c == "\n":
-                in_uri = False
-            out.append(c)
-            i += 1
-            continue
-        if text.startswith('"""', i):
-            out.append('"""')
-            i += 3
-            in_long = True
-            continue
-        if c == '"':
-            in_q = True
-        elif c == "<":
-            in_uri = True
-        elif c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        out.append(c)
-        i += 1
-    return "".join(out)
+    error the term parser will surface). One ``re.sub`` pass of
+    ``_COMMENT_SCAN_RE``."""
+    return _COMMENT_SCAN_RE.sub(r"\1", text)
 
 
 def parse_turtle_doc(text: str, *, bnode_prefix: str = "_:") -> list[tuple]:
@@ -273,50 +248,69 @@ def parse_turtle_doc(text: str, *, bnode_prefix: str = "_:") -> list[tuple]:
     return triples
 
 
+def _parse_docs(doc_ids, texts) -> pa.Table:
+    """Turtle documents -> one triples table. Per-file errors become
+    zero rows + a warning (batch-directory continue-on-error semantics,
+    ref skos_converter.py:497-499)."""
+    import logging
+
+    tables = []
+    for doc_id, text in zip(doc_ids, texts):
+        try:
+            # per-document bnode prefix: graph-scoped labels from
+            # different files must never collide in the union
+            tables.append(schemas.triples_table(
+                parse_turtle_doc(text or "", bnode_prefix=f"_:{doc_id}#"),
+                doc_id))
+        except ValueError as e:
+            logging.getLogger(__name__).warning(
+                "turtle parse failed for %s: %s", doc_id, e)
+    return (pa.concat_tables(tables) if tables
+            else schemas.TRIPLES.empty_table())
+
+
 def parse_turtle_dataset(docs_ds, *, text_col: str = "text",
                          id_col: str = "doc_id"):
-    """(doc_id, text) Dataset of Turtle documents -> triples Dataset.
-    Per-file errors become zero rows + a warning (batch-directory
-    continue-on-error semantics, ref skos_converter.py:497-499)."""
+    """(doc_id, text) Dataset of Turtle documents -> triples Dataset,
+    one ``_parse_docs`` per batch."""
+    return docs_ds.map_batches(
+        lambda b: _parse_docs(b[id_col].to_pylist(), b[text_col].to_pylist()),
+        batch_format="pyarrow")
 
-    def parse(batch: pa.Table) -> pa.Table:
-        import logging
 
-        tables = []
-        for doc_id, text in zip(batch[id_col].to_pylist(),
-                                batch[text_col].to_pylist()):
-            try:
-                # per-document bnode prefix: graph-scoped labels from
-                # different files must never collide in the union
-                tables.append(schemas.triples_table(
-                    parse_turtle_doc(text or "",
-                                     bnode_prefix=f"_:{doc_id}#"),
-                    doc_id))
-            except ValueError as e:
-                logging.getLogger(__name__).warning(
-                    "turtle parse failed for %s: %s", doc_id, e)
-        if not tables:
-            return schemas.TRIPLES.empty_table()
-        return pa.concat_tables(tables)
+@ray.remote(num_returns=2)
+def _read_file(filesystem, path: str) -> tuple:
+    """One Turtle file, read, decoded and parsed in one task -> (triples
+    table, its ``block_meta``); the path is the ``doc_id``."""
+    from ..stages.shardutil import block_meta
 
-    return docs_ds.map_batches(parse, batch_format="pyarrow")
+    with filesystem.open_input_stream(path) as f:
+        text = f.read().decode("utf-8", "replace")
+    t = _parse_docs([path], [text])
+    return t, block_meta(t)
 
 
 def read_turtle(paths):
-    """Turtle file(s) -> triples Dataset (one parse task per file)."""
-    import ray.data as rd
+    """Turtle file(s) or directories -> materialized triples Dataset:
+    one ``_read_file`` task per file (module docstring). Paths resolve
+    and directories expand as ``rd.read_binary_files`` does (Ray Data
+    internals, as of ray 2.49.2); a missing path raises
+    ``FileNotFoundError`` here."""
+    from ray.data.datasource.file_meta_provider import _expand_paths
+    from ray.data.datasource.path_util import _resolve_paths_and_filesystem
 
-    def load(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "doc_id": batch["path"],
-            "text": pa.array([b.decode("utf-8", "replace") if b else ""
-                              for b in batch["bytes"].to_pylist()],
-                             pa.string()),
-        })
+    from ..stages.shardutil import blocks_dataset
 
-    files = rd.read_binary_files(paths, include_paths=True)
-    return parse_turtle_dataset(
-        files.map_batches(load, batch_format="pyarrow"))
+    paths, fs = _resolve_paths_and_filesystem(paths)
+    files = [path for path, _ in _expand_paths(paths, fs, None)]
+    if not files:
+        raise ValueError(f"no files to read under {paths}")
+    outs = [_read_file.remote(fs, path) for path in files]
+    metas = ray.get([m for _, m in outs])
+    # drop the files that parsed to nothing, keeping one block so that
+    # an input with no triples still carries the schema
+    keep = [i for i, m in enumerate(metas) if m.num_rows] or [0]
+    return blocks_dataset([outs[i][0] for i in keep], [metas[i] for i in keep])
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,12 @@ prefLabel@preferred > prefLabel@fallback_i > prefLabel@any >
 altLabel > rdfs:label > URI tail.
 
 Placement (``run_stage``): at or below ``DRIVER_MAX_TRIPLES`` input rows
-a kernel runs in-process on one table per side and the result comes
-back as ``rd.from_arrow``; above it the same kernel runs per key bucket
-after one ``shardutil.multiway_cogroup_scatter`` of its sides (the
-inverse closure sends the triples on ``subj`` and on ``obj``).
+a kernel runs in-process on one table per side (``table_of``) and the
+result comes back as a one-block Dataset (``local_dataset``), so a
+stage costs its kernel plus one ``ray.put``; above it the same kernel
+runs per key bucket after one ``shardutil.multiway_cogroup_scatter``
+of its sides (the inverse closure sends the triples on ``subj`` and on
+``obj``).
 ``validate`` and ``build_tree_rows`` make the same decision, the latter
 overridable through its ``engine`` keyword (``graph.resolve_engine``
 contract).
@@ -140,10 +142,12 @@ def pivot_table(triples: pa.Table, cfg: EngineConfig) -> pa.Table:
 
 def materialize_and_place(ds, engine: str):
     """-> (materialized ds, "driver" | "actors") by its row count
-    against DRIVER_MAX_TRIPLES (graph.resolve_engine contract)."""
+    against DRIVER_MAX_TRIPLES (graph.resolve_engine contract). A
+    MaterializedDataset is used as is."""
     from .graph import resolve_engine
+    from .shardutil import materialized
 
-    ds = ds.materialize()
+    ds = materialized(ds)
     return ds, resolve_engine(engine, ds.count(), DRIVER_MAX_TRIPLES)
 
 
@@ -156,12 +160,29 @@ def n_buckets(ds) -> int:
 
 
 def table_of(ds, schema: pa.Schema) -> pa.Table:
-    """Materialized Dataset -> one in-process table of ``schema``'s
-    columns, skipping the schema-less empty blocks groupby/map_groups
-    can leave."""
+    """Dataset -> one in-process table of ``schema``'s columns, skipping
+    the schema-less empty blocks groupby/map_groups can leave. The plan
+    runs at most once: a lazy Dataset is materialized once, and a
+    materialized one hands over its block refs without an execution,
+    an executor start or a schema probe (``shardutil.block_refs``)."""
+    import ray
+    from ray.data.block import BlockAccessor
+
+    from .shardutil import block_refs
+
+    return conform([BlockAccessor.for_block(b).to_arrow()
+                    for b in ray.get(block_refs(ds))], schema)
+
+
+def local_dataset(t: pa.Table):
+    """An in-process table -> a one-block MaterializedDataset: one
+    ``ray.put`` and block metadata built here, where ``rd.from_arrow``
+    would start a metadata task per block."""
     import ray
 
-    return conform(ray.get(ds.to_arrow_refs()), schema)
+    from .shardutil import block_meta, blocks_dataset
+
+    return blocks_dataset([ray.put(t)], [block_meta(t)])
 
 
 def conform(tables, schema: pa.Schema) -> pa.Table:
@@ -179,15 +200,13 @@ def run_stage(sides, in_schema: pa.Schema, fn, out_schema: pa.Schema):
     below the gate (placed by the first side's row count), per bucket
     of each side's ``key`` above it. A Dataset listed twice must be
     materialized."""
-    import ray.data as rd
-
-    from .shardutil import multiway_cogroup_scatter
+    from .shardutil import materialized, multiway_cogroup_scatter
 
     first, placement = materialize_and_place(sides[0][0], "auto")
-    sides = [(first, sides[0][1])] + [(d.materialize(), k)
+    sides = [(first, sides[0][1])] + [(materialized(d), k)
                                       for d, k in sides[1:]]
     if placement == "driver":
-        return rd.from_arrow(fn(*(table_of(d, in_schema) for d, _ in sides)))
+        return local_dataset(fn(*(table_of(d, in_schema) for d, _ in sides)))
     return multiway_cogroup_scatter(
         sides, n_buckets(first),
         lambda *ts: fn(*(conform([t], in_schema) for t in ts)),

@@ -16,7 +16,7 @@ header rows. Where the kernels run is the SKOS size gate
 - ``driver``: one materialize, one Arrow table, every kernel
   in-process, ``_TreeShard(0, 1, max_depth)`` iterating
   ``emit``/``apply`` on the driver, and the sorted result returned as
-  ``rd.from_arrow``;
+  a one-block Dataset (``concepts.local_dataset``);
 - ``actors``: the skeleton kernel runs per uri bucket after one
   ``shardutil.multiway_cogroup_scatter`` of triples (on ``subj``) and
   edges (on ``child``), the edges move once more to their parent's
@@ -57,8 +57,9 @@ import pyarrow.compute as pc
 from .. import schemas
 from ..config import SKOS_BROADER, SKOS_NARROWER, EngineConfig
 from ..functions.text import concat_array as _cat
-from .concepts import (TRIPLE_COLS, conform, materialize_and_place,
-                       n_buckets, pivot_table, run_stage, table_of)
+from .concepts import (TRIPLE_COLS, conform, local_dataset,
+                       materialize_and_place, n_buckets, pivot_table,
+                       run_stage, table_of)
 
 OTHER_DEF = "Concepts in this scheme without broader relations"
 UNASSIGNED_DEF = "Concepts not associated with any concept scheme"
@@ -353,8 +354,6 @@ def build_tree_rows(triples_ds, cfg: EngineConfig | None = None,
     """triples -> globally ordered tree_rows Dataset (schema TREE_ROWS),
     every kernel in-process below the SKOS size gate, per uri bucket on
     shard actors above it (module docstring)."""
-    import ray.data as rd
-
     cfg = cfg or EngineConfig()
     triples, placement = materialize_and_place(triples_ds, engine)
     if placement == "actors":
@@ -368,12 +367,11 @@ def build_tree_rows(triples_ds, cfg: EngineConfig | None = None,
         pass
     rows = pa.concat_tables([shard.result(),
                              _headers(schemes, [shard.headers()])])
-    return rd.from_arrow(rows.sort_by("sort_key"))
+    return local_dataset(rows.sort_by("sort_key"))
 
 
 def _build_on_actors(triples, cfg: EngineConfig):
     import ray
-    import ray.data as rd
 
     from .shardutil import ShardGroup, multiway_cogroup_scatter
 
@@ -402,5 +400,5 @@ def _build_on_actors(triples, cfg: EngineConfig):
             pass
         heads = g.wave("headers")
         rows = g.collect()
-    return rows.union(rd.from_arrow(_headers(schemes, heads))) \
+    return rows.union(local_dataset(_headers(schemes, heads))) \
         .sort("sort_key")

@@ -34,7 +34,9 @@ consumers build on it:
 
 Gathers and shard results return each block's metadata with it, and
 ``blocks_dataset`` builds the output Dataset from those: no metadata
-task per block, as ``from_arrow_refs`` would start.
+task per block, as ``from_arrow_refs`` would start, and a plan already
+marked executed, so reading the output back starts no streaming
+execution either.
 
 Fault model (deliberate): shard actors are assumed live for the
 duration of ONE stage run — they hold in-memory iteration state that
@@ -116,9 +118,11 @@ def _result_meta(shard) -> tuple:
     return t, block_meta(t)
 
 
-# The two helpers below use Ray Data internals (as of ray 2.49.2): they
-# are ``from_arrow_refs`` split in two, so the metadata is computed by
-# the task that made the block instead of one extra task per block.
+# The helpers below use Ray Data internals (as of ray 2.49.2):
+# ``block_meta`` and ``blocks_dataset`` are ``from_arrow_refs`` split in
+# two, so the metadata is computed by the task that made the block
+# instead of one extra task per block; ``_blocks`` reads a
+# materialized Dataset's blocks back out of its logical plan.
 def block_meta(block):
     """``block``'s ``BlockMetadataWithSchema``, for ``blocks_dataset``
     (call it in the task that produced the block)."""
@@ -130,19 +134,59 @@ def block_meta(block):
 def blocks_dataset(refs: list, metas: list):
     """Block refs plus their ``block_meta`` results -> the
     MaterializedDataset ``rd.from_arrow_refs(refs)`` would build,
-    starting no task."""
+    starting no task, with its plan marked executed."""
+    from ray.data._internal.execution.interfaces import RefBundle
     from ray.data._internal.logical.interfaces import LogicalPlan
     from ray.data._internal.logical.operators.from_operators import FromArrow
     from ray.data._internal.plan import ExecutionPlan
     from ray.data._internal.stats import DatasetStats
+    from ray.data.block import _take_first_non_empty_schema
     from ray.data.context import DataContext
     from ray.data.dataset import MaterializedDataset
 
     plan = ExecutionPlan(
         DatasetStats(metadata={"FromArrow": metas}, parent=None),
         DataContext.get_current().copy())
-    return MaterializedDataset(
-        plan, LogicalPlan(FromArrow(refs, metas), plan._context))
+    op = FromArrow(refs, metas)
+    ds = MaterializedDataset(plan, LogicalPlan(op, plan._context))
+    # The snapshot ``ExecutionPlan.execute`` leaves on a source operator
+    # that holds its blocks (as ``materialize()`` does for its output),
+    # without that call's object-store stats RPC. With it,
+    # ``to_arrow_refs``, ``materialize`` and ``schema`` read these blocks
+    # instead of starting a streaming execution, and a Dataset of empty
+    # blocks keeps their schema instead of running a ``limit(1)`` probe.
+    plan._snapshot_bundle = RefBundle(
+        tuple(zip(refs, metas)), owns_blocks=False,
+        schema=_take_first_non_empty_schema(m.schema for m in metas))
+    plan._snapshot_operator = op
+    plan._snapshot_stats = plan._in_stats
+    return ds
+
+
+def materialized(ds):
+    """``ds`` itself when it is already a MaterializedDataset (no deep
+    copy, stats RPC or executor start), else ``ds.materialize()``."""
+    from ray.data.dataset import MaterializedDataset
+
+    return ds if isinstance(ds, MaterializedDataset) else ds.materialize()
+
+
+def _blocks(ds) -> list[tuple]:
+    """``(ref, size_bytes)`` of every block of ``materialized(ds)``, in
+    order, read from the source operator that holds them (``InputData``
+    after ``materialize()``, ``FromArrow`` and the other ``from_*``
+    operators otherwise): the inverse of ``blocks_dataset``. Unlike
+    ``to_arrow_refs`` or ``iter_internal_ref_bundles`` this starts no
+    streaming execution, ``limit(1)`` schema probe or plan copy, so a
+    lazy plan runs once and a materialized one not at all."""
+    bundles = materialized(ds)._logical_plan.dag.output_data()
+    return [(ref, meta.size_bytes or 0)
+            for bundle in bundles for ref, meta in bundle.blocks]
+
+
+def block_refs(ds) -> list:
+    """The block refs of ``_blocks(ds)``, in order."""
+    return [ref for ref, _ in _blocks(ds)]
 
 
 def split_dataset_by_bucket(ds, col: str, n_buckets: int) -> list[list]:
@@ -191,14 +235,6 @@ def _gather_runs(B: int, n_bytes: int, n_cpus: int) -> list[list[int]]:
     own."""
     return _block_groups([(t, max(n_bytes // B, 1)) for t in range(B)],
                          n_cpus)
-
-
-def _blocks(ds) -> list[tuple]:
-    """``(ref, size_bytes)`` of every block of ``ds``, materialized
-    first so the sizes are known."""
-    return [(ref, meta.size_bytes or 0)
-            for bundle in ds.materialize().iter_internal_ref_bundles()
-            for ref, meta in bundle.blocks]
 
 
 def _split_blocks(blocks, col: str, B: int, to_bucket) -> list[pa.Table]:

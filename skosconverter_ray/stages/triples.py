@@ -178,8 +178,9 @@ def inverse_consistency(triples_ds):
     once on ``subj`` and once on ``obj`` (the flips' new subject)."""
     from .. import schemas
     from .concepts import run_stage
+    from .shardutil import materialized
 
-    ds = triples_ds.materialize()
+    ds = materialized(triples_ds)
     return run_stage([(ds, "subj"), (ds, "obj")], schemas.TRIPLES,
                      closure_table, schemas.TRIPLES)
 

@@ -63,7 +63,8 @@ from ..config import (
     SKOS_TOP_CONCEPT_OF,
 )
 from ..functions.text import concat_array as _cat
-from .concepts import conform, materialize_and_place, n_buckets, table_of
+from .concepts import (conform, local_dataset, materialize_and_place,
+                       n_buckets, table_of)
 from .hierarchy import edge_table
 from .triples import dedup_table
 
@@ -251,13 +252,11 @@ def validate(triples_ds):
     """triples Dataset -> issues Dataset: ``validate_table`` in-process
     at or below the SKOS size gate; above it ``set_issues`` per bucket
     and the walks on the collected edge skeleton (module docstring)."""
-    import ray.data as rd
-
     from .shardutil import multiway_cogroup_scatter
 
     ds, placement = materialize_and_place(triples_ds, "auto")
     if placement == "driver":
-        return rd.from_arrow(validate_table(table_of(ds, schemas.TRIPLES)))
+        return local_dataset(validate_table(table_of(ds, schemas.TRIPLES)))
     sets = multiway_cogroup_scatter(
         [(ds, "subj"), (ds, "obj")], n_buckets(ds),
         lambda s, o: set_issues(dedup_table(conform([s], schemas.TRIPLES)),
@@ -266,7 +265,7 @@ def validate(triples_ds):
     skel = ds.map_batches(lambda b: _where(
         b, SKOS_BROADER, SKOS_NARROWER, SKOS_HAS_TOP_CONCEPT,
         SKOS_TOP_CONCEPT_OF), batch_format="pyarrow")
-    return sets.union(rd.from_arrow(
+    return sets.union(local_dataset(
         walk_issues(table_of(skel, schemas.TRIPLES))))
 
 

@@ -62,3 +62,32 @@ def split_gather(monkeypatch):
     """Exchanges cut for four CPUs: split tasks, then at least
     min(B, 4) gather tasks (an empty input may start no exchange)."""
     _exchange_width(monkeypatch, 4)
+
+
+@pytest.fixture
+def ray_calls(monkeypatch):
+    """Counts what the driver starts while the test runs: Ray Data
+    streaming executions (``executions``) and Ray tasks submitted, by
+    remote function name (``tasks``, a Counter)."""
+    import types
+    from collections import Counter
+
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
+    from ray.remote_function import RemoteFunction
+
+    calls = types.SimpleNamespace(executions=0, tasks=Counter())
+    execute, remote = StreamingExecutor.execute, RemoteFunction._remote
+
+    def counted_execute(self, *args, **kwargs):
+        calls.executions += 1
+        return execute(self, *args, **kwargs)
+
+    def counted_remote(self, *args, **kwargs):
+        calls.tasks[self._function.__name__] += 1
+        return remote(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted_execute)
+    monkeypatch.setattr(RemoteFunction, "_remote", counted_remote)
+    return calls

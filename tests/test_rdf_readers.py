@@ -353,3 +353,160 @@ def test_jsonld_writer_text_is_valid_json(ray_session):
     assert "@graph" in doc and len(doc["@graph"]) > 0
     ids = [n["@id"] for n in doc["@graph"]]
     assert ids == sorted(ids)
+
+
+def _strip_comments_loop(text: str) -> str:
+    """The per-character comment scan ``turtle._strip_comments``
+    replaced, kept as its oracle."""
+    out: list[str] = []
+    i, n = 0, len(text)
+    in_q = in_long = in_uri = False
+    while i < n:
+        c = text[i]
+        if in_long:
+            if c == "\\" and i + 1 < n:
+                out.append(text[i:i + 2])
+                i += 2
+                continue
+            if text.startswith('"""', i):
+                out.append('"""')
+                i += 3
+                in_long = False
+                continue
+            out.append(c)
+            i += 1
+            continue
+        if in_q:
+            if c == "\\" and i + 1 < n:
+                out.append(text[i:i + 2])
+                i += 2
+                continue
+            if c == '"' or c == "\n":
+                in_q = False
+            out.append(c)
+            i += 1
+            continue
+        if in_uri:
+            if c == ">" or c == "\n":
+                in_uri = False
+            out.append(c)
+            i += 1
+            continue
+        if text.startswith('"""', i):
+            out.append('"""')
+            i += 3
+            in_long = True
+            continue
+        if c == '"':
+            in_q = True
+        elif c == "<":
+            in_uri = True
+        elif c == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        out.append(c)
+        i += 1
+    return "".join(out)
+
+
+def test_strip_comments_matches_character_scan():
+    """The one-regex scan equals the character loop on 200,000 seeded
+    random strings over every character that moves the scan's state,
+    and on long unterminated literals and IRIs."""
+    import random
+
+    from skosconverter_ray.sources.turtle import _strip_comments
+
+    rng = random.Random(15)
+    alphabet = ['"', '"""', "#", "<", ">", "\\", "\n", "a", " "]
+    texts = ["".join(rng.choice(alphabet)
+                     for _ in range(rng.randint(0, 30)))
+             for _ in range(200_000)]
+    texts += [q + "a # b \\" * 20_000 for q in ('"""', '"', "<")]
+    bad = [t for t in texts if _strip_comments(t) != _strip_comments_loop(t)]
+    assert bad == []
+
+
+# one bad file, one with [...] and (...) blank nodes, one with '#' in
+# IRIs and in long literals
+_DIR_FILES = {
+    "a.ttl": TTL,
+    "b_bad.ttl": "ex:x [ unsupported ] .",
+    "c_bnodes.ttl": ('@prefix ex: <http://ex.org/> .\n'
+                     '_:x ex:p [ ex:q ( "a" _:y ) ; ex:r [] ] .\n'
+                     'ex:s ex:list ( ( "b" ) ex:c ) .\n'),
+    "d_hash.ttl": ('@prefix ex: <http://example.org/#> .  # ns ends in #\n'
+                   '<http://example.org/#s> ex:def """one # two\n'
+                   '# three""" ; ex:see <http://other.org/x#y> . # c\n'),
+}
+
+
+def _binary_files_read(path):
+    """The Turtle read as ``read_binary_files`` + ``parse_turtle_dataset``."""
+    import pyarrow as pa
+
+    def load(batch):
+        return pa.table({"doc_id": batch["path"], "text": pa.array(
+            [b.decode("utf-8", "replace") for b in batch["bytes"].to_pylist()],
+            pa.string())})
+
+    return parse_turtle_dataset(rd.read_binary_files(
+        path, include_paths=True).map_batches(load, batch_format="pyarrow"))
+
+
+def _blocks(ds):
+    return [m for bundle in ds.iter_internal_ref_bundles()
+            for m in bundle.metadata], ds.schema()
+
+
+def test_read_turtle_directory_matches_binary_files_read(tmp_path,
+                                                         ray_session):
+    """A directory expands as ``read_binary_files`` expands it, and every
+    file keeps its path as ``doc_id`` and blank-node prefix; the bad file
+    adds no rows (and no empty block)."""
+    from collections import Counter
+
+    from skosconverter_ray.sources.turtle import read_turtle
+
+    for name, text in _DIR_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    (tmp_path / "_hidden.ttl").write_text("not turtle", encoding="utf-8")
+
+    def rows(ds):
+        return Counter(tuple(r.values()) for r in ds.take_all())
+
+    got = read_turtle(str(tmp_path))
+    assert rows(got) == rows(_binary_files_read(str(tmp_path)))
+    docs = {r["source_doc"] for r in got.take_all()}
+    assert docs == {str(tmp_path / n) for n in ("a.ttl", "c_bnodes.ttl",
+                                                "d_hash.ttl")}
+    bnodes = [r["subj"] for r in got.take_all() if r["subj"].startswith("_:")]
+    assert bnodes and all(
+        b.startswith(f"_:{tmp_path / 'c_bnodes.ttl'}#") for b in bnodes)
+    hashed = {(r["pred"], r["obj"]) for r in got.take_all()
+              if r["subj"] == "http://example.org/#s"}
+    assert hashed == {("http://example.org/#def", "one # two\n# three"),
+                      ("http://example.org/#see", "http://other.org/x#y")}
+    metas, schema = _blocks(got)
+    assert all(m.num_rows for m in metas) and schema is not None
+
+
+def test_read_turtle_one_file_is_one_schema_block(tmp_path, ray_session):
+    """One file: one block with rows and a schema (the
+    ``read_binary_files`` chain added a schema-less 0-row block); an
+    input without triples keeps one empty block that carries the schema;
+    a missing path raises."""
+    import pytest
+
+    from skosconverter_ray.sources.turtle import read_turtle
+
+    (tmp_path / "v.ttl").write_text(TTL, encoding="utf-8")
+    metas, schema = _blocks(read_turtle([str(tmp_path / "v.ttl")]))
+    assert [m.num_rows for m in metas] == [len(EXPECTED)]
+    assert schema is not None and "source_doc" in schema.names
+    (tmp_path / "bad.ttl").write_text("ex:x [ nope ] .", encoding="utf-8")
+    empty = read_turtle([str(tmp_path / "bad.ttl")])
+    assert empty.count() == 0 and empty.schema() is not None
+    with pytest.raises(FileNotFoundError):
+        read_turtle([str(tmp_path / "missing.ttl")])

@@ -238,6 +238,86 @@ def test_markdown_roundtrip_triples(fixture_ds):
     assert (EX + "lost", SKOS_PREF_LABEL, "Lost") in triples
 
 
+def test_markdown_multiline_fields_roundtrip(ray_session):
+    """A title, definition, alt label and notation holding LF, CR LF, a
+    lone CR, a backslash or text that looks like the escapes come back
+    whole from the Markdown writer through the parser (each value stays
+    on its one line, LF as ``<br>`` and CR as ``&#13;``), where a
+    verbatim line break kept only the first line."""
+    import ray.data as rd
+
+    from skosconverter_ray.pipelines import skos2notion
+    from skosconverter_ray.sources.markdown import parse_markdown_dataset
+
+    title = "Two\r\nline \\n <br> title"
+    definition = ("two\nlines, then\r\nCRLF and\ra lone CR\\ "
+                  "&#13; &lt;br> &amp;lt;br> &amp;#13;")
+    alt = "alt\nlabel"
+    notation = "N\\1\n"
+    t = tiny_fixture()
+    rows = [(EX + "dog", SKOS_PREF_LABEL, title, True, "en", None),
+            (EX + "dog", SKOS_DEFINITION, definition, True, "en", None),
+            (EX + "dog", SKOS_ALT_LABEL, alt, True, "en", None),
+            (EX + "dog", SKOS_NOTATION, notation, True, None, None)]
+    drop = {(EX + "dog", p) for p in (SKOS_PREF_LABEL, SKOS_DEFINITION,
+                                      SKOS_ALT_LABEL, SKOS_NOTATION)}
+    kept = [r for r in zip(*(t[c].to_pylist() for c in t.column_names))
+            if (r[0], r[1]) not in drop]
+    t = pa.table([pa.array(c, f.type) for c, f in
+                  zip(zip(*(kept + rows)), schemas.TRIPLES)],
+                 schema=schemas.TRIPLES)
+
+    md = skos2notion.to_markdown(rd.from_arrow(t))
+    back = parse_markdown_dataset(rd.from_items([{"doc_id": "f", "text": md}]),
+                                  "http://ex.org/").to_pandas()
+    got = {(p, o) for s, p, o in zip(back["subj"], back["pred"], back["obj"])
+           if s == EX + "dog"}
+    assert (SKOS_PREF_LABEL, title) in got
+    assert (SKOS_DEFINITION, definition) in got
+    assert (SKOS_ALT_LABEL, alt) in got
+    assert (SKOS_NOTATION, notation) in got
+    # the puppy's broader edge still finds the dog under its new title
+    assert (EX + "puppy", SKOS_BROADER, EX + "dog") in set(
+        zip(back["subj"], back["pred"], back["obj"]))
+
+
+def test_markdown_handwritten_backslashes_read_as_written():
+    """Text the writer did not escape reads as written: backslashes,
+    ``\\n``-like sequences and ampersands in a hand-written definition,
+    alt label and title are kept, and a ``<br>`` reads as the line
+    break it renders as."""
+    from skosconverter_ray.sources.markdown import parse_markdown_doc
+
+    doc = ("# Scheme\n\n## C:\\new\\reports\n\n"
+           "_Definition:_ See C:\\new\\reports and \\\\host\\r & co  \n"
+           "_Alternative Labels:_ a\\nb, x<br>y  \n"
+           "_URI:_ <http://ex.org/c>\n")
+    got = {(p, o) for s, p, o, *_ in parse_markdown_doc(doc, "http://ex.org/")
+           if s == "http://ex.org/c"}
+    assert (SKOS_PREF_LABEL, "C:\\new\\reports") in got
+    assert (SKOS_DEFINITION,
+            "See C:\\new\\reports and \\\\host\\r & co") in got
+    assert (SKOS_ALT_LABEL, "a\\nb") in got
+    assert (SKOS_ALT_LABEL, "x\ny") in got
+
+
+def test_markdown_line_escape_fuzz():
+    """``md_unescape`` inverts ``md_escape_array`` on seeded random
+    strings over the escapes' own pieces, and the escaped text holds no
+    line break."""
+    import random
+
+    from skosconverter_ray.functions.text import md_escape_array, md_unescape
+
+    rng = random.Random(1)
+    alpha = ["&", "amp;", "lt;", "br>", "<", "<br>", "#13;", "\r", "\n",
+             "\\", "a", ";"]
+    xs = ["".join(rng.choice(alpha) for _ in range(rng.randint(0, 12)))
+          for _ in range(20000)]
+    for x, e in zip(xs, md_escape_array(pa.array(xs)).to_pylist()):
+        assert md_unescape(e) == x and "\n" not in e and "\r" not in e
+
+
 def test_invalid_uri_minted_with_warning(ray_session):
     """M7 (ref 1464-1482): a malformed _URI:_ value never enters the
     graph — the concept gets a deterministic minted URI and the
