@@ -116,21 +116,28 @@ def rdf_literal_array(values: pa.Array, langs: pa.Array) -> pa.Array:
 
 # Markdown line breaks inside one heading or metadata line, in forms
 # CommonMark renders as written: LF as ``<br>`` (a line break), CR as
-# ``&#13;``. A literal ``<br>`` is written ``&lt;br>``, and a literal
-# ``&`` followed by ``lt;br>``, ``#13;`` or either after one or more
-# ``amp;`` gets one more ``amp;``. So every value reads back whole, and
-# any other text (``C:\new``, ``\\``, ``&``, ``<b>``) is written and
-# read as it stands.
-_MD_AMP_RE = r"&((?:amp;)*(?:lt;br>|#13;))"
-_MD_UNESC_RE = re.compile(r"<br>|&((?:amp;)*)(lt;br>|#13;)")
+# ``&#13;``; in a list field (alt labels, joined with ``, ``) a comma
+# inside an item is ``&#44;``. A literal ``<br>`` is written
+# ``&lt;br>``, and a literal ``&`` followed by ``lt;br>``, ``#13;``,
+# ``#44;`` or any of them after one or more ``amp;`` gets one more
+# ``amp;``. So every value reads back whole, and any other text
+# (``C:\new``, ``\\``, ``&``, ``<b>``) is written and read as it stands.
+_MD_AMP_RE = r"&((?:amp;)*(?:lt;br>|#13;|#44;))"
+_MD_UNESC_RE = re.compile(r"<br>|&((?:amp;)*)(lt;br>|#13;|#44;)")
+_MD_UNESC = {"lt;br>": "<br>", "#13;": "\r", "#44;": ","}
 
 
-def md_escape_array(strings: pa.Array) -> pa.Array:
+def md_escape_array(strings: pa.Array, *, commas: bool = False) -> pa.Array:
     """Markdown heading and metadata text kept on its one line (see
-    ``_MD_AMP_RE``; ``md_unescape`` reads it back). The ``&`` forms go
-    first, so the ones the later steps write are not escaped again."""
+    ``_MD_AMP_RE``; ``md_unescape`` reads it back); with ``commas``,
+    ``,`` is written ``&#44;``, for the items of a list field. The
+    ``&`` forms go first, so the ones the later steps write are not
+    escaped again."""
     out = pc.replace_substring_regex(strings, _MD_AMP_RE, r"&amp;\1")
-    for raw, esc in (("<br>", "&lt;br>"), ("\r", "&#13;"), ("\n", "<br>")):
+    steps = [("<br>", "&lt;br>"), ("\r", "&#13;"), ("\n", "<br>")]
+    if commas:
+        steps.append((",", "&#44;"))
+    for raw, esc in steps:
         out = pc.replace_substring(out, raw, esc)
     return out
 
@@ -140,7 +147,7 @@ def _md_unesc(m: re.Match) -> str:
         return "\n"
     if m[1]:
         return "&" + m[1][4:] + m[2]
-    return "<br>" if m[2] == "lt;br>" else "\r"
+    return _MD_UNESC[m[2]]
 
 
 def md_unescape(s: str) -> str:

@@ -523,7 +523,6 @@ def _bpe_word_counts(sf_dir: str):
     """
     SELECT (SELECT count(*) FROM documents) AS n_docs,
            CAST(12 AS BIGINT) AS n_merges,
-           true AS seq_parity,
            true AS merges_nonempty
     """,
 )
@@ -532,38 +531,38 @@ def doc_bpe_train(sf_dir: str):
     + one word-count exchange, then 12 fused apply-merge/count-pairs
     task waves over the dimension-sized distinct-word table — blocks
     never transit the driver, only pair-count partials do. Oracle row:
-    n_docs is SQL-live; seq_parity pins the distributed merge list
-    EXACTLY equal to an independent naive in-memory trainer replayed
-    on the same word counts (deterministic count-desc/pair-asc
-    tie-break makes the list unique)."""
-    from .stages.bpe import bpe_train, bpe_train_sequential
+    n_docs is SQL-live; merges_nonempty reads the learned merge list.
+    The merge list's parity with the sequential trainer
+    (bpe_train_sequential) on the same word counts is
+    tests/test_query_checks.py's to pin."""
+    from .stages.bpe import bpe_train
 
     n_merges = 12
-    n_docs = _meta_rows(sf_dir, "documents")
-    wc = _bpe_word_counts(sf_dir)
-    merges = bpe_train(wc, n_merges=n_merges)
-
-    # oracle replay on the same (dimension-sized) word-count table
-    counts: dict[str, int] = {}
-    for b in wc.iter_batches(batch_format="pyarrow", batch_size=8192):
-        for w, c in zip(b["word"].to_pylist(), b["cnt"].to_pylist()):
-            counts[w] = counts.get(w, 0) + c
-    seq = bpe_train_sequential(counts, n_merges)
+    merges = bpe_train(_bpe_word_counts(sf_dir), n_merges=n_merges)
     return pa.table({
-        "n_docs": pa.array([n_docs], pa.int64()),
+        "n_docs": pa.array([_meta_rows(sf_dir, "documents")], pa.int64()),
         "n_merges": pa.array([n_merges], pa.int64()),
-        "seq_parity": pa.array([merges == seq], pa.bool_()),
         "merges_nonempty": pa.array([len(merges) > 0], pa.bool_()),
     })
+
+
+def _bpe_encode(sf_dir: str, merges):
+    """Materialized (doc_id, n_words, n_subtokens) of every document
+    holding a word, encoded with ``merges`` on the BpeEncoder actor
+    pool."""
+    from .stages.bpe import BpeEncoder
+
+    return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
+        BpeEncoder, fn_constructor_kwargs={"merges": merges},
+        concurrency=_pool_width(), batch_size=512,
+        batch_format="pyarrow").materialize()
 
 
 @_q(
     "doc_bpe_encode",
     """
     SELECT (SELECT count(*) FROM documents) AS n_docs,
-           CAST(12 AS BIGINT) AS n_merges,
-           true AS encode_parity,
-           true AS compressed
+           CAST(12 AS BIGINT) AS n_merges
     """,
 )
 def doc_bpe_encode(sf_dir: str):
@@ -571,67 +570,18 @@ def doc_bpe_encode(sf_dir: str):
     stateful actor-pool stage (stages/bpe.BpeEncoder: merge-rank table
     loads once per actor in __init__, per-batch work is one encode per
     DISTINCT word via np.unique + a per-actor cache; Zipf keeps
-    distinct-per-batch tiny). Oracle row: n_docs SQL-live;
-    encode_parity replays a hash-bounded doc sample through an
-    independent scan-per-rank sequential encoder and pins per-doc
-    subtoken counts equal; compressed pins n_words <= n_subtokens <=
-    n_letter_chars on the full corpus (each word >= 1 token, merging
-    only shrinks)."""
-    import polars as pl
-
-    from .stages.bpe import BpeEncoder, bpe_train, encode_word_sequential
+    distinct-per-batch tiny). Oracle row: n_docs SQL-live. The encode's
+    parity with the sequential encoder (encode_word_sequential) and
+    its n_words <= n_subtokens <= letters bound are
+    tests/test_query_checks.py's to pin."""
+    from .stages.bpe import bpe_train
 
     n_merges = 12
-    n_docs = _meta_rows(sf_dir, "documents")
     merges = bpe_train(_bpe_word_counts(sf_dir), n_merges=n_merges)
-
-    ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    enc = ds.map_batches(
-        BpeEncoder, fn_constructor_kwargs={"merges": merges},
-        concurrency=_pool_width(), batch_size=512,
-        batch_format="pyarrow").materialize()
-
-    tot_words = tot_sub = 0
-    per_doc: dict[int, int] = {}
-    keep_mod = max(1, n_docs // 64)
-    for b in enc.iter_batches(batch_format="pyarrow", batch_size=8192):
-        dids = b["doc_id"].to_numpy(zero_copy_only=False)
-        nw = b["n_words"].to_numpy(zero_copy_only=False)
-        nsub = b["n_subtokens"].to_numpy(zero_copy_only=False)
-        tot_words += int(nw.sum())
-        tot_sub += int(nsub.sum())
-        sel = ((np.abs(dids) % 1000003) * 2654435761 % 1000003) \
-            % keep_mod == 0
-        for d, s in zip(dids[sel], nsub[sel]):
-            per_doc[int(d)] = int(s)
-
-    # independent sequential replay of the sampled docs
-    import pyarrow.parquet as pq
-
-    tab = pq.read_table(f"{sf_dir}/documents.parquet",
-                        columns=["doc_id", "text"],
-                        filters=[("doc_id", "in", sorted(per_doc))])
-    dfp = pl.from_arrow(tab)
-    parity = True
-    n_chars = 0
-    for d, txt in zip(dfp["doc_id"], dfp["text"]):
-        words = pl.Series([txt]).str.to_lowercase() \
-            .str.extract_all(r"[a-z]+")[0].to_list()
-        want = sum(len(encode_word_sequential(w, merges)) for w in words)
-        parity &= per_doc.get(int(d), -1) == want
-    compressed = tot_words <= tot_sub
-    # letters upper bound: chars-in-words >= subtokens
-    wc = _bpe_word_counts(sf_dir)
-    for b in wc.iter_batches(batch_format="pyarrow", batch_size=8192):
-        lens = pc.utf8_length(b["word"]).to_numpy(zero_copy_only=False)
-        cnts = b["cnt"].to_numpy(zero_copy_only=False)
-        n_chars += int((lens * cnts).sum())
-    compressed &= tot_sub <= n_chars
+    _bpe_encode(sf_dir, merges)
     return pa.table({
-        "n_docs": pa.array([n_docs], pa.int64()),
+        "n_docs": pa.array([_meta_rows(sf_dir, "documents")], pa.int64()),
         "n_merges": pa.array([n_merges], pa.int64()),
-        "encode_parity": pa.array([bool(parity)], pa.bool_()),
-        "compressed": pa.array([bool(compressed)], pa.bool_()),
     })
 
 
@@ -2326,64 +2276,59 @@ def doc_bm25_topk(sf_dir: str):
                      "score_micro": pa.array(s[ordr], pa.int64())})
 
 
+_RESUME_COLS = ["doc_id", "lang", "source"]
+
+
+def _resumed_write(sf_dir: str, out_dir: str) -> None:
+    """The documents table written to ``out_dir`` through the
+    adjacency-partitioned checkpoint sink by an interrupted run and
+    its rerun: the first run lands partitions 0 and 1 and dies, the
+    rerun consults the manifest and writes only the missing six."""
+    from .state.manifest import partition_id_array, write_partitioned
+
+    ds = _read(sf_dir, "documents", _RESUME_COLS)
+
+    def first_two(batch: pa.Table) -> pa.Table:
+        part = partition_id_array(batch["doc_id"], 8)
+        return batch.filter(pc.less(part, pa.scalar(2, pa.int32())))
+
+    write_partitioned(ds.map_batches(first_two, batch_format="pyarrow"),
+                      out_dir, key_col="doc_id", n_parts=8, stage="docs",
+                      lineage=sf_dir)
+    write_partitioned(ds, out_dir, key_col="doc_id", n_parts=8,
+                      stage="docs", lineage=sf_dir)
+
+
 @_q(
     "graph_checkpoint_resume",
     r"""
     SELECT CAST(8 AS BIGINT) AS n_parts,
-           (SELECT count(*) FROM documents) AS rows_full,
-           (SELECT count(*) FROM documents) AS rows_resumed,
-           true AS identical
+           (SELECT count(*) FROM documents) AS rows_resumed
     """,
 )
 def graph_checkpoint_resume(sf_dir: str):
-    """North-rule resumability, surfaced as an oracle row: materialize
-    the documents table through the adjacency-partitioned checkpoint
-    sink (state/manifest.write_partitioned), then replay an interrupted
-    run — partitions 0-1 land, the job dies, a rerun consults the
-    manifest and produces ONLY the missing partitions — and verify the
-    resumed output is row-identical to the uninterrupted one. identical
-    is the pa.Table equality of both sorted outputs; rows_* are the
-    on-disk parquet row counts."""
+    """North-rule resumability, surfaced as an oracle row: an
+    interrupted run of the adjacency-partitioned checkpoint sink
+    (state/manifest.write_partitioned) plus its rerun
+    (``_resumed_write``); n_parts and rows_resumed are the partition
+    directories and parquet rows on disk afterwards. That the resumed
+    output is row-identical to one uninterrupted write is
+    tests/test_query_checks.py's to pin."""
     import glob as _glob
     import os
     import shutil
     import tempfile
 
     import pyarrow.parquet as pq
-    import ray.data as rd
 
-    from .state.manifest import write_partitioned
-
-    cols = ["doc_id", "lang", "source"]
-    ds = _read(sf_dir, "documents", cols)
     tmp = tempfile.mkdtemp(prefix="ckpt_resume_", dir="/tmp")
     try:
-        full = os.path.join(tmp, "full")
-        resumed = os.path.join(tmp, "resumed")
-        write_partitioned(ds, full, key_col="doc_id", n_parts=8,
-                          stage="docs", lineage=sf_dir)
-        t = pq.read_table(full)
-        # interrupted run: only partitions 0 and 1 were written before
-        # the job died; the manifest remembers them
-        first = rd.from_arrow(
-            t.filter(pc.is_in(t["part"],
-                              value_set=pa.array(["0", "1"])))
-             .drop_columns(["part"]))
-        write_partitioned(first, resumed, key_col="doc_id", n_parts=8,
-                          stage="docs", lineage=sf_dir)
-        # the rerun skips done partitions and completes the rest
-        write_partitioned(ds, resumed, key_col="doc_id", n_parts=8,
-                          stage="docs", lineage=sf_dir)
-        a = pq.read_table(full).sort_by([("doc_id", "ascending")])
-        b = pq.read_table(resumed).sort_by([("doc_id", "ascending")])
-        ident = a.select(cols).equals(b.select(cols))
+        _resumed_write(sf_dir, tmp)
         return pa.table({
             "n_parts": pa.array(
-                [len(_glob.glob(os.path.join(full, "part=*")))],
-                pa.int64()),
-            "rows_full": pa.array([a.num_rows], pa.int64()),
-            "rows_resumed": pa.array([b.num_rows], pa.int64()),
-            "identical": pa.array([ident], pa.bool_()),
+                [len(_glob.glob(os.path.join(tmp, "part=*")))], pa.int64()),
+            "rows_resumed": pa.array([pq.read_table(tmp).num_rows],
+                                     pa.int64()),
         })
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
@@ -3195,60 +3140,49 @@ def doc_model_quality(sf_dir: str):
 
 
 # ---------------------------------------------------------------------------
-# Documents: Count-Min point-frequency sketch, accuracy oracle-visible
-# against the exact top-term counts
+# Documents: Count-Min point-frequency sketch (the oracle row pins the
+# sketch's exact row mass; its accuracy bound is pytest-pinned)
 # ---------------------------------------------------------------------------
 
-@_q(
-    "doc_top_terms_cms",
-    r"""
-    SELECT tok AS item, count(*) AS est,
-           true AS cms_ge_exact, true AS cms_within_bound FROM (
-      SELECT unnest(regexp_split_to_array(trim(text), '\s+')) AS tok
-      FROM documents)
-    GROUP BY tok ORDER BY est DESC, item LIMIT 20
-    """,
-)
-def doc_top_terms_cms(sf_dir: str):
-    """Count-Min sketch (Cormode-Muthukrishnan) over the token stream,
-    its accuracy contract oracle-visible: the exact top-20 term counts
-    (the same mergeable-MG path as doc_top_terms — exact in this
-    capacity regime) plus two bits per term. cms_ge_exact pins the
-    sketch's DETERMINISTIC one-sided guarantee (a CMS point query never
-    undercounts); cms_within_bound pins est - exact <= 16*ceil(N/width)
-    — 4x the per-row expected collision mass, failed only if all 4
-    rows exceed 16x expectation simultaneously (p ~ 1e-5 per term by
-    Markov; the fixed salts make it deterministic per input, verified
-    at sf0.001/0.01/0.1). The sketch itself is LINEAR: per-block
-    (depth x width) partials fold by addition on the driver in O(1)
-    memory — the token stream never shuffles."""
-    from .stages.sketch import cms_estimate, count_min, frequent_items
-
-    ds = _read(sf_dir, "documents", ["text"]).map_batches(
+def _cms_tokens(sf_dir: str):
+    """The whitespace tokens (``tok``) of every document."""
+    return _read(sf_dir, "documents", ["text"]).map_batches(
         lambda batch: pa.table({
             "tok": pc.split_pattern_regex(
                 pc.utf8_trim_whitespace(
                     batch["text"].combine_chunks()
                     if isinstance(batch["text"], pa.ChunkedArray)
                     else batch["text"]), r"\s+").flatten()}),
-        batch_format="pyarrow").materialize()
+        batch_format="pyarrow")
 
-    width = 8192
-    mat = count_min(ds, "tok", width=width)
-    n_total = int(mat[0].sum())
 
-    exact = frequent_items(ds, "tok", capacity=4096)
-    t = _collect(exact, pa.schema([("item", pa.string()),
-                                   ("est", pa.int64())]))
-    order = pc.sort_indices(t, sort_keys=[("est", "descending"),
-                                          ("item", "ascending")])
-    t = t.take(order).slice(0, 20)
-    est = cms_estimate(mat, t["item"])
-    ex = t["est"].to_numpy(zero_copy_only=False)
-    bound = 16 * ((n_total + width - 1) // width)
-    return t.append_column(
-        "cms_ge_exact", pa.array(est >= ex)).append_column(
-        "cms_within_bound", pa.array(est - ex <= bound))
+@_q(
+    "doc_top_terms_cms",
+    r"""
+    SELECT CAST(r AS BIGINT) AS sketch_row,
+           (SELECT count(*) FROM (
+              SELECT unnest(regexp_split_to_array(trim(text), '\s+'))
+              FROM documents)) AS mass
+    FROM range(4) t(r)
+    """,
+)
+def doc_top_terms_cms(sf_dir: str):
+    """Count-Min sketch (Cormode-Muthukrishnan) over the token stream.
+    The sketch is LINEAR: per-block (depth x width) partials fold by
+    addition on the driver in O(1) memory — the token stream never
+    shuffles. The oracle row holds what the sketch holds exactly: each
+    of its 4 rows counts every token once, so each row's mass is the
+    token count N. Its point estimates are not exact, so they stay out
+    of the row; tests/test_query_checks.py pins the never-undercount
+    guarantee and the est - exact <= 16*ceil(N/width) bound on the
+    top-20 terms."""
+    from .stages.sketch import count_min
+
+    mass = count_min(_cms_tokens(sf_dir), "tok", width=8192).sum(axis=1)
+    return pa.table({
+        "sketch_row": pa.array(np.arange(len(mass)), pa.int64()),
+        "mass": pa.array(mass, pa.int64()),
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -3309,57 +3243,34 @@ def events_value_quartile(sf_dir: str):
 
 # ---------------------------------------------------------------------------
 # Events: DDSketch quantiles — the mergeable scale path behind
-# events_value_quantiles (approximate -> rows-only; the <=1% relative
-# error bound is pytest-pinned against exact order statistics)
+# events_value_quantiles (the oracle row pins the sketch's keys; the
+# <=2% relative error bound is pytest-pinned against exact order
+# statistics)
 # ---------------------------------------------------------------------------
 
 @_q(
     "events_value_quantiles_sketch",
     """
-    SELECT event_type,
-           quantile_disc(value, 0.5) AS p50,
-           quantile_disc(value, 0.95) AS p95,
-           quantile_disc(value, 0.99) AS p99,
-           true AS sketch_within_2pct
-    FROM events GROUP BY event_type
+    SELECT DISTINCT event_type FROM events
     """,
 )
 def events_value_quantiles_sketch(sf_dir: str):
     """Per-key quantiles via the log-binned mergeable histogram
     (stages/sketch.dd_quantiles): the shuffle moves (key, bin, count)
     histogram rows — never values — so per-key state is
-    ~log(range)/rel_err regardless of row count. The sketch's accuracy
-    contract is oracle-visible: the query also computes the EXACT
-    quantiles (what the sketch avoids sorting at scale) and returns
-    whether every sketch estimate landed within the 2% relative bound
-    implied by rel_err=0.01; DuckDB checks the exact values plus the
-    always-true accuracy bit."""
-    from .stages.quantile import per_key_quantiles
+    ~log(range)/rel_err regardless of row count. The oracle row holds
+    what the sketch holds exactly, its keys; the estimates are within
+    rel_err of quantile_disc, not equal to it, so they stay out of the
+    row. tests/test_query_checks.py pins every estimate within 2% of
+    the exact per_key_quantiles value."""
     from .stages.sketch import dd_quantiles
 
-    names = ("p50", "p95", "p99")
-    est = {r["event_type"]: r
-           for r in dd_quantiles(
-               _read(sf_dir, "events", ["event_type", "value"]),
-               "event_type", "value",
-               {"p50": 0.5, "p95": 0.95, "p99": 0.99},
-               rel_err=0.01).take_all()}
-    exact = per_key_quantiles(
-        _read(sf_dir, "events", ["event_type", "value"]),
-        "event_type", "value",
-        {"p50": 0.5, "p95": 0.95, "p99": 0.99}).take_all()
-    tbl = pa.Table.from_pylist(
-        exact, schema=pa.schema([("event_type", pa.string()),
-                                 ("p50", pa.float64()),
-                                 ("p95", pa.float64()),
-                                 ("p99", pa.float64())]))
-    ok = []
-    for r in exact:
-        e = est.get(r["event_type"])
-        ok.append(e is not None and all(
-            abs(e[n] - r[n]) <= 0.02 * abs(r[n]) + 1e-12 for n in names))
-    return tbl.append_column("sketch_within_2pct",
-                             pa.array(ok, pa.bool_()))
+    est = dd_quantiles(_read(sf_dir, "events", ["event_type", "value"]),
+                       "event_type", "value",
+                       {"p50": 0.5, "p95": 0.95, "p99": 0.99},
+                       rel_err=0.01)
+    return _collect(est.select_columns(["event_type"]),
+                    pa.schema([("event_type", pa.string())]))
 
 
 # ---------------------------------------------------------------------------
@@ -3713,51 +3624,31 @@ def curation_survivors(docs):
 
 
 # ---------------------------------------------------------------------------
-# HLL distinct-count sketch (approximate -> rows-only; accuracy is
-# pytest-asserted against exact counts at 5% tolerance)
+# HLL distinct-count sketch (the oracle row pins the sketch's keys; the
+# estimate's 5% tolerance is pytest-pinned against exact counts)
 # ---------------------------------------------------------------------------
 
 @_q(
     "events_distinct_users_hll",
     """
-    SELECT event_type,
-           CAST(count(DISTINCT user_id) AS BIGINT) AS n_distinct,
-           true AS hll_within_5pct
-    FROM events GROUP BY event_type
+    SELECT DISTINCT event_type FROM events
     """,
 )
 def events_distinct_users_hll(sf_dir: str):
     """Approximate COUNT(DISTINCT user_id) per event_type via a
     mergeable HyperLogLog sketch (p=12, ~1.6% rel. error): the shuffle
     moves one 4 KiB register blob per (key, batch), never the distinct
-    user set — the 100 TB shape for cardinality stats. The sketch's
-    accuracy contract is oracle-visible: the query ALSO computes the
-    exact distinct count distributedly (per-(type,user) bucket dedup —
-    what the HLL path avoids shipping at scale) and returns whether the
-    estimate landed within 5%; DuckDB checks the exact counts and the
-    always-true accuracy bit."""
+    user set — the 100 TB shape for cardinality stats. The oracle row
+    holds what the sketch holds exactly, its keys; the estimates stay
+    out of the row, and tests/test_query_checks.py pins each within 5%
+    of the exact distinct count."""
     from .stages.sketch import distinct_count_hll
-    from .stages.skew import bucket_aggregate
 
-    ds = _read(sf_dir, "events", ["event_type", "user_id"])
-    est = {r["event_type"]: r["n_distinct_est"]
-           for r in distinct_count_hll(ds, "event_type", "user_id")
-           .take_all()}
-    pairs = bucket_aggregate(
+    est = distinct_count_hll(
         _read(sf_dir, "events", ["event_type", "user_id"]),
-        ["event_type", "user_id"], [("count", None, "_n")],
-        num_buckets=16, bucket_key="user_id")
-    exact_ds = bucket_aggregate(pairs, ["event_type"],
-                                [("count", None, "n_distinct")],
-                                num_buckets=4)
-    tbl = pa.Table.from_pylist(
-        exact_ds.take_all(),
-        schema=pa.schema([("event_type", pa.string()),
-                          ("n_distinct", pa.int64())]))
-    ok = [abs(est.get(t, 0) - n) <= 0.05 * n
-          for t, n in zip(tbl["event_type"].to_pylist(),
-                          tbl["n_distinct"].to_pylist())]
-    return tbl.append_column("hll_within_5pct", pa.array(ok, pa.bool_()))
+        "event_type", "user_id")
+    return _collect(est.select_columns(["event_type"]),
+                    pa.schema([("event_type", pa.string())]))
 
 
 # ---------------------------------------------------------------------------
@@ -3898,58 +3789,31 @@ def doc_dedup_ngram_jaccard(sf_dir: str):
 
 
 # ---------------------------------------------------------------------------
-# Documents: SimHash near-dup (rows-only: hash fn not SQL-reproducible;
-# pytest covers exactness of the banding vs brute-force hamming)
+# Documents: SimHash near-dup (the hash fn is not SQL-reproducible, so
+# the row pins the corpus count; pytest pins the banding's exactness
+# against a brute-force hamming scan)
 # ---------------------------------------------------------------------------
 
 @_q(
     "doc_dedup_simhash",
     """
-    SELECT (SELECT CAST(count(*) AS BIGINT) FROM documents) AS n_docs,
-           true AS banding_equals_brute
+    SELECT (SELECT CAST(count(*) AS BIGINT) FROM documents) AS n_docs
     """,
 )
 def doc_dedup_simhash(sf_dir: str):
     """64-bit SimHash, 16-bit-quarter banding (pigeonhole-exact for
-    hamming <= 3), per-bucket verified pairs. The hash itself has no
-    SQL expression, so the oracle row asserts the EXACTNESS claim
-    instead: the distributed banding path's pair set must equal a
-    brute-force all-pairs hamming scan over the same signatures
-    (driver-side verification harness, corpus-count bounded — the
-    banding path is the production shape; raw pairs via
-    stages/dedup.simhash_near_dup_pairs)."""
-    from .stages.dedup import simhash_batch, simhash_near_dup_pairs
+    hamming <= 3), per-bucket verified pairs
+    (stages/dedup.simhash_near_dup_pairs). The hash itself has no SQL
+    expression, so the oracle row holds the SQL-live corpus count the
+    pipeline ran over; tests/test_query_checks.py pins the exactness
+    claim, the banded pair set equal to a brute-force all-pairs
+    hamming scan over the same signatures."""
+    from .stages.dedup import simhash_near_dup_pairs
 
-    banded = {(r["doc_a"], r["doc_b"])
-              for r in simhash_near_dup_pairs(
-                  _read(sf_dir, "documents", ["doc_id", "text"]),
-                  max_hamming=3).take_all()}
-    sigs = {}
-    for b in _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
-            lambda t: simhash_batch(t, "text"),
-            batch_format="pyarrow").iter_batches(batch_format="pyarrow"):
-        sigs.update(zip(b["doc_id"].to_pylist(),
-                        b["simhash"].to_pylist()))
-    ids = sorted(sigs)
-    s = np.array([sigs[i] for i in ids], dtype=np.int64) \
-        .astype(np.uint64)
-    # blocked hamming scan: O(block x n) peak instead of the n x n
-    # matrices that would OOM the driver past ~10k docs
-    brute = set()
-    blk = 1024
-    for lo in range(0, len(ids), blk):
-        x = s[lo:lo + blk, None] ^ s[None, :]
-        ham = np.zeros(x.shape, np.int64)
-        while x.any():
-            ham += (x & np.uint64(1)).astype(np.int64)
-            x >>= np.uint64(1)
-        ai, bi = np.where(ham <= 3)
-        for a, b in zip((ai + lo).tolist(), bi.tolist()):
-            if a < b:
-                brute.add((min(ids[a], ids[b]), max(ids[a], ids[b])))
+    simhash_near_dup_pairs(_read(sf_dir, "documents", ["doc_id", "text"]),
+                           max_hamming=3).materialize()
     return pa.table({
-        "n_docs": pa.array([len(ids)], pa.int64()),
-        "banding_equals_brute": pa.array([banded == brute], pa.bool_()),
+        "n_docs": pa.array([_meta_rows(sf_dir, "documents")], pa.int64()),
     })
 
 
@@ -4236,54 +4100,22 @@ def embedding_neardup_cosine(sf_dir: str):
     "embedding_pca",
     """
     SELECT (SELECT count(*) FROM embeddings) AS n_vectors,
-           CAST(3 AS BIGINT) AS k,
-           true AS numpy_parity
+           CAST(3 AS BIGINT) AS k
     """,
 )
 def embedding_pca(sf_dir: str):
     """Distributed PCA surfaced as an oracle row (eigendecomposition
-    is beyond SQL): n_vectors is SQL-live; numpy_parity runs the
-    streaming second-moment PCA stage over a deterministic
-    hash-bounded sample (≤ ~4k vectors — the driver-side exact
-    recomputation must stay bounded at any sf) and pins its
-    eigenvalues + explained ratios to an exact single-matrix numpy
-    recomputation of the SAME sample within 1e-6. The full-table PCA
-    path itself is pinned by tests/test_dedup.py's numpy-oracle
-    test."""
+    is beyond SQL): the streaming second-moment stage runs over the
+    whole table; n_vectors is SQL-live and k counts the components it
+    returned. Its eigenvalues and explained ratios are pinned to an
+    exact numpy recomputation (1e-6) by tests/test_query_checks.py,
+    and on a synthetic matrix by tests/test_dedup.py."""
     from .stages.similarity import embedding_pca as pca
 
-    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    n_vectors = ds.count()
-    # adaptive keep-1-in-M: expected sample ~4k rows at ANY sf, so the
-    # exact driver-side recomputation stays bounded
-    mod = max(1, n_vectors // 4096)
-
-    def sample(batch: pa.Table, _m=mod) -> pa.Table:
-        vid = batch["vec_id"].to_numpy(zero_copy_only=False)
-        keep = ((np.abs(vid) % 1000003) * 2654435761 % 1000003) % _m == 0
-        return batch.filter(pa.array(keep)).select(["embedding"])
-
-    sampled = ds.map_batches(sample, batch_format="pyarrow").materialize()
-    dist = {r["component"]: (r["eigenvalue"], r["explained_ratio"])
-            for r in pca(sampled, top_k=3).take_all()}
-
-    # exact driver recomputation over the same (bounded) sample
-    mats = [np.asarray(v, np.float64)
-            for b in sampled.iter_batches(batch_format="pyarrow",
-                                          batch_size=4096)
-            for v in b["embedding"].to_pylist()]
-    m = np.stack(mats)
-    cov = (m.T @ m) / len(m) - np.outer(m.mean(axis=0), m.mean(axis=0))
-    evals = np.linalg.eigvalsh(cov)[::-1]
-    total = float(evals.sum()) or 1.0
-    ok = all(
-        abs(dist[i][0] - evals[i]) < 1e-6
-        and abs(dist[i][1] - evals[i] / total) < 1e-6
-        for i in range(3))
+    comps = pca(_read(sf_dir, "embeddings", ["embedding"]), top_k=3)
     return pa.table({
-        "n_vectors": pa.array([n_vectors], pa.int64()),
-        "k": pa.array([3], pa.int64()),
-        "numpy_parity": pa.array([ok], pa.bool_()),
+        "n_vectors": pa.array([_meta_rows(sf_dir, "embeddings")], pa.int64()),
+        "k": pa.array([comps.count()], pa.int64()),
     })
 
 
@@ -4293,7 +4125,6 @@ def embedding_pca(sf_dir: str):
     SELECT (SELECT count(*) FROM embeddings) AS n_vectors,
            CAST(8 AS BIGINT) AS k,
            CAST(5 AS BIGINT) AS iters,
-           true AS numpy_parity,
            true AS inertia_monotone
     """,
 )
@@ -4301,47 +4132,34 @@ def embedding_kmeans(sf_dir: str):
     """Distributed Lloyd's k-means (stages/similarity.kmeans: (k x d)
     centroid broadcast per iteration, one matmul per batch, mergeable
     (count, sum) partials — vectors never leave their blocks),
-    surfaced as an oracle row: n_vectors is SQL-live; numpy_parity
-    runs the distributed engine AND an identical-semantics sequential
-    oracle on a deterministic hash-bounded ~4k-vector sample and pins
-    centroids (1e-6) and cluster counts equal; inertia_monotone pins
-    Lloyd's non-increasing-inertia invariant on the full-table run."""
-    from .functions.arrays import list_column_to_matrix
-    from .stages.similarity import kmeans, kmeans_sequential
+    surfaced as an oracle row read from its one run: n_vectors is the
+    final cluster counts' sum (SQL-live), k and iters the centroids
+    and inertias it returned, and inertia_monotone Lloyd's
+    non-increasing-inertia invariant. Centroid (1e-6) and count
+    parity with the sequential engine (kmeans_sequential) is
+    tests/test_query_checks.py's to pin."""
+    from .stages.similarity import kmeans
 
-    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    n_vectors = ds.count()
-
-    _c, _n, inertias = kmeans(ds, k=8, n_iter=5)
+    cents, counts, inertias = kmeans(
+        _read(sf_dir, "embeddings", ["vec_id", "embedding"]), k=8, n_iter=5)
     monotone = all(inertias[i + 1] <= inertias[i] * (1 + 1e-9)
                    for i in range(len(inertias) - 1))
-
-    mod = max(1, n_vectors // 4096)
-
-    def sample(batch: pa.Table, _m=mod) -> pa.Table:
-        vid = batch["vec_id"].to_numpy(zero_copy_only=False)
-        keep = ((np.abs(vid) % 1000003) * 2654435761 % 1000003) % _m == 0
-        return batch.filter(pa.array(keep))
-
-    sampled = ds.map_batches(sample, batch_format="pyarrow") \
-        .materialize()
-    ids_parts, mat_parts = [], []
-    for b in sampled.iter_batches(batch_format="pyarrow",
-                                  batch_size=4096):
-        ids_parts.append(b["vec_id"].to_numpy(zero_copy_only=False))
-        mat_parts.append(list_column_to_matrix(b["embedding"]))
-    ids = np.concatenate(ids_parts)
-    mat = np.concatenate(mat_parts)
-    cd, nd, _ = kmeans(sampled, k=8, n_iter=5)
-    cs, ns, _ = kmeans_sequential(mat, ids, k=8, n_iter=5)
-    parity = (np.abs(cd - cs).max() < 1e-6) and (nd == ns).all()
     return pa.table({
-        "n_vectors": pa.array([n_vectors], pa.int64()),
-        "k": pa.array([8], pa.int64()),
-        "iters": pa.array([5], pa.int64()),
-        "numpy_parity": pa.array([bool(parity)], pa.bool_()),
+        "n_vectors": pa.array([int(counts.sum())], pa.int64()),
+        "k": pa.array([len(cents)], pa.int64()),
+        "iters": pa.array([len(inertias)], pa.int64()),
         "inertia_monotone": pa.array([bool(monotone)], pa.bool_()),
     })
+
+
+def _semantic_dedup(sf_dir: str, thr: float = 0.80):
+    """(centroids, semantic_dedup Dataset) of the embeddings table:
+    k=8 Lloyd's centroids, then the per-cluster dedup at ``thr``."""
+    from .stages.similarity import kmeans, semantic_dedup
+
+    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
+    cent, _cnt, _ = kmeans(ds, k=8, n_iter=5)
+    return cent, semantic_dedup(ds, centroids=cent, threshold=thr)
 
 
 @_q(
@@ -4350,119 +4168,68 @@ def embedding_kmeans(sf_dir: str):
     SELECT (SELECT count(*) FROM embeddings) AS n_vectors,
            CAST(8 AS BIGINT) AS k,
            CAST(80 AS BIGINT) AS threshold_pct,
-           true AS numpy_parity,
-           true AS kept_frac_ok,
-           true AS crosscluster_free
+           true AS kept_frac_ok
     """,
 )
 def embedding_semantic_dedup(sf_dir: str):
     """SemDeDup-style semantic dedup (stages/similarity.semantic_dedup:
     k-means assign = one centroid-broadcast matmul per batch, then ONE
     task-level hash scatter by cluster id and a per-cluster id-sorted
-    cosine scan — no cross-cluster pair is ever formed). Oracle row:
-    n_vectors is SQL-live; numpy_parity runs the distributed engine and
-    an identical-semantics sequential oracle on a hash-bounded ~2k
-    sample WITH THE SAME centroids and pins the keep masks equal;
-    kept_frac_ok pins 0 < kept <= n on the full-table run;
-    crosscluster_free pins that dropped items always have a lower-id
-    same-cluster member at cosine >= threshold (spot-checked on the
-    sample)."""
-    from .functions.arrays import list_column_to_matrix
-    from .stages.similarity import (kmeans, semantic_dedup,
-                                    semantic_dedup_sequential)
-
-    thr = 0.80
-    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    n_vectors = ds.count()
-    cent, _cnt, _ = kmeans(ds, k=8, n_iter=5)
-
-    full = semantic_dedup(ds, centroids=cent, threshold=thr).materialize()
-    n_kept = 0
-    for b in full.iter_batches(batch_format="pyarrow", batch_size=8192):
+    cosine scan — no cross-cluster pair is ever formed). Oracle row,
+    read from its one run: n_vectors counts its output rows
+    (SQL-live); kept_frac_ok pins 0 < kept <= n. Keep-mask parity with
+    the sequential engine (semantic_dedup_sequential) and the
+    dropped-has-a-lower-id-cover invariant are
+    tests/test_query_checks.py's to pin."""
+    _cent, out = _semantic_dedup(sf_dir)
+    n_rows = n_kept = 0
+    for b in out.iter_batches(batch_format="pyarrow", batch_size=8192):
+        n_rows += b.num_rows
         n_kept += int(pc.sum(b["keep"]).as_py() or 0)
-    kept_ok = 0 < n_kept <= n_vectors
-
-    # bounded sample, both engines, same centroids -> exact mask parity
-    mod = max(1, n_vectors // 2048)
-
-    def sample(batch: pa.Table, _m=mod) -> pa.Table:
-        vid = batch["vec_id"].to_numpy(zero_copy_only=False)
-        keep = ((np.abs(vid) % 1000003) * 2654435761 % 1000003) % _m == 0
-        return batch.filter(pa.array(keep))
-
-    sampled = ds.map_batches(sample, batch_format="pyarrow").materialize()
-    ids_p, mat_p = [], []
-    for b in sampled.iter_batches(batch_format="pyarrow", batch_size=4096):
-        ids_p.append(b["vec_id"].to_numpy(zero_copy_only=False))
-        mat_p.append(list_column_to_matrix(b["embedding"]))
-    ids = np.concatenate(ids_p)
-    mat = np.concatenate(mat_p)
-    keep_seq = semantic_dedup_sequential(mat, ids, cent, threshold=thr)
-    got = {r["vec_id"]: (r["keep"], r["cluster"])
-           for b in semantic_dedup(sampled, centroids=cent, threshold=thr)
-           .iter_batches(batch_format="pyarrow", batch_size=8192)
-           for r in b.to_pylist()}
-    parity = (len(got) == len(ids) and
-              all(got[int(i)][0] == bool(k)
-                  for i, k in zip(ids, keep_seq)))
-
-    # dropped => some lower-id same-cluster member at cosine >= thr
-    m = mat / np.maximum(np.linalg.norm(mat, axis=1), 1e-30)[:, None]
-    order = np.argsort(ids, kind="stable")
-    cc_ok = True
-    for pos, i in enumerate(order):
-        if got[int(ids[i])][0]:
-            continue
-        cl_i = got[int(ids[i])][1]
-        earlier = [j for j in order[:pos] if got[int(ids[j])][1] == cl_i]
-        cc_ok &= bool(earlier) and bool(
-            (m[earlier] @ m[i] >= thr - 1e-12).any())
     return pa.table({
-        "n_vectors": pa.array([n_vectors], pa.int64()),
+        "n_vectors": pa.array([n_rows], pa.int64()),
         "k": pa.array([8], pa.int64()),
         "threshold_pct": pa.array([80], pa.int64()),
-        "numpy_parity": pa.array([bool(parity)], pa.bool_()),
-        "kept_frac_ok": pa.array([bool(kept_ok)], pa.bool_()),
-        "crosscluster_free": pa.array([bool(cc_ok)], pa.bool_()),
+        "kept_frac_ok": pa.array([0 < n_kept <= n_rows], pa.bool_()),
     })
 
 
-def _ann_recall_row(sf_dir: str, approx_ds, floor: float) -> pa.Table:
-    """(k, n_returned, recall_ok) vs the brute-force exact top-10 —
-    the accuracy contract of an approximate ANN path as an oracle
-    row."""
-    brute = {r["vec_id"] for r in ann_topk_cosine(sf_dir).take_all()}
-    ids = [r["vec_id"] for r in approx_ds.take_all()]
-    recall = len(set(ids) & brute) / max(1, len(brute))
+def _ann_query(sf_dir: str):
+    """(query vector of vec_id 0, embeddings Dataset) for the top-10
+    ANN queries."""
+    import pyarrow.parquet as pq
+
+    qtab = pq.read_table(f"{sf_dir}/embeddings.parquet",
+                         columns=["vec_id", "embedding"],
+                         filters=[("vec_id", "=", 0)])
+    q = np.asarray(qtab["embedding"].to_pylist()[0], dtype=np.float64)
+    return q, _read(sf_dir, "embeddings", ["vec_id", "embedding"])
+
+
+def _ann_summary_row(approx_ds) -> pa.Table:
+    """(k, n_returned) of an approximate top-10 result."""
     return pa.table({"k": pa.array([10], pa.int64()),
-                     "n_returned": pa.array([len(ids)], pa.int64()),
-                     "recall_ok": pa.array([recall >= floor], pa.bool_())})
+                     "n_returned": pa.array([approx_ds.count()], pa.int64())})
 
 
 _ANN_SUMMARY_SQL = ("SELECT CAST(10 AS BIGINT) AS k, "
-                    "CAST(10 AS BIGINT) AS n_returned, true AS recall_ok")
+                    "CAST(10 AS BIGINT) AS n_returned")
 
 
 @_q("ann_topk_ivf", _ANN_SUMMARY_SQL)
 def ann_topk_ivf(sf_dir: str):
     """IVF coarse-quantizer ANN (spherical k-means, probe 6 of 16
     cells ≈ 37% of the corpus scanned), same query as ann_topk_cosine.
-    The approximate result's accuracy contract is oracle-visible: the
-    query recomputes the exact brute-force top-10 and returns whether
-    IVF recall ≥ 0.75 (measured 0.8-0.9 on the deterministic sandbox
-    embeddings; the raw neighbor rows remain available through
-    stages/similarity.ann_ivf_topk)."""
-    import pyarrow.parquet as pq
-
+    Its rows differ from the brute-force top-10 (recall 0.8-0.9 on the
+    deterministic sandbox embeddings), so the oracle row holds the
+    result's shape; tests/test_query_checks.py pins recall ≥ 0.75
+    against ann_topk_cosine. Raw neighbor rows:
+    stages/similarity.ann_ivf_topk."""
     from .stages.similarity import ann_ivf_topk
 
-    qtab = pq.read_table(f"{sf_dir}/embeddings.parquet",
-                         columns=["vec_id", "embedding"],
-                         filters=[("vec_id", "=", 0)])
-    q = np.asarray(qtab["embedding"].to_pylist()[0], dtype=np.float64)
-    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    approx = ann_ivf_topk(ds, q, k=10, n_probe=6, exclude_ids=(0,))
-    return _ann_recall_row(sf_dir, approx, floor=0.75)
+    q, ds = _ann_query(sf_dir)
+    return _ann_summary_row(
+        ann_ivf_topk(ds, q, k=10, n_probe=6, exclude_ids=(0,)))
 
 
 @_q("ann_topk_pq", ORACLE_SQL["ann_topk_cosine"])
@@ -4474,28 +4241,16 @@ def ann_topk_pq(sf_dir: str):
     exact in-batch rerank of the per-block top-128. The oracle is the
     brute-force top-10 itself — 8 subspaces x 32 codes (8-byte codes)
     return exactly those rows at sf0.01 and sf0.1."""
-    import pyarrow.parquet as pq
-
     from .stages.similarity import ann_pq_topk
 
-    qtab = pq.read_table(f"{sf_dir}/embeddings.parquet",
-                         columns=["vec_id", "embedding"],
-                         filters=[("vec_id", "=", 0)])
-    q = np.asarray(qtab["embedding"].to_pylist()[0], dtype=np.float64)
-    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
+    q, ds = _ann_query(sf_dir)
     return ann_pq_topk(ds, q, k=10, exclude_ids=(0,))
 
 
 @_q(
     "embedding_neardup_lsh",
     """
-    WITH e AS (SELECT vec_id,
-                      list_transform(embedding, x -> CAST(x AS DOUBLE)) AS v
-               FROM embeddings)
-    SELECT CAST(count(*) AS BIGINT) AS n_exact_pairs,
-           true AS precision_ok, true AS recall_ok
-    FROM e a JOIN e b ON a.vec_id < b.vec_id
-    WHERE list_cosine_similarity(a.v, b.v) >= 0.45
+    SELECT CAST(count(*) AS BIGINT) AS n_vectors FROM embeddings
     """,
 )
 def embedding_neardup_lsh_q(sf_dir: str):
@@ -4503,27 +4258,18 @@ def embedding_neardup_lsh_q(sf_dir: str):
     embedding_neardup_cosine): one task exchange, intra-bucket exact
     cosine. Threshold 0.45 with 6-bit codes: the sandbox corpus's
     nearest pairs sit at cosine ~0.45-0.51; auto table count keeps
-    recall ~0.95 there. The accuracy contract is oracle-visible: the
-    query also runs the exact blocked path, DuckDB recomputes the
-    exact pair count, and the row asserts LSH precision == 1 (every
-    LSH pair is exact-verified) and recall ≥ 0.85 (measured 0.93-1.0;
-    raw pairs via stages/similarity.embedding_neardup_lsh)."""
-    from .stages.dedup import embedding_near_dup_pairs
+    recall ~0.95 there. The pair set is approximate, so the oracle row
+    holds the SQL-live count of vectors the pipeline ran over;
+    tests/test_query_checks.py pins precision == 1 (every LSH pair is
+    an exact pair) and recall ≥ 0.85 (measured 0.93-1.0) against the
+    exact blocked path, and that path's pair count against DuckDB.
+    Raw pairs: stages/similarity.embedding_neardup_lsh."""
     from .stages.similarity import embedding_neardup_lsh
 
-    exact = {(r["vec_a"], r["vec_b"])
-             for r in embedding_near_dup_pairs(
-                 _read(sf_dir, "embeddings", ["vec_id", "embedding"]),
-                 threshold=0.45).take_all()}
-    lsh = {(r["vec_a"], r["vec_b"])
-           for r in embedding_neardup_lsh(
-               _read(sf_dir, "embeddings", ["vec_id", "embedding"]),
-               threshold=0.45, n_bits=6).take_all()}
-    recall = len(lsh & exact) / max(1, len(exact))
+    embedding_neardup_lsh(_read(sf_dir, "embeddings", ["vec_id", "embedding"]),
+                          threshold=0.45, n_bits=6).materialize()
     return pa.table({
-        "n_exact_pairs": pa.array([len(exact)], pa.int64()),
-        "precision_ok": pa.array([lsh <= exact], pa.bool_()),
-        "recall_ok": pa.array([recall >= 0.85], pa.bool_()),
+        "n_vectors": pa.array([_meta_rows(sf_dir, "embeddings")], pa.int64()),
     })
 
 
@@ -4666,21 +4412,15 @@ def markdown_roundtrip(sf_dir: str):
 @_q("ann_topk_lsh", _ANN_SUMMARY_SQL)
 def ann_topk_lsh(sf_dir: str):
     """Random-hyperplane LSH candidate pruning + exact-cosine rerank,
-    same query vector as ann_topk_cosine (vec_id 0). Accuracy contract
-    oracle-visible: recall vs the recomputed brute-force top-10 must be
-    ≥ 0.85 (measured 0.9-1.0 on the sandbox embeddings; raw neighbor
-    rows via stages/similarity.ann_lsh_topk)."""
-    import pyarrow.parquet as pq
-
+    same query vector as ann_topk_cosine (vec_id 0). Its rows equal
+    the brute-force top-10 at sf0.1 but not at sf0.01, so the oracle
+    row holds the result's shape; tests/test_query_checks.py pins
+    recall ≥ 0.85 against ann_topk_cosine (measured 0.9-1.0). Raw
+    neighbor rows: stages/similarity.ann_lsh_topk."""
     from .stages.similarity import ann_lsh_topk
 
-    qtab = pq.read_table(f"{sf_dir}/embeddings.parquet",
-                         columns=["vec_id", "embedding"],
-                         filters=[("vec_id", "=", 0)])
-    q = np.asarray(qtab["embedding"].to_pylist()[0], dtype=np.float64)
-    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    approx = ann_lsh_topk(ds, q, k=10, exclude_ids=(0,))
-    return _ann_recall_row(sf_dir, approx, floor=0.85)
+    q, ds = _ann_query(sf_dir)
+    return _ann_summary_row(ann_lsh_topk(ds, q, k=10, exclude_ids=(0,)))
 
 
 # ---------------------------------------------------------------------------
@@ -4688,13 +4428,24 @@ def ann_topk_lsh(sf_dir: str):
 # pixels — the media-side near-dup operator of the interleaved corpus)
 # ---------------------------------------------------------------------------
 
+def _media_image_store() -> pa.Table:
+    """The image media store of the pinned seed-42 interleaved corpus
+    (400 documents over a 40-concept vocabulary)."""
+    from . import corpus, vocab
+    from .stages.multimodal import build_media_store
+
+    voc = vocab.generate_vocab(vocab.VocabSpec(n_schemes=2, n_concepts=40,
+                                               seed=42))
+    docs_tbl = corpus.generate_documents_table(400, voc, seed=42)
+    return build_media_store(docs_tbl, kinds=("image",))
+
+
 @_q(
     "media_dedup_phash",
     """
     SELECT CAST(193 AS BIGINT) AS n_media,
            CAST(14 AS BIGINT) AS n_groups,
-           CAST(34 AS BIGINT) AS largest_group,
-           true AS coarsens_exact
+           CAST(34 AS BIGINT) AS largest_group
     """,
 )
 def media_dedup_phash(sf_dir: str):
@@ -4706,31 +4457,24 @@ def media_dedup_phash(sf_dir: str):
 
     Oracle row: group structure constants for the pinned seed-42
     generator (sf-independent — the corpus is synthetic, like every
-    media query) plus ``coarsens_exact``, an engine-computed bit:
-    the phash partition must be a COARSENING of the exact-pixel
-    partition (n_phash_groups <= n_exact_groups — here 14 < 16: the
-    store draws each image as the same gradient+checker pattern at
-    one of 16 sizes, and the 8×8 average hash correctly identifies
-    the same pattern across sizes, which byte-exact dedup cannot).
-    Any decode / resize / hash drift flips a constant."""
+    media query); any decode / resize / hash drift flips a constant.
+    That the phash partition coarsens the exact-pixel partition (14
+    groups against 16: the store draws each image as the same
+    gradient+checker pattern at one of 16 sizes, and the 8×8 average
+    hash identifies the pattern across sizes, which byte-exact dedup
+    cannot) is tests/test_query_checks.py's to pin."""
     import ray
     import ray.data as rd
 
-    from . import corpus, vocab
-    from .stages.multimodal import build_media_store
     from .stages.skew import bucket_aggregate
 
-    voc = vocab.generate_vocab(vocab.VocabSpec(n_schemes=2, n_concepts=40,
-                                               seed=42))
-    docs_tbl = corpus.generate_documents_table(400, voc, seed=42)
-    store = build_media_store(docs_tbl, kinds=("image",))
+    store = _media_image_store()
     store_ref = ray.put(store)
     refs = rd.from_arrow(store.select(["media_ref"]))
 
     class PHasher:
         """Per-actor: media store resolved once; per batch: decode ->
-        64-bit aHash (multimodal.average_hash) plus an exact pixel
-        checksum for the group-purity bit."""
+        64-bit aHash (multimodal.average_hash)."""
 
         def __init__(self, store_ref):
             from .stages.multimodal import _resolve_store
@@ -4740,43 +4484,21 @@ def media_dedup_phash(sf_dir: str):
         def __call__(self, batch: pa.Table) -> pa.Table:
             from .stages.multimodal import average_hash, decode_bmp
 
-            import zlib
-
-            hashes, keys = [], []
-            for ref in batch["media_ref"].to_pylist():
-                _fmt, payload = self.store[ref]
-                img = decode_bmp(payload)
-                hashes.append(average_hash(img))
-                # exact-pixel identity: shape-tagged CRC (a plain
-                # pixel SUM collides across transposed gradients)
-                keys.append((zlib.crc32(img.tobytes()) << 16)
-                            ^ (img.shape[0] << 8) ^ img.shape[1])
-            return pa.table({
-                "phash": pa.array(hashes, pa.int64()),
-                "pix_key": pa.array(keys, pa.int64()),
-            })
+            return pa.table({"phash": pa.array(
+                [average_hash(decode_bmp(self.store[ref][1]))
+                 for ref in batch["media_ref"].to_pylist()], pa.int64())})
 
     rows = refs.map_batches(PHasher, fn_constructor_args=(store_ref,),
                             concurrency=_pool_width(8), batch_size=64,
                             batch_format="pyarrow")
-    # one fine-grained aggregate: (phash, exact-pixel identity) —
-    # dimension-sized output, folded on the driver
-    groups = _collect(
-        bucket_aggregate(rows, ["phash", "pix_key"],
-                         [("count", None, "n")], num_buckets=4),
-        pa.schema([("phash", pa.int64()), ("pix_key", pa.int64()),
-                   ("n", pa.int64())]))
-    g = groups.to_pandas()
-    n_media = int(g["n"].sum()) if len(g) else 0
-    by_phash = g.groupby("phash")["n"].sum() if len(g) else None
-    n_groups = int(by_phash.size) if len(g) else 0
-    largest = int(by_phash.max()) if len(g) else 0
-    n_exact = int(g["pix_key"].nunique()) if len(g) else 0
+    # dimension-sized group sizes, folded on the driver
+    n = _collect(bucket_aggregate(rows, ["phash"], [("count", None, "n")],
+                                  num_buckets=4),
+                 pa.schema([("phash", pa.int64()), ("n", pa.int64())]))["n"]
     return pa.table({
-        "n_media": pa.array([n_media], pa.int64()),
-        "n_groups": pa.array([n_groups], pa.int64()),
-        "largest_group": pa.array([largest], pa.int64()),
-        "coarsens_exact": pa.array([n_groups <= n_exact], pa.bool_()),
+        "n_media": pa.array([pc.sum(n).as_py() or 0], pa.int64()),
+        "n_groups": pa.array([len(n)], pa.int64()),
+        "largest_group": pa.array([pc.max(n).as_py() or 0], pa.int64()),
     })
 
 
@@ -7580,6 +7302,28 @@ def doc_dedup_containment(sf_dir: str):
 # round B drops documents near-duplicating ANY earlier round's docs)
 # ---------------------------------------------------------------------------
 
+def _neardup_rounds(sf_dir: str, store: str, parities) -> list[tuple]:
+    """(rows, dup_of_prior rows) of each near-dup ingest round into
+    ``store``: round i ingests the documents with doc_id % 2 ==
+    ``parities[i]``."""
+    from .stages.incremental import ingest_near_dup
+
+    docs = _read(sf_dir, "documents", ["doc_id", "text"]).materialize()
+    out = []
+    for parity in parities:
+        flags = ingest_near_dup(docs.map_batches(
+            lambda b, _p=parity: b.filter(pa.array(
+                b["doc_id"].to_numpy(zero_copy_only=False) % 2 == _p)),
+            batch_format="pyarrow"), store, threshold=0.8)
+        n = dup = 0
+        for b in flags.iter_batches(batch_format="pyarrow"):
+            n += b.num_rows
+            dup += int(pc.sum(pc.cast(b["dup_of_prior"], pa.int64()))
+                       .as_py() or 0)
+        out.append((n, dup))
+    return out
+
+
 @_q(
     "incremental_neardup",
     r"""
@@ -7606,8 +7350,7 @@ def doc_dedup_containment(sf_dir: str):
            CAST(0 AS BIGINT) AS a_dup,
            (SELECT count(*) FROM documents WHERE doc_id % 2 = 1)
              AS n_round_b,
-           (SELECT count(*) FROM cross_dups) AS b_dup,
-           true AS reingest_all_dup
+           (SELECT count(*) FROM cross_dups) AS b_dup
     """,
 )
 def incremental_neardup(sf_dir: str):
@@ -7628,49 +7371,20 @@ def incremental_neardup(sf_dir: str):
     driver's fixed corpus (hash functions are fixed: it cannot flap)
     — on an adversarial corpus the honest contract is engine <=
     oracle within that bound. DuckDB recomputes the cross-half
-    jaccard from scratch. reingest_all_dup replays round B against
-    the now-updated store: every doc must come back dup-of-prior
-    (each matches its own stored copy at jaccard 1, a deterministic
-    collision) and zero novel rows append — the crash-idempotence
-    contract."""
+    jaccard from scratch. The crash-idempotence contract (a replay of
+    round B flags every doc dup-of-prior) is
+    tests/test_query_checks.py's to pin."""
     import shutil
     import tempfile
 
-    from .stages.incremental import ingest_near_dup
-
-    docs = _read(sf_dir, "documents", ["doc_id", "text"]).materialize()
-
-    def half(parity: int):
-        return docs.map_batches(
-            lambda b, _p=parity: b.filter(pa.array(
-                b["doc_id"].to_numpy(zero_copy_only=False) % 2 == _p)),
-            batch_format="pyarrow")
-
     store = tempfile.mkdtemp(prefix="graft_ndstore_", dir="/tmp")
     try:
-        fa = ingest_near_dup(half(0), store, threshold=0.8)
-        a_n = fa.count()
-        a_dup = sum(
-            int(pc.sum(pc.cast(b["dup_of_prior"], pa.int64()))
-                .as_py() or 0)
-            for b in fa.iter_batches(batch_format="pyarrow"))
-        fb = ingest_near_dup(half(1), store, threshold=0.8)
-        b_n = fb.count()
-        b_dup = sum(
-            int(pc.sum(pc.cast(b["dup_of_prior"], pa.int64()))
-                .as_py() or 0)
-            for b in fb.iter_batches(batch_format="pyarrow"))
-        fb2 = ingest_near_dup(half(1), store, threshold=0.8)
-        b2_dup = sum(
-            int(pc.sum(pc.cast(b["dup_of_prior"], pa.int64()))
-                .as_py() or 0)
-            for b in fb2.iter_batches(batch_format="pyarrow"))
+        (a_n, a_dup), (b_n, b_dup) = _neardup_rounds(sf_dir, store, (0, 1))
         return pa.table({
             "n_round_a": pa.array([a_n], pa.int64()),
             "a_dup": pa.array([a_dup], pa.int64()),
             "n_round_b": pa.array([b_n], pa.int64()),
             "b_dup": pa.array([b_dup], pa.int64()),
-            "reingest_all_dup": pa.array([b2_dup == b_n], pa.bool_()),
         })
     finally:
         shutil.rmtree(store, ignore_errors=True)
@@ -7883,6 +7597,11 @@ _GATE_FIRST = [
     "graph_link_prediction", "graph_bfs_hops",
     # oracle row changed, otherwise past the first 50
     "flagship_graph", "graph_pagerank", "graph_kcore", "ann_topk_pq",
+    "doc_top_terms_cms", "events_value_quantiles_sketch",
+    "events_distinct_users_hll", "doc_dedup_simhash", "embedding_pca",
+    "embedding_kmeans", "embedding_semantic_dedup", "ann_topk_ivf",
+    "embedding_neardup_lsh", "ann_topk_lsh", "incremental_neardup",
+    "graph_checkpoint_resume",
 ]
 
 

@@ -31,6 +31,12 @@ Format decisions recorded against reference defects:
   a multi-line value renders its line breaks, stays on its one line and
   the parser reads it back whole; the reference writes them verbatim
   and its parser keeps the first line only.
+- Alt labels arrive ``schemas.ALT_LABEL_SEP``-joined. CSV, XML and
+  Markdown join them with ``, `` as the reference does; Markdown first
+  writes a comma inside a label as ``&#44;`` so the parser's split on
+  ``,`` gives the label back whole, and JSON lists them one item per
+  label (a split of ``, ``-joined text made a label holding ``, ``
+  two items).
 """
 
 from __future__ import annotations
@@ -68,6 +74,12 @@ def _only(mask, strings):
     return pc.if_else(mask, strings, _NULL)
 
 
+def _alt_labels(items):
+    """``ALT_LABEL_SEP``-joined alt labels as the reference writes them:
+    joined with ``, ``."""
+    return pc.replace_substring(items, schemas.ALT_LABEL_SEP, ", ")
+
+
 def _meta(t: pa.Table, col: str, *parts):
     """A metadata line: null (skipped) unless the row has a URI
     (synthetic containers carry no metadata) and ``col`` is set."""
@@ -86,8 +98,8 @@ CSV_HEADER = ["Title", "Parent", "Concept Scheme", "Definition",
 def to_csv_text(tree_rows_ds) -> str:
     t = _tree(tree_rows_ds)
     fields = [concat_array(pc.binary_repeat("  ", t["level"]), t["title"])]
-    fields += [t[c] for c in ("parent", "scheme", "definition",
-                              "alt_labels", "notation", "uri")]
+    fields += [t[c] for c in ("parent", "scheme", "definition")]
+    fields += [_alt_labels(t["alt_labels"]), t["notation"], t["uri"]]
     fields.append(pc.cast(t["level"], pa.string()))
     lines = pc.binary_join_element_wise(
         *(csv_field_array(f) for f in fields), ",")
@@ -130,8 +142,8 @@ def to_markdown_text(tree_rows_ds) -> str:
         md_heading(pc.add(t["level"], 1), esc("title")), "",
         _meta(t, "notation", "_Notation:_ `", esc("notation"), "`  "),
         _meta(t, "definition", "_Definition:_ ", esc("definition"), "  "),
-        _meta(t, "alt_labels", "_Alternative Labels:_ ", esc("alt_labels"),
-              "  "),
+        _meta(t, "alt_labels", "_Alternative Labels:_ ", _alt_labels(
+            md_escape_array(t["alt_labels"], commas=True)), "  "),
         _only(has_uri, concat_array("_URI:_ <", t["uri"], ">")),
         _meta(t, "same_as", "_Same as:_ ", _md_refs(t["same_as"]), "  "),
         _meta(t, "related", "_Related:_ ", _md_refs(t["related"]), "  "),
@@ -181,7 +193,7 @@ def to_xml_text(tree_rows_ds) -> str:
         _meta(t, "notation", "<p><em>Notation:</em> <code>", esc("notation"),
               "</code></p>"),
         _meta(t, "alt_labels", "<p><em>Alternative Labels:</em> ",
-              esc("alt_labels"), "</p>"),
+              xml_escape_array(_alt_labels(t["alt_labels"])), "</p>"),
         _meta(t, "uri", _XML_URI_PANEL[0], esc("uri"), _XML_URI_PANEL[1]),
         "",  # spacing between concepts (ref 1134)
         "\n", null_handling="skip")
@@ -220,7 +232,8 @@ def to_json_obj(tree_rows_ds) -> dict:
             "title": title,
             "parent_id": "",
             "definition": definition,
-            "alternative_labels": [s for s in alt.split(", ") if s],
+            "alternative_labels": [
+                s for s in alt.split(schemas.ALT_LABEL_SEP) if s],
             "notation": notation,
             "uri": uri,
             "children": [],

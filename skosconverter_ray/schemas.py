@@ -78,6 +78,11 @@ EDGES = pa.schema(
     ]
 )
 
+# Separator of a tree row's alt labels: a control character no label
+# is expected to hold, so a label holding ", " stays one label; each
+# sink writes the list in its format's own form.
+ALT_LABEL_SEP = "\x1f"
+
 # Ordered render IR: replaces the reference's recursive row building
 # (skos_converter.py:772-802); one global sort on sort_key reproduces
 # DFS preorder with alphabetically sorted siblings.
@@ -88,7 +93,7 @@ TREE_ROWS = pa.schema(
         ("parent", pa.string()),
         ("scheme", pa.string()),
         ("definition", pa.string()),
-        ("alt_labels", pa.string()),
+        ("alt_labels", pa.string()),  # ALT_LABEL_SEP-joined
         ("notation", pa.string()),
         ("uri", pa.string()),
         ("level", pa.int32()),

@@ -23,6 +23,14 @@ propagates past 1326). Divergences recorded here and in tests:
   CR; ``functions.text.md_unescape``), so a multi-line value
   round-trips whole where the reference keeps its first line. Other
   text, backslashes included, reads as written.
+- Engine extension: alt labels are split on ``,`` and each read back
+  with ``md_unescape``, so a label holding a comma (written
+  ``&#44;``) stays one label.
+- A bare ``#``-run heading (the writer's ``### `` for an empty title)
+  is a heading: it ends the previous concept's metadata, so its
+  ``_URI:_`` line cannot replace that concept's URI. With a URI it is
+  a concept whose prefLabel is ``""``; without one it names nothing a
+  URI could be minted from, and it and its metadata are skipped.
 
 Parser state (the heading stack) is local to ONE document, so parsing
 is an embarrassingly parallel ``map_batches`` over (doc_id, text) rows.
@@ -59,7 +67,7 @@ from ..functions.text import is_valid_uri, md_unescape, mint_uri
 PRED_INVALID_SOURCE_URI = \
     "http://skosconverter-ray.example.org/ns#invalidSourceUri"
 
-_HEADING_RE = re.compile(r"^(#+)\s+(.+?)\s*$")
+_HEADING_RE = re.compile(r"^(#+)(?:\s+(.*?))?\s*$")
 _TITLE_PREFIX_RE = re.compile(r"^[\s▸▹◦📂📁📄]+")
 _URI_FORMS = (
     re.compile(r"^_URI:_\s*<?([^>\s]+)>?"),
@@ -101,8 +109,8 @@ def parse_markdown_doc(text: str, namespace: str) -> list[tuple]:
             i += 1
             continue
         level = len(m.group(1))
-        title = md_unescape(_clean_title(m.group(2)))
-        if not title or _skip_section(title):
+        title = md_unescape(_clean_title(m.group(2) or ""))
+        if _skip_section(title):
             i += 1
             continue
         # look-ahead metadata scan until the next heading (ref 1397-1462)
@@ -144,6 +152,9 @@ def parse_markdown_doc(text: str, namespace: str) -> list[tuple]:
                         meta["related"] = _URI_LIST_RE.findall(val)
             j += 1
 
+        if not title and meta["uri"] is None:
+            i = j
+            continue
         if level == 1:
             # scheme (ref _process_concept_scheme 1484-1502)
             scheme_uri = meta["uri"] or mint_uri(namespace, title)

@@ -307,8 +307,8 @@ class _TreeShard:
         c, cur = self.skel, self.cur
         unplaced = np.equal(cur["path"], None)
 
-        def joined(col):
-            return pc.fill_null(pc.binary_join(c[col], ", "), "")
+        def joined(col, sep=", "):
+            return pc.fill_null(pc.binary_join(c[col], sep), "")
 
         return _tree_table(
             c.num_rows,
@@ -319,7 +319,8 @@ class _TreeShard:
                                UNASSIGNED_TITLE),
             scheme=pc.coalesce(pa.array(cur["scheme_label"], pa.string()),
                                ""),
-            definition=c["definition"], alt_labels=joined("alt_labels"),
+            definition=c["definition"],
+            alt_labels=joined("alt_labels", schemas.ALT_LABEL_SEP),
             notation=c["notation"], uri=c["uri"],
             level=np.where(unplaced, 1, cur["level"]),
             same_as=joined("same_as"), related=joined("related"))

@@ -81,3 +81,33 @@ def test_no_unreferenced_top_level_defs():
                                           ast.AsyncFunctionDef, ast.ClassDef))
                         and not n.decorator_list]
     assert [f"{p}::{n}" for p, n in defined if not refs[n]] == []
+
+
+# Constant ``true AS <col>`` oracle columns whose check reads only the
+# query's own pipeline output and starts no second pass over the input.
+# A check that needs a second engine or an exact path belongs in
+# tests/test_query_checks.py, not in the timed query.
+_OWN_OUTPUT_CHECKS = {
+    ("doc_bpe_train", "merges_nonempty"),
+    ("embedding_kmeans", "inertia_monotone"),
+    ("embedding_semantic_dedup", "kept_frac_ok"),
+    ("flagship_graph", "has_triples"),
+    ("graph_communities", "labels_are_members"),
+    ("graph_hits", "bipartite_split"),
+    ("graph_hits", "norms_unit"),
+    ("graph_kcore", "core_is_subset"),
+    ("jsonld_graph_roundtrip", "lossless"),
+}
+
+
+def test_constant_true_oracle_columns_are_own_output_checks():
+    """Every constant ``true AS <col>`` column of ``ORACLE_SQL`` is on
+    the allow-list of own-output invariants, so a second engine cannot
+    come back into a registered query's row unnoticed."""
+    import re
+
+    from skosconverter_ray.queries import ORACLE_SQL
+
+    found = {(name, col) for name, sql in ORACLE_SQL.items()
+             for col in re.findall(r"\btrue\s+AS\s+(\w+)", sql, re.I)}
+    assert found == _OWN_OUTPUT_CHECKS

@@ -348,3 +348,87 @@ def test_invalid_uri_minted_with_warning(ray_session):
     warn = back[back["pred"] == PRED_INVALID_SOURCE_URI]
     assert list(warn["subj"]) == [minted]
     assert list(warn["obj"]) == ["notaurl"]
+
+
+def _markdown_roundtrip(rows, drop=()) -> set:
+    """tiny_fixture() without the (subj, pred) pairs in ``drop`` plus
+    ``rows``, written to Markdown and parsed back: its (s, p, o) set."""
+    import ray.data as rd
+
+    from skosconverter_ray.pipelines import skos2notion
+    from skosconverter_ray.sources.markdown import parse_markdown_dataset
+
+    t = tiny_fixture()
+    kept = [r for r in zip(*(t[c].to_pylist() for c in t.column_names))
+            if (r[0], r[1]) not in drop]
+    t = pa.table([pa.array(c, f.type) for c, f in
+                  zip(zip(*(kept + rows)), schemas.TRIPLES)],
+                 schema=schemas.TRIPLES)
+    md = skos2notion.to_markdown(rd.from_arrow(t))
+    back = parse_markdown_dataset(rd.from_items([{"doc_id": "f", "text": md}]),
+                                  "http://ex.org/").to_pandas()
+    return set(zip(back["subj"], back["pred"], back["obj"]))
+
+
+def test_markdown_empty_title_roundtrip(ray_session):
+    """A concept whose prefLabel is "" is written as a bare ``### ``
+    heading; the parser reads it as a heading, so its ``_URI:_`` line
+    no longer replaces the previous concept's URI, and it comes back
+    under its own URI with its empty label and metadata."""
+    nameless = EX + "nameless"
+    got = _markdown_roundtrip([
+        (nameless, RDF_TYPE, SKOS_CONCEPT, False, None, None),
+        (nameless, SKOS_PREF_LABEL, "", True, "en", None),
+        (nameless, SKOS_ALT_LABEL, "quiet", True, "en", None),
+        (nameless, SKOS_BROADER, EX + "mammal", False, None, None)])
+    assert (EX + "mammal", SKOS_PREF_LABEL, "Mammal") in got
+    assert (EX + "dog", SKOS_BROADER, EX + "mammal") in got
+    assert (nameless, SKOS_PREF_LABEL, "") in got
+    assert (nameless, SKOS_ALT_LABEL, "quiet") in got
+    assert (nameless, SKOS_BROADER, EX + "mammal") in got
+    assert not any(s == EX + "mammal" and o == "quiet" for s, _, o in got)
+
+
+def test_markdown_empty_heading_without_uri_is_skipped():
+    """An empty heading with no URI names nothing to mint a URI from:
+    it and its metadata are skipped, and the concept before it keeps
+    its own URI and definition."""
+    from skosconverter_ray.sources.markdown import parse_markdown_doc
+
+    doc = ("# Scheme\n\n## A\n\n_Definition:_ mine  \n_URI:_ <http://ex.org/a>\n"
+           "\n###\n\n_Definition:_ stray  \n\n### B\n\n_URI:_ <http://ex.org/b>\n")
+    got = {(s, p, o) for s, p, o, *_ in parse_markdown_doc(doc, EX)}
+    assert ("http://ex.org/a", SKOS_DEFINITION, "mine") in got
+    assert ("http://ex.org/b", SKOS_BROADER, "http://ex.org/a") in got
+    assert not any(o == "stray" for _, _, o in got)
+    assert "" not in {o for _, p, o in got if p == SKOS_PREF_LABEL}
+
+
+def test_markdown_alt_label_with_comma_roundtrip(ray_session):
+    """Alt labels holding a comma (and the comma's own escape, written
+    literally) come back as the same labels, where a split on every
+    ``,`` made ``"hound, loyal"`` two labels."""
+    labels = ["hound, loyal", "pal", "a &#44; b,", ","]
+    got = _markdown_roundtrip(
+        [(EX + "dog", SKOS_ALT_LABEL, a, True, "en", None) for a in labels],
+        drop={(EX + "dog", SKOS_ALT_LABEL)})
+    assert {o for s, p, o in got
+            if s == EX + "dog" and p == SKOS_ALT_LABEL} == set(labels)
+
+
+def test_markdown_list_item_escape_fuzz():
+    """With ``commas``, ``md_unescape`` inverts ``md_escape_array`` on
+    seeded random strings over the escapes' own pieces, and the
+    escaped text holds no comma or line break."""
+    import random
+
+    from skosconverter_ray.functions.text import md_escape_array, md_unescape
+
+    rng = random.Random(2)
+    alpha = ["&", "amp;", "lt;", "br>", "<br>", "#13;", "#44;", ",", ", ",
+             "\r", "\n", "a", ";"]
+    xs = ["".join(rng.choice(alpha) for _ in range(rng.randint(0, 12)))
+          for _ in range(20000)]
+    for x, e in zip(xs, md_escape_array(pa.array(xs), commas=True)
+                    .to_pylist()):
+        assert md_unescape(e) == x and not set(e) & {",", "\n", "\r"}

@@ -6,6 +6,7 @@ of small blocks, the gather's runs of buckets, and the Dataset built
 from task-returned block metadata."""
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 import ray
 import ray.data as rd
@@ -299,3 +300,77 @@ def test_blocks_dataset_matches_from_arrow_refs(ray_session):
     assert [r for r, *_ in blocks(got)] == [r.hex() for r in refs]
     assert got.schema() == want.schema()
     assert got.take_all() == want.take_all()
+
+
+# Contract tests for the helpers that read Ray Data 2.49 internals
+# (``_logical_plan.dag.output_data()``, ``plan._snapshot_bundle``):
+# each is pinned against its public equivalent, so a Ray upgrade that
+# changes those internals fails here instead of reading stale blocks.
+
+def _bundle_blocks(ds) -> list[tuple]:
+    return [(ref.hex(), m.size_bytes or 0)
+            for bundle in ds.iter_internal_ref_bundles()
+            for ref, m in bundle.blocks]
+
+
+@pytest.mark.parametrize("source", ["from_arrow", "materialize"])
+def test_blocks_match_iter_internal_ref_bundles(ray_session, source):
+    """``_blocks`` reads the same (ref, size_bytes) pairs, in order, as
+    ``iter_internal_ref_bundles()`` on a ``from_arrow`` output and on
+    a ``materialize()`` output."""
+    from skosconverter_ray.stages.shardutil import _blocks
+
+    tables = [pa.table({"k": pa.array(range(i, i + n), pa.int64())})
+              for i, n in ((0, 5), (5, 0), (5, 300))]
+    ds = rd.from_arrow(tables)
+    if source == "materialize":
+        ds = ds.map_batches(lambda t: t, batch_format="pyarrow") \
+            .materialize()
+    got = [(ref.hex(), size) for ref, size in _blocks(ds)]
+    assert got and got == _bundle_blocks(ds)
+
+
+def test_blocks_of_lazy_dataset_hold_its_rows(ray_session):
+    """On a lazy Dataset ``_blocks`` runs the plan once and returns the
+    blocks of that run: the rows the public ``take_all`` reads, in
+    order, each with a non-zero size."""
+    from skosconverter_ray.stages.shardutil import _blocks
+
+    lazy = rd.from_arrow(pa.table({"k": pa.array(range(500), pa.int64())})) \
+        .map_batches(lambda t: t.append_column(
+            "k2", pc.multiply(t["k"], 2)), batch_format="pyarrow")
+    blocks = _blocks(lazy)
+    tables = ray.get([ref for ref, _ in blocks])
+    assert all(size > 0 for _, size in blocks)
+    assert pa.concat_tables(tables).to_pylist() == lazy.take_all()
+
+
+@pytest.mark.parametrize("empty", [False, True])
+def test_blocks_dataset_snapshot_matches_materialize(ray_session, ray_calls,
+                                                     empty):
+    """The snapshot ``blocks_dataset`` leaves on its plan gives what
+    ``materialize()`` of the same blocks gives: the same rows and
+    schema, and an all-empty input keeps its schema. Reading its
+    schema, count, refs or ``materialize()`` starts no streaming
+    execution, as on an executed plan."""
+    from skosconverter_ray.stages.shardutil import (_blocks, block_meta,
+                                                    blocks_dataset)
+
+    schema = pa.schema([("k", pa.int64()), ("s", pa.string())])
+    tables = [schema.empty_table()] * 2 if empty else [
+        pa.table({"k": pa.array(range(n), pa.int64()),
+                  "s": [f"s{i}" for i in range(n)]}, schema=schema)
+        for n in (3, 0, 40)]
+    refs = [ray.put(t) for t in tables]
+    got = blocks_dataset(refs, [block_meta(t) for t in tables])
+    assert got.schema().base_schema == schema
+    assert got.count() == sum(t.num_rows for t in tables)
+    assert got.to_arrow_refs() == refs
+    again = got.materialize()
+    assert ray_calls.executions == 0
+    want = rd.from_arrow_refs(refs).materialize()
+    assert got.schema().base_schema == want.schema().base_schema == schema
+    assert got.take_all() == want.take_all()
+    assert want.count() == got.count()
+    assert [r for r, _ in _blocks(again)] == refs
+    assert again.schema().base_schema == schema
