@@ -2,9 +2,11 @@
 
 The BASELINE.json north-star pipeline, end to end:
 
-1. **mention detection + entity linking** — ``map_batches`` actor pool
-   over zero-copy Arrow document batches, probing span text against a
-   broadcast prefLabel/altLabel/hiddenLabel index (stages/linker.py).
+1. **mention detection + entity linking** — ``map_batches`` over
+   zero-copy Arrow document batches (elastic tasks or an actor pool,
+   ``link_plan``): each batch's span tokens walk a token trie of the
+   broadcast prefLabel/altLabel/hiddenLabel index as array kernels,
+   greedy longest match first (stages/linker.py).
 2. **triple emission** — each linked mention yields a provenance triple
    ``(doc_uri, engine:mentions, concept)`` plus the vocabulary subgraph
    of the mentioned concept (skos:broader / narrower / related /
@@ -25,8 +27,8 @@ The BASELINE.json north-star pipeline, end to end:
    (state/manifest.py) when ``out_dir`` is given. Its exchange keys on
    ``subj``, so all copies of a triple meet in one partition task,
    which dedups them before it writes. ``graph`` is then a lazy read
-   of the files the manifest records done, which starts no task until
-   it is consumed.
+   of the files the manifest records done, one block per file, which
+   starts no task and puts nothing until it is consumed.
 
 Vocabulary state: the label index, the subgraph table and the
 canonical map are built on the driver and put in the object store
@@ -36,7 +38,7 @@ one vocabulary, keyed by the identity of the ``vocab_triples`` object,
 replaces them; so a driver that links successive document batches
 against one vocabulary table builds and puts it once. On the workers,
 ``linker.built_once`` resolves each ref (and builds the linker's
-automaton) once per process.
+label trie) once per process.
 """
 
 from __future__ import annotations
@@ -175,13 +177,13 @@ class EmitTriples:
         return pa.concat_tables([mentions, subgraph])
 
 
-def _read_files(batch: pa.Table) -> pa.Table:
-    """A batch of parquet paths (``item``) -> their triples."""
+def _read_files(paths: list[str]) -> pa.Table:
+    """Parquet graph files -> their triples."""
     import pyarrow.parquet as pq
 
     return pa.concat_tables(
         [pq.read_table(p, schema=schemas.TRIPLES, partitioning=None)
-         for p in batch["item"].to_pylist()])
+         for p in paths])
 
 
 def link_plan(n_entries: int, total_cpus: int):
@@ -277,9 +279,10 @@ def run_flagship(docs_ds, vocab_triples: pa.Table, *,
     its rows (a triple's copies share its ``subj``) before it writes
     them. ``graph`` is then a lazy Dataset over the files the manifest
     records done (one file per block; building it starts no Ray
-    task), so a resumed run's graph holds the partitions an earlier
-    run wrote (the same ``doc_ns`` is required, and a manifest of
-    another one is refused; a new corpus needs a fresh ``out_dir``).
+    task and makes no driver put), so a resumed run's graph holds the
+    partitions an earlier run wrote (the same ``doc_ns`` is required,
+    and a manifest of another one is refused; a new corpus needs a
+    fresh ``out_dir``).
 
     ``link_concurrency``: "auto" (default) picks the measured-best
     physical plan (elastic tasks vs autoscaling actor pool) from the
@@ -352,7 +355,12 @@ def run_flagship(docs_ds, vocab_triples: pa.Table, *,
         mani = Manifest(out_dir, "graph")
         files = [mani.part_file(p)
                  for p in sorted(mani.done_partitions(doc_ns))]
-        # a parquet read of out_dir would start metadata tasks here
-        graph = rd.from_items(files).map_batches(
-            _read_files, batch_format="pyarrow", batch_size=1)
+        # row i of the range is file i, one block each, so files are
+        # read in parallel; unlike from_items (a driver put per file)
+        # or a parquet read of out_dir (metadata tasks) this starts and
+        # puts nothing until the graph is consumed
+        graph = rd.range(len(files), override_num_blocks=len(files)) \
+            .map_batches(lambda b: _read_files(
+                [files[i] for i in b["id"].to_pylist()]),
+                batch_format="pyarrow", batch_size=1)
     return {"mentions": mentions, "graph": graph, "canon_map": canon}

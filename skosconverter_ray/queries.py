@@ -6410,8 +6410,8 @@ def doc_blocklist_flags(sf_dir: str):
     tokens*5) so no float ratio can flap the oracle. One zero-shuffle
     map of two vectorized RE2 counts; the compiled alternation rides
     the task closure (a real lexicon of thousands of terms would load
-    once per actor exactly like stages/linker.py's Aho-Corasick
-    automaton — that stage IS the scale path for big lexicons)."""
+    once per actor exactly like stages/linker.py's label trie — that
+    stage IS the scale path for big lexicons)."""
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
     def flags(batch: pa.Table) -> pa.Table:

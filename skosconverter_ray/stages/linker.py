@@ -9,17 +9,26 @@ Ray shape: the label index is the *small side* — built once from the
 vocabulary triples, ``ray.put`` into the object store (broadcast join,
 never a shuffle), and resolved once per worker process per ref
 (``built_once``): the first batch a process links against a ref gets
-the index and builds the automaton, later tasks and actors of that
-process reuse them. Matching is a token-alphabet Aho-Corasick
-automaton over the index: one amortized goto/fail transition per
-document token, with terminal-output chains yielding every label
-match — O(tokens) instead of the earlier O(tokens × max_label_tokens)
-window-probe scan.
+the index and builds its token trie (``_LabelTrie``), later tasks and
+actors of that process reuse them.
+
+Matching runs on a whole batch as array kernels, not per token:
+- tokens: span texts that are ASCII and free of the separators
+  ``\\x1c``-``\\x1f`` are lowered and split by Arrow kernels; the
+  rest (non-ASCII text, whose ``lower()`` and ``\\s`` Arrow's ASCII
+  kernels do not match) go through ``normalize_surface`` one span at a
+  time;
+- token ids: one ``index_in`` of the flat tokens against the labels'
+  token vocabulary;
+- trie walk: level ``n`` advances every live start position by one
+  ``np.searchsorted`` over the trie's packed ``node * V + token`` edge
+  keys, for at most the longest label's token count, giving the
+  longest label that starts at each token;
+- greedy pass: a left-to-right walk over the match starts keeps each
+  match that no kept one covers.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 import numpy as np
 import pyarrow as pa
@@ -86,87 +95,150 @@ def build_label_index(vocab_triples: pa.Table) -> dict[str, tuple[str, str]]:
     return {norm: (uri, kind) for norm, (_r, uri, kind) in best.items()}
 
 
-class _TokenAC:
-    """Aho-Corasick automaton over a *token* alphabet.
+class _LabelTrie:
+    """The label index as a token trie of sorted packed int64 keys.
 
-    Patterns are normalized label surfaces (single-space separated, so
-    their tokens are exactly ``surface.split(" ")``). ``scan_best``
-    returns, for each token position, the longest pattern starting
-    there — which is exactly what the greedy longest-match-first
-    linking semantics consume. Pure stdlib dict-of-dicts goto/fail;
-    built once per process per index ref in ``LinkerStage._resolve``.
-    """
+    Patterns are the index's normalized surfaces, whose tokens are
+    exactly ``surface.split(" ")``; ``vocab`` holds their distinct
+    tokens, and a token's id is its position there. The edge from
+    ``node`` on token id ``t`` is the key ``node * V + t`` (``V`` =
+    ``len(vocab)``): ``keys`` is sorted and ``child[k]`` is the node
+    key ``keys[k]`` leads to, so one ``np.searchsorted`` advances any
+    number of walks by a token. ``term[node]`` is the pattern ending at
+    ``node`` (-1 if none); pattern ``p`` is ``surface[p]`` with
+    ``n_tokens[p]`` tokens, linking ``uri[p]`` as ``kind[p]``. The
+    empty surface (a label that normalizes to nothing) is skipped: no
+    span token is empty. Built once per process per index ref
+    (``built_once``)."""
 
-    __slots__ = ("goto", "fail", "term", "out_link", "patterns")
+    __slots__ = ("vocab", "keys", "child", "term", "n_tokens", "depth",
+                 "surface", "uri", "kind")
 
     def __init__(self, index: dict[str, tuple[str, str]]):
-        goto: list[dict[str, int]] = [{}]
-        term: list[int] = [-1]
-        # patterns[pid] = (surface, uri, kind, n_tokens)
-        patterns: list[tuple[str, str, str, int]] = []
-        for surface, (uri, kind) in index.items():
-            toks = surface.split(" ")
+        token_id: dict[str, int] = {}
+        edges: dict[tuple[int, int], int] = {}
+        term = [-1]
+        surface, uri, kind, n_tokens = [], [], [], []
+        for text, (u, k) in index.items():
+            if not text:
+                continue
+            toks = text.split(" ")
             node = 0
-            for t in toks:
-                nxt = goto[node].get(t)
-                if nxt is None:
-                    nxt = len(goto)
-                    goto[node][t] = nxt
-                    goto.append({})
+            for tok in toks:
+                edge = (node, token_id.setdefault(tok, len(token_id)))
+                node = edges.setdefault(edge, len(term))
+                if node == len(term):
                     term.append(-1)
-                node = nxt
-            term[node] = len(patterns)
-            patterns.append((surface, uri, kind, len(toks)))
-        fail = [0] * len(goto)
-        # nearest proper-suffix state that is terminal (-1 if none)
-        out_link = [-1] * len(goto)
-        q = deque(goto[0].values())
-        while q:
-            u = q.popleft()
-            fu = fail[u]
-            out_link[u] = fu if term[fu] >= 0 else out_link[fu]
-            for tok, v in goto[u].items():
-                f = fu
-                while f and tok not in goto[f]:
-                    f = fail[f]
-                fail[v] = goto[f].get(tok, 0)
-                q.append(v)
-        self.goto = goto
-        self.fail = fail
-        self.term = term
-        self.out_link = out_link
-        self.patterns = patterns
+            term[node] = len(surface)
+            surface.append(text)
+            uri.append(u)
+            kind.append(k)
+            n_tokens.append(len(toks))
+        v = max(len(token_id), 1)
+        if len(term) * v > np.iinfo(np.int64).max:
+            raise OverflowError(
+                f"label trie of {len(term)} nodes over {v} tokens "
+                "overflows its int64 edge keys")
+        pairs = np.array(list(edges), np.int64).reshape(-1, 2)
+        keys = pairs[:, 0] * v + pairs[:, 1]
+        order = np.argsort(keys)
+        self.vocab = pa.array(list(token_id), pa.string())
+        self.keys = keys[order]
+        self.child = np.fromiter(edges.values(), np.int64,
+                                 len(edges))[order]
+        self.term = np.array(term, np.int64)
+        self.n_tokens = np.array(n_tokens, np.int64)
+        self.depth = max(n_tokens, default=0)
+        # object arrays: a take by pattern ids feeds mention_features
+        self.surface = np.array(surface, object)
+        self.uri = np.array(uri, object)
+        self.kind = np.array(kind, object)
 
-    def scan_best(self, tokens: list[str]) -> dict[int, int]:
-        """start token index -> pattern id of the LONGEST match there."""
-        goto, fail, term, out_link, patterns = (
-            self.goto, self.fail, self.term, self.out_link, self.patterns)
-        best: dict[int, int] = {}
-        node = 0
-        for j, tok in enumerate(tokens):
-            while node and tok not in goto[node]:
-                node = fail[node]
-            node = goto[node].get(tok, 0)
-            u = node if term[node] >= 0 else out_link[node]
-            while u >= 0:
-                pid = term[u]
-                start = j - patterns[pid][3] + 1
-                cur = best.get(start)
-                if cur is None or patterns[pid][3] > patterns[cur][3]:
-                    best[start] = pid
-                u = out_link[u]
+    def longest_at(self, tok: np.ndarray, span: np.ndarray) -> np.ndarray:
+        """Token ids (-1: in no label) and their span ids -> the
+        pattern id of the longest label starting at each token (-1 if
+        none). Level ``n`` advances every live start by its ``n``-th
+        token in one ``searchsorted``; a start stays live while its
+        n-gram stays inside one span and on a trie path, so the loop
+        runs at most ``depth`` times over a shrinking set, and a deeper
+        terminal overwrites a shallower one."""
+        best = np.full(len(tok), -1, np.int64)
+        pos = np.flatnonzero(tok >= 0)
+        node = np.zeros(len(pos), np.int64)
+        v = max(len(self.vocab), 1)
+        for n in range(self.depth):
+            at = pos + n
+            if n:
+                live = at < len(tok)
+                pos, node, at = pos[live], node[live], at[live]
+                live = (span[at] == span[pos]) & (tok[at] >= 0)
+                pos, node, at = pos[live], node[live], at[live]
+            key = node * v + tok[at]
+            k = np.minimum(np.searchsorted(self.keys, key),
+                           len(self.keys) - 1)
+            live = self.keys[k] == key
+            pos, node = pos[live], self.child[k[live]]
+            if not len(pos):
+                break
+            pid = self.term[node]
+            done = pid >= 0
+            best[pos[done]] = pid[done]
         return best
 
 
+# a text holding a match takes the Python path: a non-ASCII character,
+# or one of the ASCII separators \x1c-\x1f, which Python's ``\s`` and
+# ``str.strip`` take as whitespace and Arrow's ASCII split does not
+_PYTHON_ONLY = "[^\x00-\x1b\x20-\x7f]"
+
+
+def _span_tokens(texts: pa.Array) -> tuple[pa.Array, np.ndarray,
+                                            np.ndarray]:
+    """Span texts -> (flat tokens, span id of each token, code points
+    of each token): the tokens of span ``i`` are
+    ``normalize_surface(texts[i]).split(" ")`` in order, none for a
+    null, empty or blank text. ASCII texts without the separators take
+    Arrow's ``ascii_lower`` and whitespace split (dropping the empty
+    tokens an edge run leaves), the rest ``normalize_surface`` one
+    text at a time."""
+    has_text = pc.fill_null(pc.greater(pc.binary_length(texts), 0), False)
+    python_only = pc.match_substring_regex(texts, _PYTHON_ONLY)
+    fast = pc.and_kleene(has_text, pc.invert(python_only))
+    split = pc.ascii_split_whitespace(pc.ascii_lower(texts.filter(fast)))
+    tokens = pc.list_flatten(split)
+    size = pc.binary_length(tokens).to_numpy()
+    span = np.flatnonzero(fast.to_numpy(zero_copy_only=False))[
+        pc.list_parent_indices(split).to_numpy()]
+    keep = size > 0
+    tokens, span, size = tokens.filter(pa.array(keep)), span[keep], size[keep]
+    slow = pc.and_kleene(has_text, python_only)
+    if not pc.any(slow).as_py():
+        return tokens, span, size
+    rest, rest_span = [], []
+    for i, text in zip(np.flatnonzero(slow.to_numpy(zero_copy_only=False)),
+                       texts.filter(slow).to_pylist()):
+        norm = normalize_surface(text)
+        if norm:
+            toks = norm.split(" ")
+            rest += toks
+            rest_span += [i] * len(toks)
+    span = np.concatenate([span, np.array(rest_span, np.int64)])
+    size = np.concatenate([size, np.fromiter(map(len, rest), size.dtype,
+                                             len(rest))])
+    order = np.argsort(span, kind="stable")
+    return (pa.concat_arrays([tokens, pa.array(rest, pa.string())])
+            .take(order), span[order], size[order])
+
+
 def _linker_state(index: dict[str, tuple[str, str]]) -> tuple:
-    """A resolved label index -> (automaton, scorer): the automaton
-    build is O(total label tokens), and the T3 stateful
+    """A resolved label index -> (trie, scorer): the trie build is
+    O(total label tokens), and the T3 stateful
     scorer's numpy-MLP artifact loads here too (the
     model-load-per-actor slot; per batch it is one matmul over the
     candidate feature matrix)."""
     from ..models import MentionScorer
 
-    return _TokenAC(index), MentionScorer()
+    return _LabelTrie(index), MentionScorer()
 
 
 class LinkerStage:
@@ -176,8 +248,16 @@ class LinkerStage:
     batch_format="pyarrow", concurrency=N, batch_size=B)``.
     ``index_ref`` may be a ``ray.ObjectRef`` (broadcast) or a plain dict
     (tests). A pickled copy (task use) carries only the ref; the
-    index's automaton and the scorer come from the process's
-    ``built_once`` slot, so they are built once per process per ref.
+    index's trie and the scorer come from the process's ``built_once``
+    slot, so they are built once per process per ref.
+
+    A batch is linked as whole arrays: its span texts are tokenized at
+    once (``_span_tokens``: Arrow kernels for ASCII text, a Python
+    ``normalize_surface`` fallback for the rest), the tokens become
+    trie token ids in one ``index_in``, ``_LabelTrie.longest_at`` finds
+    the longest label at every token, and a greedy left-to-right pass
+    over the match starts keeps the non-overlapping ones, longest
+    first (a linked 'New York City' does not also yield 'New York').
     """
 
     def __init__(self, index_ref):
@@ -185,7 +265,7 @@ class LinkerStage:
         self._resolved = False
 
     def _resolve(self):
-        self.ac, self.scorer = built_once(
+        self.trie, self.scorer = built_once(
             "linker", self._ref, _linker_state)
         self._resolved = True
 
@@ -193,71 +273,49 @@ class LinkerStage:
         # task-based use: ship only the ObjectRef, resolve per worker
         return {"_ref": self._ref, "_resolved": False}
 
-    def _match_span(self, text: str):
-        """All non-overlapping label matches in one span's text.
-
-        Greedy longest-match-first at each token position (a linked
-        'New York City' does not also yield 'New York'): one automaton
-        pass records the longest pattern starting at every token, then
-        a left-to-right walk consumes matched tokens."""
-        norm = normalize_surface(text)
-        if not norm:
-            return [], 0
-        tokens = norm.split(" ")
-        best = self.ac.scan_best(tokens)
-        if not best:
-            return [], len(norm)
-        patterns = self.ac.patterns
-        out = []
-        i, n = 0, len(tokens)
-        while i < n:
-            pid = best.get(i)
-            if pid is None:
-                i += 1
-                continue
-            surface, uri, kind, ln = patterns[pid]
-            out.append((surface, uri, kind))
-            i += ln
-        return out, len(norm)
-
     def __call__(self, batch: pa.Table) -> pa.Table:
         if not self._resolved:
             self._resolve()
-        doc_ids = batch["doc_id"].to_pylist()
+        trie = self.trie
         # span texts straight from the flattened list column: null span
         # lists add no rows, and a span's index is its position in its
         # document's run of the (document-ordered) parent indices
         spans = batch["spans"].combine_chunks()
-        texts = pc.struct_field(pc.list_flatten(spans), "text").to_pylist()
+        texts = pc.struct_field(pc.list_flatten(spans), "text")
         parents = pc.list_parent_indices(spans).to_numpy()
         span_idx = np.arange(len(parents)) - np.searchsorted(parents,
                                                              parents)
-        rows = {"doc_id": [], "span_idx": [], "surface": [],
-                "concept_uri": [], "label_kind": [], "span_len": []}
-        for doc, si, text in zip(parents.tolist(), span_idx.tolist(),
-                                 texts):
-            if not text:
-                continue
-            matches, norm_len = self._match_span(text)
-            for surface, uri, kind in matches:
-                rows["doc_id"].append(doc_ids[doc])
-                rows["span_idx"].append(si)
-                rows["surface"].append(surface)
-                rows["concept_uri"].append(uri)
-                rows["label_kind"].append(kind)
-                rows["span_len"].append(norm_len)
+        tokens, span, size = _span_tokens(texts)
+        tok = pc.index_in(tokens, value_set=trie.vocab).fill_null(-1) \
+            .to_numpy(zero_copy_only=False).astype(np.int64)
+        best = trie.longest_at(tok, span)
+        # greedy consume: a match is kept unless a kept one covers it
+        # (matches never cross a span, so neither does a consume)
+        starts = np.flatnonzero(best >= 0)
+        ends = starts + trie.n_tokens[best[starts]]
+        kept, free = [], 0
+        for i, (s, e) in enumerate(zip(starts.tolist(), ends.tolist())):
+            if s >= free:
+                kept.append(i)
+                free = e
+        starts = starts[kept]
+        pid, sp = best[starts], span[starts]
+        # the normalized span's length: its tokens plus single spaces
+        n = len(texts)
+        span_len = (np.bincount(span, weights=size, minlength=n)
+                    + np.bincount(span, minlength=n) - 1)[sp]
         from .. import schemas
         from ..models import mention_features
 
         scores = self.scorer.predict(mention_features(
-            rows["label_kind"], rows["surface"], rows["span_len"]))
+            trie.kind[pid], trie.surface[pid], span_len))
         return pa.table(
             {
-                "doc_id": pa.array(rows["doc_id"], pa.string()),
-                "span_idx": pa.array(rows["span_idx"], pa.int32()),
-                "surface": pa.array(rows["surface"], pa.string()),
-                "concept_uri": pa.array(rows["concept_uri"], pa.string()),
-                "label_kind": pa.array(rows["label_kind"], pa.string()),
+                "doc_id": batch["doc_id"].take(parents[sp]),
+                "span_idx": pa.array(span_idx[sp], pa.int32()),
+                "surface": pa.array(trie.surface[pid], pa.string()),
+                "concept_uri": pa.array(trie.uri[pid], pa.string()),
+                "label_kind": pa.array(trie.kind[pid], pa.string()),
                 "score": pa.array(scores, pa.float32()),
             },
             schema=schemas.MENTIONS,
@@ -270,7 +328,7 @@ def link_documents(docs_ds, index_ref, *, concurrency=4,
 
     ``concurrency=None`` runs the linker as elastic TASKS: the index
     rides as an ObjectRef, and each worker process resolves it and
-    builds its automaton once (``built_once``), not once per task —
+    builds its label trie once (``built_once``), not once per task —
     right when the index is broadcast-cheap (small vocabularies), and lets
     the streaming executor use every CPU (a fixed/autoscaling actor
     pool measurably underutilizes: 9 of 16 cores busy in the scaling

@@ -52,7 +52,7 @@ def _hash_key_batch(batch: pa.Table, num_buckets: int) -> pa.Table:
     independently-seeded vectorized 64-bit hashes of the composite key
     (functions/hashing.py; was a per-row blake2b Python loop, the
     dominant Python-object cost of the flagship dedup). Integer keys
-    keep the per-bucket dedup a pure numpy lexsort — no Python-object
+    keep the per-bucket dedup one Arrow sort — no Python-object
     string comparisons — and the collision odds at corpus scale
     (~2^-60 for 10^12 distinct triples) are far below hardware error
     rates."""
@@ -68,28 +68,23 @@ def _hash_key_batch(batch: pa.Table, num_buckets: int) -> pa.Table:
 
 
 def _first_per_hash(t: pa.Table) -> pa.Table:
-    """Min-source_doc row per (_h1,_h2): numpy lexsort over the int
-    keys, run detection, and a Python tiebreak only on the (rare)
-    duplicate runs."""
+    """The min-``source_doc`` row of each (_h1, _h2) run, in input
+    order: one stable sort on (_h1, _h2, source_doc) with null
+    documents last keeps the first row of each run. UTF-8 byte order
+    is code-point order and the sort is stable, so among equal
+    documents the earliest row wins, as ``min`` over ``(doc is None,
+    doc, row)`` picks it. Without a ``source_doc`` column the earliest
+    row of each run wins."""
     if t.num_rows == 0:
         return t
-    h1 = t["_h1"].to_numpy(zero_copy_only=False)
-    h2 = t["_h2"].to_numpy(zero_copy_only=False)
-    order = np.lexsort((h2, h1))
-    h1s, h2s = h1[order], h2[order]
-    head = np.concatenate(
-        ([True], (h1s[1:] != h1s[:-1]) | (h2s[1:] != h2s[:-1])))
-    keep = order[head].copy()
-    if not head.all() and "source_doc" in t.column_names:
-        docs = t["source_doc"].to_pylist()
-        starts = np.flatnonzero(head)
-        ends = np.concatenate((starts[1:], [len(order)]))
-        for ri, (s, e) in enumerate(zip(starts, ends)):
-            if e - s > 1:
-                run = order[s:e]
-                keep[ri] = min(run, key=lambda i: (docs[i] is None,
-                                                   docs[i], i))
-    return t.take(pa.array(np.sort(keep), pa.int64()))
+    keys = [(c, "ascending") for c in ("_h1", "_h2", "source_doc")
+            if c in t.column_names]
+    order = pc.sort_indices(t, sort_keys=keys,
+                            null_placement="at_end").to_numpy()
+    h1 = t["_h1"].to_numpy(zero_copy_only=False)[order]
+    h2 = t["_h2"].to_numpy(zero_copy_only=False)[order]
+    head = np.concatenate(([True], (h1[1:] != h1[:-1]) | (h2[1:] != h2[:-1])))
+    return t.take(pa.array(np.sort(order[head]), pa.int64()))
 
 
 def dedup_triples(triples_ds, *, num_buckets: int = 64,
@@ -99,9 +94,9 @@ def dedup_triples(triples_ds, *, num_buckets: int = 64,
     ``source_doc`` is the min over duplicates (deterministic witness).
 
     Two-phase: vectorized per-batch pre-dedup (shrinks the shuffle),
-    then ONE grouping over ``_h1 % num_buckets`` with a numpy
-    per-bucket dedup — O(num_buckets) Python calls, never one per
-    distinct triple, and no Python-object comparisons.
+    then ONE grouping over ``_h1 % num_buckets`` with one sort per
+    bucket (``_first_per_hash``) — O(num_buckets) Python calls, never
+    one per distinct triple, and no Python-object comparisons.
 
     With ``coalesce=True`` the grouping is shardutil's task exchange,
     and it is eager: the call materializes its input and submits the

@@ -30,8 +30,8 @@ could not fire), then:
   the triples, one keyed on the subject and one on the object. Each
   check reads only rows whose key is the node (or label) it reports
   on: the node checks and the topConcept pair diff meet a concept's
-  subject- and object-side rows, ``duplicate_label`` groups prefLabel
-  rows by their label (the object);
+  subject- and object-side rows, ``duplicate_label`` counts the
+  distinct subjects of each prefLabel (the object);
 - ``walk_issues`` runs the cycle DFS and the depth BFS over the
   broader/narrower edge skeleton, sorted adjacency lists built by
   Arrow ``group_by``.
@@ -148,8 +148,10 @@ def set_issues(by_subj: pa.Table, by_obj: pa.Table) -> pa.Table:
     labels = labels.set_column(labels.schema.get_field_index("lang"), "lang",
                                pc.fill_null(labels["lang"], ""))
     multi = _over_one(labels, ["subj", "lang"])
-    dup = _over_one(_where(by_obj, SKOS_PREF_LABEL), ["obj"],
-                    [("subj", "min")])
+    # one row per (label, subject): a concept holding a label in two
+    # languages uses it once
+    dup = _over_one(_where(by_obj, SKOS_PREF_LABEL).group_by(
+        ["obj", "subj"]).aggregate([]), ["obj"], [("subj", "min")])
     poly = _over_one(_where(by_subj, SKOS_BROADER), ["subj"])
     return pa.concat_tables([
         _issues("error", "duplicate_uri", concept.filter(dup_uri),

@@ -519,3 +519,44 @@ def test_vocab_state_built_once_per_vocabulary(monkeypatch):
     monkeypatch.setattr(flagship, "_session_key", lambda: ("other", "job"))
     run(vt, ns=None)
     assert len(builds) == 4
+
+
+def test_graph_read_back_puts_nothing_per_file(tmp_path, monkeypatch):
+    """A warm run_flagship writing 32 partitions makes as many driver
+    puts as one writing 4: the graph read-back puts nothing per file.
+    Its graph is the written files' rows, and a run that writes no
+    file reads back the empty TRIPLES table."""
+    import ray.data as rd
+    from ray._private.worker import Worker
+
+    docs = corpus.from_flat_documents(rd.from_items(
+        [{"doc_id": f"d{i:03d}", "text": "alpha tango met charlie"}
+         for i in range(200)])).materialize()
+    vt = _alias_vocab()
+
+    def run(name, n_parts, ds=docs):
+        return run_flagship(ds, vt, preferred_ns=ALIAS_NS,
+                            link_concurrency=None, batch_size=64,
+                            out_dir=str(tmp_path / name), n_parts=n_parts)
+
+    run("warm", 4)
+    real, puts = Worker.put_object, []
+    monkeypatch.setattr(
+        Worker, "put_object",
+        lambda self, *a, **k: puts.append(n) or real(self, *a, **k))
+    graphs = {}
+    for n in (4, 32):
+        graphs[n] = run(f"p{n}", n)["graph"]
+    assert puts.count(4) == puts.count(32)
+    monkeypatch.setattr(Worker, "put_object", real)
+    for n, graph in graphs.items():
+        files = _written(str(tmp_path / f"p{n}"))
+        assert len(files) > n // 2
+        assert sorted(_rows(table_of(graph, schemas.TRIPLES))) == sorted(
+            r for part in files.values() for r in part)
+    none = corpus.from_flat_documents(rd.from_items(
+        [{"doc_id": "d", "text": "nothing to link"}]))
+    graph = run("none", 4, none)["graph"]
+    assert _written(str(tmp_path / "none")) == {}
+    assert table_of(graph, schemas.TRIPLES).equals(
+        schemas.TRIPLES.empty_table())

@@ -1,21 +1,65 @@
-"""Aho-Corasick linker core: greedy longest-match semantics.
+"""Linker core: greedy longest-match semantics.
 
-The automaton (stages/linker.py `_TokenAC`) must reproduce exactly the
+The batch linker (stages/linker.py: ``_span_tokens``, the ``_LabelTrie``
+walk and the greedy consume) must reproduce exactly the
 reference-derived matching contract: at each token position take the
 longest label starting there, consume its tokens, never re-match
 inside a consumed window (ref analogue: the exact-string label memo,
-skos_converter.py:70).
+skos_converter.py:70). ``_oracle`` states that contract directly, one
+span at a time, and every test compares the stage with it.
 """
 
 from __future__ import annotations
 
+import pyarrow as pa
+
+from skosconverter_ray import schemas
+from skosconverter_ray.functions.text import normalize_surface
 from skosconverter_ray.stages.linker import LinkerStage
 
+_MENTION = ("surface", "concept_uri", "label_kind")
 
-def _matches(index: dict, text: str):
-    st = LinkerStage(index)
-    st._resolve()
-    return st._match_span(text)[0]
+
+def _oracle(index: dict, text: str) -> tuple[list[tuple], int]:
+    """(surface, uri, kind) of the greedy longest-match labels of one
+    span text, and its normalized length: at each token, the longest
+    ``" ".join(tokens[i:i + n])`` in the index is taken and its tokens
+    consumed."""
+    norm = normalize_surface(text)
+    tokens = norm.split(" ") if norm else []
+    longest = max((s.count(" ") + 1 for s in index), default=0)
+    out, i = [], 0
+    while i < len(tokens):
+        for n in range(min(longest, len(tokens) - i), 0, -1):
+            surface = " ".join(tokens[i:i + n])
+            if surface in index:
+                out.append((surface, *index[surface]))
+                i += n
+                break
+        else:
+            i += 1
+    return out, len(norm)
+
+
+def _span(text):
+    return {"kind": "text", "text": text, "media_ref": "", "offset": 0}
+
+
+def _docs(rows) -> pa.Table:
+    return pa.table({
+        "doc_id": pa.array([d for d, _ in rows], pa.string()),
+        "spans": pa.array([s for _, s in rows],
+                          pa.list_(schemas.SPAN_STRUCT)),
+    }, schema=schemas.DOCUMENTS)
+
+
+def _matches(index: dict, text: str) -> list[tuple]:
+    """The stage's mentions of a one-span document, checked against
+    the oracle."""
+    out = LinkerStage(index)(_docs([("d", [_span(text)])]))
+    got = list(zip(*(out[c].to_pylist() for c in _MENTION)))
+    assert got == _oracle(index, text)[0]
+    return got
 
 
 def test_longest_match_wins():
@@ -35,8 +79,8 @@ def test_consumed_tokens_not_rematched():
 
 
 def test_fail_link_suffix_match():
-    # 'a b x' never completes, but its suffix 'b' is a label reached
-    # via the fail transition mid-path
+    # 'a b x' never completes, but its suffix 'b' is a label that
+    # starts inside the broken path
     idx = {"a b x": ("uri:abx", "pref"), "b": ("uri:b", "alt")}
     assert _matches(idx, "a b c") == [("b", "uri:b", "alt")]
 
@@ -109,7 +153,7 @@ def test_linker_stage_scores_from_model():
 
 def test_automaton_built_once_per_process_per_ref(monkeypatch):
     """A linker task gets a pickled copy of the stage (the ref only);
-    copies in one process build the automaton once per index ref, and
+    copies in one process build the label trie once per index ref, and
     a new ref builds it again."""
     import pickle
 
@@ -120,8 +164,8 @@ def test_automaton_built_once_per_process_per_ref(monkeypatch):
     from skosconverter_ray.stages import linker
 
     built = []
-    real = linker._TokenAC
-    monkeypatch.setattr(linker, "_TokenAC",
+    real = linker._LabelTrie
+    monkeypatch.setattr(linker, "_LabelTrie",
                         lambda idx: built.append(idx) or real(idx))
     monkeypatch.setattr(linker, "_BUILT", {})
     batch = pa.table({
@@ -139,17 +183,18 @@ def test_automaton_built_once_per_process_per_ref(monkeypatch):
     assert len(built) == 2
 
 
-def _row_loop_mentions(stage: LinkerStage, batch) -> list[tuple]:
-    """Mention tuples from the per-row ``spans.to_pylist()`` loop (the
-    transcription the flattened read must equal)."""
+def _row_loop_mentions(index: dict, batch) -> list[tuple]:
+    """Mention tuples of the oracle over the per-row
+    ``spans.to_pylist()`` loop, each with its span's normalized
+    length."""
     out = []
     for doc_id, spans in zip(batch["doc_id"].to_pylist(),
                              batch["spans"].to_pylist()):
         for si, span in enumerate(spans or []):
             if not span["text"]:
                 continue
-            for surface, uri, kind in stage._match_span(span["text"])[0]:
-                out.append((doc_id, si, surface, uri, kind))
+            found, norm_len = _oracle(index, span["text"])
+            out += [(doc_id, si, *m, norm_len) for m in found]
     return out
 
 
@@ -157,40 +202,101 @@ def test_flattened_spans_match_row_loop():
     """The flattened span read gives the row loop's mentions, span
     indices and order on a sliced, two-chunk batch with null span
     lists, empty lists and empty or null texts."""
-    import pyarrow as pa
-
-    from skosconverter_ray import schemas
-
-    def span(text):
-        return {"kind": "text", "text": text, "media_ref": "", "offset": 0}
-
     docs = [
-        ("d0", [span("new york")]),
-        ("d1", [span(""), span("z new york city z")]),
+        ("d0", [_span("new york")]),
+        ("d1", [_span(""), _span("z new york city z")]),
         ("d2", None),
         ("d3", []),
-        ("d4", [span(None), span("nothing"), span("z z")]),
-        ("d5", [span("new york"), span("NEW YORK CITY")]),
+        ("d4", [_span(None), _span("nothing"), _span("z z")]),
+        ("d5", [_span("new york"), _span("NEW YORK CITY")]),
         ("d6", None),
-        ("d7", [span("z")]),
+        ("d7", [_span("z")]),
     ]
-
-    def table(rows):
-        return pa.table({
-            "doc_id": [d for d, _ in rows],
-            "spans": pa.array([s for _, s in rows],
-                              pa.list_(schemas.SPAN_STRUCT)),
-        }, schema=schemas.DOCUMENTS)
 
     idx = {"new york": ("uri:ny", "pref"),
            "new york city": ("uri:nyc", "alt"), "z": ("uri:z", "hidden")}
     st = LinkerStage(idx)
-    whole = pa.concat_tables([table(docs[:5]), table(docs[5:])])
+    whole = pa.concat_tables([_docs(docs[:5]), _docs(docs[5:])])
     for batch in (whole, whole.slice(1), whole.slice(2, 5),
-                  table(docs).slice(3, 4), whole.slice(8)):
+                  _docs(docs).slice(3, 4), whole.slice(8)):
         out = st(batch)
-        want = _row_loop_mentions(st, batch)
+        want = [m[:-1] for m in _row_loop_mentions(idx, batch)]
         assert list(zip(*(out[c].to_pylist() for c in
-                          ("doc_id", "span_idx", "surface", "concept_uri",
-                           "label_kind")))) == want
-    assert len(_row_loop_mentions(st, whole)) == 9
+                          ("doc_id", "span_idx", *_MENTION)))) == want
+    assert len(_row_loop_mentions(idx, whole)) == 9
+
+
+# label and text pieces: ASCII case, Python-only whitespace (\x1c,
+# \x85, NBSP, ideographic space) inside and between words, and letters
+# whose lower case is longer or non-ASCII (İ -> i̇, ß, É)
+_PIECES = ["a", "B", "c", "d", "İ", "ß", "É", "é", "x\x1cy", "q\x85r"]
+_SEPS = [" ", "  ", "\t", "\r\n", "\x0b", "\x0c", "\x1c", "\x1f", "\x85",
+         "\xa0", "\u3000"]
+
+
+def _random_case(seed: int) -> tuple[dict, pa.Table]:
+    """A random label index and a documents table over shared words."""
+    import random
+
+    r = random.Random(seed)
+
+    def text(words):
+        sep = [r.choice(_SEPS) for _ in words]
+        body = "".join(w + s for w, s in zip(words, sep))
+        edge = r.choice(["", r.choice(_SEPS)])
+        return edge + (body[:-len(sep[-1])] if words else "") + edge
+
+    words = ["".join(r.choices(_PIECES, k=r.randint(1, 2)))
+             for _ in range(r.randint(1, 8))]
+    index = {}
+    for _ in range(r.randint(0, 10)):
+        norm = normalize_surface(text(r.choices(words, k=r.randint(1, 4))))
+        index.setdefault(norm, (f"uri:{seed}:{len(index)}",
+                                r.choice(["pref", "alt", "hidden"])))
+    rows = []
+    for d in range(r.randint(1, 7)):
+        if r.random() < 0.15:
+            rows.append((f"d{d}", None))
+            continue
+        spans = []
+        for _ in range(r.randint(0, 6)):
+            kind = r.random()
+            if kind < 0.1:
+                spans.append(_span(None))
+            elif kind < 0.2:
+                spans.append(_span(r.choice(["", " ", "\x1c", "\r\n"])))
+            else:
+                ws = [w.upper() if r.random() < 0.2 else w
+                      for w in r.choices(words + ["z"], k=r.randint(1, 9))]
+                spans.append(_span(text(ws)))
+        rows.append((f"d{d}", spans))
+    return index, _docs(rows)
+
+
+def test_random_batches_match_oracle():
+    """Seeded random indexes and documents: the stage gives the
+    oracle's mentions row for row, and its scores are the scorer's on
+    the oracle's rows (``mention_features`` over the surfaces and
+    normalized span lengths), on two-chunk and sliced batches."""
+    import numpy as np
+
+    from skosconverter_ray.models import MentionScorer, mention_features
+
+    scorer = MentionScorer()
+    rows = 0
+    for seed in range(300):
+        index, docs = _random_case(seed)
+        cut = docs.num_rows // 2
+        two = pa.concat_tables([docs.slice(0, cut), docs.slice(cut)])
+        for batch in (two, two.slice(seed % 3), docs.slice(1, 3)):
+            out = LinkerStage(index)(batch)
+            want = _row_loop_mentions(index, batch)
+            assert list(zip(*(out[c].to_pylist() for c in
+                              ("doc_id", "span_idx", *_MENTION)))) \
+                == [m[:-1] for m in want], seed
+            scores = scorer.predict(mention_features(
+                [m[4] for m in want], [m[2] for m in want],
+                [m[5] for m in want]))
+            assert np.array_equal(out["score"].to_numpy(), scores), seed
+            rows += len(want)
+    assert rows > 5_000

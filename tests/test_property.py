@@ -136,6 +136,78 @@ def test_dedup_matches_set_semantics(ray_session, raw):
     assert sorted(got) == sorted(set(rows))
 
 
+# witnesses: ASCII, non-ASCII and non-BMP, so byte and code-point
+# orders would part if UTF-8 did not keep them equal
+_DOCS = ["d1", "d2", "D3", "é", "z", "\uffff", "\U0001f600"]
+
+
+def _witness_table(seed: int) -> pa.Table:
+    """Seeded triples in duplicate runs whose ``source_doc`` values are
+    all null, all equal or mixed, with lang null/"" and literal
+    null/False (one key each) and a null-typed ``source_doc`` now and
+    then."""
+    import random
+
+    r = random.Random(seed)
+    rows = []
+    for k in range(r.randint(1, 12)):
+        mode = r.choice(["null", "equal", "mixed"])
+        doc = r.choice(_DOCS)
+        for _ in range(r.randint(1, 5)):
+            rows.append({
+                "subj": f"s{k % 4}", "pred": f"p{k % 3}", "obj": f"o{k}",
+                "obj_is_literal": r.choice([None, False]) if k % 2
+                else True,
+                "lang": r.choice([None, ""]),
+                "source_doc": None if mode == "null" else doc
+                if mode == "equal" else r.choice([None, *_DOCS])})
+    r.shuffle(rows)
+    t = pa.Table.from_pylist(rows, schema=schemas.TRIPLES)
+    if all(d is None for d in t["source_doc"].to_pylist()) and seed % 2:
+        t = t.set_column(5, "source_doc", pa.nulls(t.num_rows))
+    return t
+
+
+def _old_witness_rows(t: pa.Table) -> list[dict]:
+    """The earlier dedup rule, transcribed: of each (subj, pred, obj,
+    literal, lang) key, with null literal as False and null lang as "",
+    the row ``i`` with the least ``(doc is None, doc, i)``, in input
+    order."""
+    rows = t.to_pylist()
+    best = {}
+    for i, row in enumerate(rows):
+        key = (row["subj"], row["pred"], row["obj"],
+               bool(row["obj_is_literal"]), row["lang"] or "")
+        doc = row["source_doc"]
+        best[key] = min(best.get(key, (True, "", len(rows))),
+                        (doc is None, doc or "", i))
+    return [rows[i] for i in sorted(i for _, _, i in best.values())]
+
+
+def test_dedup_witness_matches_old_rule(ray_session):
+    """``dedup_table`` keeps the old rule's rows in its order, and
+    ``dedup_triples`` (both branches) its row set, on tables whose
+    duplicate runs hold null, equal and mixed documents."""
+    from skosconverter_ray.stages.triples import dedup_table
+
+    def key(row):
+        return tuple((v is None, str(v)) for v in row.values())
+
+    for seed in range(200):
+        t = _witness_table(seed)
+        want = _old_witness_rows(t)
+        assert dedup_table(t).to_pylist() == want, seed
+        if seed % 40 == 0:
+            ds = rd.from_arrow([t.slice(0, t.num_rows // 2),
+                                t.slice(t.num_rows // 2)])
+            for coalesce in (False, True):
+                got = [r for b in dedup_triples(ds, num_buckets=4,
+                                                coalesce=coalesce)
+                       .iter_batches(batch_format="pyarrow")
+                       for r in b.cast(schemas.TRIPLES).to_pylist()]
+                assert sorted(got, key=key) == sorted(want, key=key), seed
+
+
 def test_distributed_canonicalization_matches_driver_path(
         ray_session, monkeypatch):
     """Force the distributed label-propagation path (driver threshold 0)

@@ -303,9 +303,30 @@ def test_blocks_dataset_matches_from_arrow_refs(ray_session):
 
 
 # Contract tests for the helpers that read Ray Data 2.49 internals
-# (``_logical_plan.dag.output_data()``, ``plan._snapshot_bundle``):
+# (``get_table_block_metadata_schema``, ``_logical_plan.dag.output_data()``,
+# ``plan._snapshot_bundle``):
 # each is pinned against its public equivalent, so a Ray upgrade that
 # changes those internals fails here instead of reading stale blocks.
+
+@pytest.mark.parametrize("n", [200, 0])
+def test_block_meta_matches_from_arrow(ray_session, n):
+    """``block_meta`` (Ray Data's private table-metadata builder)
+    reports what ``rd.from_arrow(t).materialize()`` reports for the
+    same table: rows, size in bytes and schema, non-empty and
+    zero-row."""
+    from skosconverter_ray.stages.shardutil import block_meta
+
+    t = pa.table({"k": pa.array(range(n), pa.int64()),
+                  "s": [f"s{i}" for i in range(n)]},
+                 schema=pa.schema([("k", pa.int64()), ("s", pa.string())]))
+    got = block_meta(t)
+    (bundle,) = rd.from_arrow(t).materialize().iter_internal_ref_bundles()
+    ((_, want),) = bundle.blocks
+    assert (got.num_rows, got.size_bytes) == (want.num_rows,
+                                              want.size_bytes) \
+        == (n, t.nbytes)
+    assert got.schema == want.schema == bundle.schema == t.schema
+
 
 def _bundle_blocks(ds) -> list[tuple]:
     return [(ref.hex(), m.size_bytes or 0)

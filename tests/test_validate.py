@@ -178,6 +178,33 @@ def test_triple_asserted_twice_is_one_triple(tmp_path, ray_session):
     assert gate(issues)
 
 
+@pytest.mark.parametrize("above_gate", [False, True])
+def test_duplicate_label_counts_subjects(ray_session, monkeypatch,
+                                         above_gate):
+    """One concept holding a prefLabel in two languages uses it once:
+    ``duplicate_label`` counts the distinct subjects of a label, on
+    both sides of the SKOS size gate."""
+    import ray.data as rd
+
+    from skosconverter_ray import schemas
+    from skosconverter_ray.config import SKOS_PREF_LABEL
+    from skosconverter_ray.stages import concepts
+
+    if above_gate:
+        monkeypatch.setattr(concepts, "DRIVER_MAX_TRIPLES", 0)
+    A, B, C = NS + "a", NS + "b", NS + "c"
+    rows = [(A, "Paris", "en"), (A, "Paris", "fr"), (B, "Lyon", "en"),
+            (B, "Lyon", "fr"), (C, "Lyon", "en")]
+    t = pa.Table.from_pylist(
+        [{"subj": s, "pred": SKOS_PREF_LABEL, "obj": o,
+          "obj_is_literal": True, "lang": lang, "source_doc": None}
+         for s, o, lang in rows], schema=schemas.TRIPLES)
+    df = validate(rd.from_arrow(t)).to_pandas()
+    dup = df[df["check"] == "duplicate_label"]
+    assert list(zip(dup["subject"], dup["detail"])) == [
+        (B, "label 'Lyon' used by 2 subjects")]
+
+
 def test_gate_flip_pathology_fixture(issues, monkeypatch):
     """Above the SKOS size gate (forced: DRIVER_MAX_TRIPLES = 0) the
     per-bucket checks plus the collected-skeleton walks give exactly
