@@ -4,6 +4,7 @@
 N-Triples subset covering exactly what the reference emits and reads:
 absolute ``<uri>`` terms and literals with optional ``@lang`` tags
 (reference loaders skos_converter.py:548-582; serializer 1551-1583).
+A statement outside that subset is an error, not a dropped triple.
 
 Reader: one line per triple makes the format block-parallel, so
 ``read_text`` shards by line ranges and every batch parses on its own.
@@ -28,8 +29,14 @@ from ..stages.concepts import table_of
 _LINE_RE = re.compile(
     r"^<(?P<s>[^>]*)>\s+<(?P<p>[^>]*)>\s+"
     r"(?:<(?P<o_uri>[^>]*)>|\"(?P<o_lit>(?:[^\"\\]|\\.)*)\""
-    r"(?:@(?P<lang>[A-Za-z0-9-]+))?)\s*\.\s*$"
+    r"(?:@(?P<lang>[A-Za-z0-9-]+))?)\s*\.\s*(?:#.*)?$"
 )
+# any statement of the full grammar: IRIs, blank nodes, literals with
+# a language tag or a datatype
+_TERM = (r'(?:<[^>]*>|_:\S+|"(?:[^"\\]|\\.)*"'
+         r'(?:@[A-Za-z0-9-]+|\^\^<[^>]*>)?)')
+_STATEMENT_RE = re.compile(
+    rf"^{_TERM}\s+{_TERM}\s+{_TERM}\s*\.\s*(?:#.*)?$")
 
 
 def _unescape(s: str) -> str:
@@ -39,7 +46,11 @@ def _unescape(s: str) -> str:
 
 
 def parse_lines_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
-    """Batch of N-Triples lines -> triples rows (bad lines dropped)."""
+    """Batch of N-Triples lines -> triples rows. Blank, comment and
+    malformed lines (no N-Triples statement at all) are skipped, so one
+    bad line does not fail a batch; a statement the subset cannot hold
+    (a blank node, a ``^^<datatype>`` literal) raises ``ValueError``
+    quoting it, instead of losing its triple."""
     rows = []
     for line in batch[text_col].to_pylist():
         line = (line or "").strip()
@@ -47,6 +58,10 @@ def parse_lines_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
             continue
         m = _LINE_RE.match(line)
         if not m:
+            if _STATEMENT_RE.match(line):
+                raise ValueError(
+                    "N-Triples statement outside this reader's subset "
+                    f"(absolute IRIs, plain or @lang literals): {line!r}")
             continue
         if m["o_uri"] is not None:
             rows.append((m["s"], m["p"], m["o_uri"], False, None))

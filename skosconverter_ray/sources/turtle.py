@@ -290,19 +290,24 @@ def _read_file(filesystem, path: str) -> tuple:
     return t, block_meta(t)
 
 
-def read_turtle(paths):
-    """Turtle file(s) or directories -> materialized triples Dataset:
-    one ``_read_file`` task per file (module docstring). Paths resolve
-    and directories expand as ``rd.read_binary_files`` does (Ray Data
-    internals, as of ray 2.49.2); a missing path raises
-    ``FileNotFoundError`` here."""
+def _expand(paths) -> tuple:
+    """``(files, filesystem)``: file(s) or directories resolved and
+    expanded as ``rd.read_binary_files`` does (Ray Data internals, as
+    of ray 2.49.2); a missing path raises ``FileNotFoundError``."""
     from ray.data.datasource.file_meta_provider import _expand_paths
     from ray.data.datasource.path_util import _resolve_paths_and_filesystem
 
+    paths, fs = _resolve_paths_and_filesystem(paths)
+    return [path for path, _ in _expand_paths(paths, fs, None)], fs
+
+
+def read_turtle(paths):
+    """Turtle file(s) or directories -> materialized triples Dataset:
+    one ``_read_file`` task per file (module docstring), over the files
+    ``_expand`` lists."""
     from ..stages.shardutil import blocks_dataset
 
-    paths, fs = _resolve_paths_and_filesystem(paths)
-    files = [path for path, _ in _expand_paths(paths, fs, None)]
+    files, fs = _expand(paths)
     if not files:
         raise ValueError(f"no files to read under {paths}")
     outs = [_read_file.remote(fs, path) for path in files]

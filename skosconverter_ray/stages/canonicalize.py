@@ -96,11 +96,18 @@ def canonical_map(triples_ds, *, max_rounds: int = 64,
                                 num_buckets=num_buckets, engine=engine)
 
 
+def _min_rows(keys: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Row of the min of ``vals`` for each distinct key, in key
+    order."""
+    o = np.lexsort((vals, keys))
+    return o[np.unique(keys[o], return_index=True)[1]]
+
+
 class _CCShard:
-    """One connected-components shard (run by shardutil.ShardGroup;
-    see components_min_label). Holds the label state and adjacency for
-    nodes with ``bucket_of(node) == b``. A round is hash-min with
-    pointer jumping, three RPC waves:
+    """One connected-components shard, a table kernel run on
+    shardutil.ShardGroup (see components_min_label). Holds the label
+    state and adjacency for nodes with ``bucket_of(node) == b``. A
+    round is hash-min with pointer jumping, three waves:
 
     - **emit**: changed nodes push their label to every neighbor
       (labels only decrease, so unchanged nodes have nothing new to
@@ -119,157 +126,88 @@ class _CCShard:
                  preferred_ns: str | None):
         self.b, self.B, self.ns = bucket, n_buckets, preferred_ns
 
-    def load(self, edge_refs) -> int:
-        """Arrow/numpy shard state (round-4 rewrite of the dict-of-
-        tuple-lists loader, which held ~5-10x the Arrow footprint and
-        loaded single-threaded): one sort of the edge table into CSR
-        adjacency — object-dtype numpy views share the PyStr objects,
-        no per-edge tuples/lists. Peer routing buckets are hashed on
-        the SAME flattened (CSR) order they are emitted in."""
-        import ray
-
+    def load(self, t: pa.Table) -> int:
+        """Arrow/numpy shard state (round 4): one sort of the edge
+        table into CSR adjacency — object-dtype numpy views share the
+        PyStr objects, no per-edge tuples/lists. Peer routing buckets
+        are hashed on the SAME flattened (CSR) order they are emitted
+        in."""
         from ..functions.hashing import bucket_of
 
-        tbls = [t for t in ray.get(list(edge_refs)) if t.num_rows]
-        t = pa.concat_tables(tbls) if tbls else pa.table(
-            {"node": pa.array([], pa.string()),
-             "peer": pa.array([], pa.string())})
-        node = t["node"].combine_chunks()
-        order = pc.sort_indices(node)
-        node_s = node.take(order)
-        peer_s = t["peer"].combine_chunks().take(order)
-        node_np = node_s.to_numpy(zero_copy_only=False)
+        order = pc.sort_indices(t["node"])
+        node_np = t["node"].take(order).to_numpy()
+        peer_s = t["peer"].take(order)
         self.nodes_np, starts = np.unique(node_np, return_index=True)
-        n = len(self.nodes_np)
         self.nodes = pa.array(self.nodes_np, pa.string())
         self.off = np.append(starts.astype(np.int64), len(node_np))
-        self.peers = peer_s.to_numpy(zero_copy_only=False)
-        self.peer_bk = (bucket_of(peer_s, self.B)
-                        .to_numpy(zero_copy_only=False)
-                        if len(self.peers) else np.empty(0, np.int32))
+        self.peers = peer_s.to_numpy()
+        self.peer_bk = bucket_of(peer_s, self.B) \
+            .to_numpy(zero_copy_only=False)
         # seed: min(rank(self), min rank(peer)) per CSR segment —
         # segments are non-empty by construction (nodes come from edges)
-        self_rank = _rank_array(self.nodes, self.ns) \
+        self.label = _rank_array(self.nodes, self.ns) \
             .to_numpy(zero_copy_only=False)
-        if n:
+        if len(self.peers):
             peer_rank = _rank_array(peer_s, self.ns) \
                 .to_numpy(zero_copy_only=False)
-            seg_min = np.minimum.reduceat(peer_rank, self.off[:-1])
-            self.label = np.minimum(self_rank, seg_min)
-        else:
-            self.label = self_rank
-        self.changed = np.arange(n, dtype=np.int64)
-        return n
+            self.label = np.minimum(
+                self.label, np.minimum.reduceat(peer_rank, self.off[:-1]))
+        self.changed = np.arange(len(self.nodes_np), dtype=np.int64)
+        return len(self.nodes_np)
 
-    def emit(self):
-        import ray
-
+    def emit(self) -> tuple:
+        """-> (one min-candidate table per peer, one jump-request
+        table per peer)."""
         from ..functions.hashing import bucket_of
+        from .shardutil import by_bucket, csr_edges
 
-        msgs = [None] * self.B
-        ch = self.changed
-        cnt = self.off[ch + 1] - self.off[ch] if ch.size else \
-            np.empty(0, np.int64)
-        total = int(cnt.sum()) if ch.size else 0
-        if total:
-            # CSR expansion: flat edge indices of every changed node
-            idx = (np.repeat(self.off[ch], cnt)
-                   + np.arange(total)
-                   - np.repeat(np.cumsum(cnt) - cnt, cnt))
-            dsts = self.peers[idx]
-            labs = np.repeat(self.label[ch], cnt)
-            bks = self.peer_bk[idx]
-            for b in range(self.B):
-                sel = np.where(bks == b)[0]
-                if not sel.size:
-                    continue
-                d, l = dsts[sel], labs[sel]
-                # pre-aggregate min label per dst before shipping
-                o = np.lexsort((l, d))
-                uniq, st = np.unique(d[o], return_index=True)
-                msgs[b] = ray.put(pa.table({
-                    "node": pa.array(uniq, pa.string()),
-                    "cand": pa.array(l[o][st], pa.string())}))
+        idx, src = csr_edges(self.off, self.changed)
         self.changed = np.empty(0, np.int64)
+        # pre-aggregate the min label per dst before shipping
+        dst, cand = self.peers[idx], self.label[src]
+        r = _min_rows(dst, cand)
+        msgs = by_bucket(pa.table({"node": pa.array(dst[r], pa.string()),
+                                   "cand": pa.array(cand[r], pa.string())}),
+                         self.peer_bk[idx[r]], self.B)
         # jump requests: one per DISTINCT label, routed to the label's
         # owner shard; answers broadcast back to every local holder
-        reqs = [None] * self.B
-        uniq_lab = np.unique(self.label)
-        if uniq_lab.size:
-            lab_pa = pa.array(uniq_lab, pa.string())
-            tb = bucket_of(pc.utf8_slice_codeunits(lab_pa, 2), self.B) \
-                .to_numpy(zero_copy_only=False)
-            for b in range(self.B):
-                sel = np.where(tb == b)[0]
-                if sel.size:
-                    reqs[b] = ray.put(pa.array(uniq_lab[sel], pa.string()))
+        lab = pa.array(np.unique(self.label), pa.string())
+        reqs = by_bucket(pa.table({"lab": lab}), bucket_of(
+            pc.utf8_slice_codeunits(lab, 2), self.B)
+            .to_numpy(zero_copy_only=False), self.B)
         return msgs, reqs
 
-    def serve(self, req_refs):
-        import ray
-
+    def serve(self, req: pa.Table) -> list:
         # answers are keyed by the label string itself (requesters are
-        # anonymous), so ONE (lab -> label(lab)) table is put once and
-        # its ref broadcast to every shard — one row per distinct
-        # label per round
-        parts = [np.asarray(a.to_numpy(zero_copy_only=False))
-                 for a in ray.get(list(req_refs))]
-        labs = np.unique(np.concatenate(parts)) if parts else \
-            np.empty(0, object)
-        if not labs.size:
-            return [None] * self.B
-        lab_pa = pa.array(labs, pa.string())
-        iv = pc.index_in(pc.utf8_slice_codeunits(lab_pa, 2),
+        # anonymous), so ONE (lab -> label(lab)) table goes to every
+        # shard — one row per distinct label per round
+        labs = pa.array(np.unique(req["lab"].to_numpy()), pa.string())
+        iv = pc.index_in(pc.utf8_slice_codeunits(labs, 2),
                          value_set=self.nodes)
-        valid = pc.is_valid(iv).to_numpy(zero_copy_only=False)
-        if not valid.any():
-            return [None] * self.B
-        ivn = iv.to_numpy(zero_copy_only=False)[valid].astype(np.int64)
-        ref = ray.put(pa.table({
-            "lab": pa.array(labs[valid], pa.string()),
-            "lab2": pa.array(self.label[ivn], pa.string())}))
-        return [ref] * self.B
+        valid = pc.is_valid(iv)
+        ivn = iv.filter(valid).to_numpy(zero_copy_only=False)
+        return [pa.table({
+            "lab": labs.filter(valid),
+            "lab2": pa.array(self.label[ivn.astype(np.int64)],
+                             pa.string())})] * self.B
 
-    def apply(self, msg_refs, ans_refs) -> int:
-        import ray
-
-        n = len(self.nodes_np)
-        changed = np.zeros(n, bool)
-        for tbl in ray.get(list(msg_refs)):
-            iv = pc.index_in(tbl["node"].combine_chunks(),
-                             value_set=self.nodes)
-            ivn = iv.to_numpy(zero_copy_only=False)
-            valid = pc.is_valid(iv).to_numpy(zero_copy_only=False)
-            cand = tbl["cand"].combine_chunks() \
-                .to_numpy(zero_copy_only=False)
-            sel = np.where(valid)[0]
-            ii = ivn[sel].astype(np.int64)
-            take = cand[sel] < self.label[ii]
-            self.label[ii[take]] = cand[sel][take]
-            changed[ii[take]] = True
+    def apply(self, msg: pa.Table, ans: pa.Table) -> int:
+        old = self.label.copy()
+        iv = pc.index_in(msg["node"], value_set=self.nodes)
+        valid = pc.is_valid(iv)
+        np.minimum.at(self.label, iv.filter(valid)
+                      .to_numpy(zero_copy_only=False).astype(np.int64),
+                      msg["cand"].filter(valid).to_numpy())
         # pointer jumping: label -> min label(label) over all answers
-        la_parts, l2_parts = [], []
-        for tbl in ray.get(list(ans_refs)):
-            la_parts.append(tbl["lab"].combine_chunks()
-                            .to_numpy(zero_copy_only=False))
-            l2_parts.append(tbl["lab2"].combine_chunks()
-                            .to_numpy(zero_copy_only=False))
-        if la_parts:
-            la = np.concatenate(la_parts)
-            l2 = np.concatenate(l2_parts)
-            o = np.lexsort((l2, la))
-            u, st = np.unique(la[o], return_index=True)
-            best = l2[o][st]
-            pos = np.searchsorted(u, self.label)
-            inb = pos < len(u)
-            hit = np.where(inb)[0]
-            hit = hit[u[pos[hit]] == self.label[hit]]
-            cand = best[pos[hit]]
-            upd = cand < self.label[hit]
-            self.label[hit[upd]] = cand[upd]
-            changed[hit[upd]] = True
-        self.changed = np.where(changed)[0].astype(np.int64)
-        return int(changed.sum())
+        la, l2 = ans["lab"].to_numpy(), ans["lab2"].to_numpy()
+        r = _min_rows(la, l2)
+        u, best = la[r], l2[r]
+        pos = np.searchsorted(u, self.label)
+        hit = np.flatnonzero(pos < len(u))
+        hit = hit[u[pos[hit]] == self.label[hit]]
+        self.label[hit] = np.minimum(self.label[hit], best[pos[hit]])
+        self.changed = np.flatnonzero(self.label != old)
+        return len(self.changed)
 
     def result(self) -> pa.Table:
         lab_pa = pa.array(self.label, pa.string())

@@ -93,93 +93,56 @@ def _lpa_driver(norm_ds, *, n_iter: int):
 
 
 class _LPAShard:
-    """One label shard: nodes with ``bucket_of(node) == b`` plus every
-    symmetrized edge whose SRC hashes here (vote emission is local).
-    Per round: ``emit`` pre-aggregates (dst, label, count) per peer and
-    ships one table ref each; ``apply`` folds inbound counts, picks the
-    per-dst mode and reports how many labels changed."""
+    """One label shard, a table kernel run on shardutil.ShardGroup:
+    nodes with ``bucket_of(node) == b`` plus every symmetrized edge
+    whose SRC hashes here (vote emission is local). Per round:
+    ``emit`` pre-aggregates (dst, label, count) and returns one table
+    per peer; ``apply`` folds inbound counts, picks the per-dst mode
+    and reports how many labels changed."""
 
     def __init__(self, bucket: int, n_buckets: int):
         self.b, self.B = bucket, n_buckets
 
-    def load(self, src_edge_refs, dst_edge_refs) -> int:
-        """Arrow-native loader (round 5 — same treatment as
-        _KCoreShard): edge destinations live once in a local
-        dictionary; routing and per-wave vote aggregation work on
-        int64 codes, and the only string materialization per wave is
-        one dictionary take over the DISTINCT (dst, label) winners."""
-        import ray
+    def load(self, edges: pa.Table, dst_edges: pa.Table) -> int:
+        """Arrow-native loader (round 5): edge destinations live once
+        in a local dictionary; routing and per-wave vote aggregation
+        work on int64 codes, and the only string materialization per
+        wave is one dictionary take over the DISTINCT (dst, label)
+        winners."""
+        from .shardutil import dict_buckets, node_set, positions
 
-        from ..functions.hashing import bucket_of
-
-        etbls = [t for t in ray.get(list(src_edge_refs)) if t.num_rows]
-        edges = (pa.concat_tables(etbls) if etbls
-                 else pa.table({"src": pa.array([], pa.string()),
-                                "dst": pa.array([], pa.string())}))
-        dtbls = [t for t in ray.get(list(dst_edge_refs)) if t.num_rows]
-        local_dsts = (pa.concat_tables(dtbls)["dst"].combine_chunks()
-                      if dtbls else pa.array([], pa.string()))
-        src_col = edges["src"].combine_chunks()
-        uniq = pc.unique(pa.chunked_array([src_col, local_dsts]))
-        nodes_pa = uniq.take(pc.sort_indices(uniq))
-        self.nodes = np.asarray(nodes_pa.to_pylist(), dtype=object)
-        self.nodes_pa = nodes_pa
-        src_idx = pc.index_in(src_col, value_set=nodes_pa)
-        if edges.num_rows and pc.any(pc.is_null(src_idx)).as_py():
-            raise AssertionError("edge src outside its label shard")
-        self.src_idx = src_idx.to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        denc = edges["dst"].combine_chunks().dictionary_encode()
-        self.d_dict = denc.dictionary
-        self.d_c = denc.indices.to_numpy(zero_copy_only=False) \
-            .astype(np.int64) if edges.num_rows else \
-            np.empty(0, np.int64)
-        dict_bk = (bucket_of(self.d_dict, self.B)
-                   .to_numpy(zero_copy_only=False)
-                   if len(self.d_dict) else np.empty(0, np.int32))
-        dbk = dict_bk[self.d_c] if len(self.d_c) else \
-            np.empty(0, np.int32)
-        self.route = [np.flatnonzero(dbk == t) for t in range(self.B)]
+        nodes = node_set(edges["src"], dst_edges["dst"])
+        self.nodes = np.asarray(nodes.to_pylist(), dtype=object)
+        self.src_idx = positions(edges["src"], nodes)
+        self.d_dict, self.d_c, self.dict_bk = dict_buckets(edges["dst"],
+                                                           self.B)
         self.labels = self.nodes.copy()  # own id
         return len(self.nodes)
 
-    def emit(self):
-        import ray
+    def emit(self) -> list:
+        from .shardutil import by_bucket
 
         # per-wave label dictionary: labels are node-id strings from a
         # set that grows only by incoming winners, so encode ONCE per
         # wave and aggregate votes on packed int keys
-        lbl_pa = pa.array(self.labels.tolist(), pa.string())
-        enc = lbl_pa.dictionary_encode()
-        l_dict = enc.dictionary
+        enc = pa.array(self.labels.tolist(), pa.string()).dictionary_encode()
+        L = np.int64(max(1, len(enc.dictionary)))
         l_codes = enc.indices.to_numpy(zero_copy_only=False) \
             .astype(np.int64)
-        lbl_e = l_codes[self.src_idx]
-        L = np.int64(max(1, len(l_dict)))
-        refs = []
-        for sel in self.route:
-            if sel.size == 0:
-                refs.append(None)
-                continue
-            key = self.d_c[sel] * L + lbl_e[sel]
-            uk, cnt = np.unique(key, return_counts=True)
-            kd, kl = uk // L, uk % L
-            refs.append(ray.put(pa.table({
-                "dst": self.d_dict.take(pa.array(kd, pa.int64())),
-                "lbl": l_dict.take(pa.array(kl, pa.int64())),
-                "cnt": pa.array(cnt, pa.int64())})))
-        return refs
+        uk, cnt = np.unique(self.d_c * L + l_codes[self.src_idx],
+                            return_counts=True)
+        kd = uk // L
+        return by_bucket(pa.table({
+            "dst": self.d_dict.take(pa.array(kd, pa.int64())),
+            "lbl": enc.dictionary.take(pa.array(uk % L, pa.int64())),
+            "cnt": pa.array(cnt, pa.int64())}), self.dict_bk[kd], self.B)
 
-    def apply(self, msg_refs) -> int:
-        import ray
-
-        tbls = [t for t in ray.get(list(msg_refs)) if t.num_rows]
-        if not tbls:
+    def apply(self, msg: pa.Table) -> int:
+        if not msg.num_rows:
             return 0
-        msg = pa.concat_tables(tbls)
         d = np.asarray(msg["dst"].to_pylist(), dtype=object)
         l = np.asarray(msg["lbl"].to_pylist(), dtype=object)
-        c = msg["cnt"].to_numpy(zero_copy_only=False)
+        c = msg["cnt"].to_numpy()
         d_u, l_win = _mode_per_dst(d, l, c)
         idx = np.searchsorted(self.nodes, d_u)
         ok = (idx < len(self.nodes)) & (self.nodes[np.minimum(

@@ -146,83 +146,42 @@ def _pagerank_driver(norm_ds, *, damping: float, n_iter: int,
 
 
 class _PRShard:
-    """One Pregel-style rank shard (run by shardutil.ShardGroup).
+    """One Pregel-style rank shard, a table kernel run on
+    shardutil.ShardGroup.
 
     Holds the rank partition for nodes with ``bucket_of(node) == b``
     plus every edge whose SRC hashes to ``b`` — so message emission is
     entirely local (a node's rank and its out-edges co-locate by
     construction). Per round the shard pre-aggregates its messages per
-    destination and ships ONE compact (dst, m) table ref per peer;
-    message tables move actor→actor through the object store, the
-    driver only relays refs and scalars."""
+    destination and returns ONE compact (node, m) table per peer."""
 
     def __init__(self, bucket: int, n_buckets: int, damping: float,
                  seeds=None):
         self.b, self.B, self.d = bucket, n_buckets, damping
         self.seeds = seeds
 
-    def load(self, src_edge_refs, dst_edge_refs) -> int:
+    def load(self, edges: pa.Table, dst_edges: pa.Table) -> tuple:
         """Zero-exchange setup (round 4): the shard derives its OWN
         node set from two task-level splits of the raw edges — srcs of
-        the src-sharded split and dsts of the dst-sharded split both
-        hash to this bucket, and every node appears in one of them.
-        Edge shards hash by src with the same hash, so out-degree,
-        per-edge 1/deg and the dangling flag are all LOCAL too. (This
-        replaced a distinct-nodes aggregate, a deg aggregate and two
-        cogroup joins of driver-side setup — every pre-actor
-        exchange.) Returns the local node count; the driver folds the
-        total and calls ``init`` with it — returns (local nodes,
-        local seeds) so the personalized mode folds both scalars."""
-        import ray
+        the src-sharded split (``edges``) and dsts of the dst-sharded
+        split (``dst_edges``) both hash to this bucket, and every node
+        appears in one of them. Edge shards hash by src with the same
+        hash, so out-degree, per-edge 1/deg and the dangling flag are
+        all LOCAL too. Returns (local nodes, local seeds); the driver
+        folds both and calls ``init`` with the totals."""
+        from .shardutil import SumRoutes, node_set, positions
 
-        from ..functions.hashing import bucket_of
-
-        etbls = [t for t in ray.get(list(src_edge_refs)) if t.num_rows]
-        edges = (pa.concat_tables(etbls) if etbls
-                 else pa.table({"src": pa.array([], pa.string()),
-                                "dst": pa.array([], pa.string())}))
-        dtbls = [t for t in ray.get(list(dst_edge_refs)) if t.num_rows]
-        local_dsts = (pa.concat_tables(dtbls)["dst"].combine_chunks()
-                      if dtbls else pa.array([], pa.string()))
-        src_col = edges["src"].combine_chunks()
-        self.nodes = pa.array(np.unique(np.concatenate((
-            src_col.to_numpy(zero_copy_only=False),
-            local_dsts.to_numpy(zero_copy_only=False)))), pa.string())
-        n = len(self.nodes)
-
-        src_idx = pc.index_in(src_col, value_set=self.nodes)
-        if edges.num_rows and pc.any(pc.is_null(src_idx)).as_py():
-            raise AssertionError("edge src outside its rank shard")
-        self.src_idx = src_idx.to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        deg = np.bincount(self.src_idx, minlength=n) if n else \
-            np.zeros(0, np.int64)
+        self.nodes = node_set(edges["src"], dst_edges["dst"])
+        self.src_idx = positions(edges["src"], self.nodes)
+        deg = np.bincount(self.src_idx, minlength=len(self.nodes))
         self.dang = deg == 0
-        self.inv_deg = 1.0 / np.maximum(deg[self.src_idx], 1) \
-            if len(self.src_idx) else np.empty(0, np.float64)
-        dst = edges["dst"].combine_chunks()
-        dst_np = np.asarray(dst.to_pylist(), dtype=object)
-        dbk = bucket_of(dst, self.B).to_numpy(zero_copy_only=False) \
-            if edges.num_rows else np.empty(0, np.int32)
-        # per peer: emission order + unique dsts + reduceat offsets,
-        # precomputed ONCE so a round is pure vectorized arithmetic
-        self.route = []
-        for t in range(self.B):
-            sel = np.where(dbk == t)[0]
-            if sel.size == 0:
-                self.route.append(None)
-                continue
-            order = sel[np.argsort(dst_np[sel], kind="stable")]
-            uniq, starts = np.unique(dst_np[order], return_index=True)
-            self.route.append(
-                (order, pa.array(uniq.tolist(), pa.string()), starts))
-        nodes_np = self.nodes.to_numpy(zero_copy_only=False)
-        self._seed_mask = (np.isin(
-            nodes_np, np.asarray(sorted(self.seeds), dtype=object))
-            if self.seeds is not None else None)
-        k_local = int(self._seed_mask.sum()) \
-            if self._seed_mask is not None else 0
-        return len(self.nodes), k_local
+        self.inv_deg = 1.0 / np.maximum(deg[self.src_idx], 1)
+        self.route = SumRoutes(edges["dst"], self.B)
+        self._seed_mask = None if self.seeds is None else pc.is_in(
+            self.nodes, value_set=pa.array(sorted(self.seeds), pa.string())
+        ).to_numpy(zero_copy_only=False)
+        return len(self.nodes), \
+            0 if self.seeds is None else int(self._seed_mask.sum())
 
     def init(self, n_nodes: int, k_seeds: int = 0) -> None:
         """Second setup wave: teleport/reset weights once the driver
@@ -236,36 +195,18 @@ class _PRShard:
                                   1.0 / max(1, k_seeds), 0.0)
         self.rank = self.reset.copy()
 
-    def emit(self):
-        import ray
+    def emit(self) -> tuple:
+        """-> (local dangling mass, one message table per peer)."""
+        return (float(self.rank[self.dang].sum()),
+                self.route.tables(self.rank[self.src_idx] * self.inv_deg))
 
-        m_all = self.rank[self.src_idx] * self.inv_deg
-        refs = []
-        for r in self.route:
-            if r is None:
-                refs.append(None)
-                continue
-            order, uniq, starts = r
-            sums = np.add.reduceat(m_all[order], starts)
-            refs.append(ray.put(pa.table({"dst": uniq,
-                                          "m": sums})))
-        dang_local = float(self.rank[self.dang].sum())
-        return dang_local, refs
-
-    def apply(self, msg_refs, scale: float) -> float:
+    def apply(self, msg: pa.Table, scale: float) -> float:
         """``scale`` = (1-d) + d*dangling_mass; the teleport term is
         scale * reset(v), which reduces to the old uniform base when
         reset is 1/N."""
-        import ray
+        from .shardutil import scatter_add
 
-        acc = np.zeros(len(self.nodes))
-        for tbl in ray.get(list(msg_refs)):
-            idx = pc.index_in(tbl["dst"].combine_chunks(),
-                              value_set=self.nodes)
-            np.add.at(acc, idx.to_numpy(zero_copy_only=False)
-                      .astype(np.int64),
-                      tbl["m"].to_numpy(zero_copy_only=False))
-        new = scale * self.reset + self.d * acc
+        new = scale * self.reset + self.d * scatter_add(self.nodes, msg, "m")
         delta = float(np.abs(new - self.rank).max()) if len(new) else 0.0
         self.rank = new
         return delta
@@ -573,68 +514,32 @@ def _hits_driver(norm_ds, *, n_iter: int):
 
 
 class _HITSShard:
-    """One hubs/authorities shard (run by shardutil.ShardGroup). Owns the
-    (hub, auth) state for nodes hashing to its bucket plus BOTH edge
-    splits: src-sharded edges emit hub mass toward dsts (the auth
-    half-round), dst-sharded edges emit auth mass toward srcs (the hub
-    half-round) — each half-round's messages read only LOCAL state, so
-    a round is two emit/apply RPC waves and two scalar folds (the L2
-    norms), zero Dataset exchanges. Route tables for both directions
-    precompute once in load(), same shape as _PRShard."""
+    """One hubs/authorities shard, a table kernel run on
+    shardutil.ShardGroup. Owns the (hub, auth) state for nodes hashing
+    to its bucket plus BOTH edge splits: src-sharded edges emit hub
+    mass toward dsts (the auth half-round), dst-sharded edges emit auth
+    mass toward srcs (the hub half-round) — each half-round's messages
+    read only LOCAL state, so a round is two emit/apply waves and two
+    scalar folds (the L2 norms), zero Dataset exchanges. Both
+    directions' routes are built once in load(), as in _PRShard."""
 
     def __init__(self, bucket: int, n_buckets: int):
         self.b, self.B = bucket, n_buckets
 
-    @staticmethod
-    def _routes(key_np, n_buckets):
-        from ..functions.hashing import bucket_of
+    def load(self, se: pa.Table, de: pa.Table) -> int:
+        """``se``: edges whose src hashes here; ``de``: edges whose dst
+        does."""
+        from .shardutil import SumRoutes, node_set, positions
 
-        if len(key_np) == 0:
-            return [None] * n_buckets
-        bk = bucket_of(pa.array(key_np.tolist(), pa.string()),
-                       n_buckets).to_numpy(zero_copy_only=False)
-        routes = []
-        for t in range(n_buckets):
-            sel = np.where(bk == t)[0]
-            if sel.size == 0:
-                routes.append(None)
-                continue
-            order = sel[np.argsort(key_np[sel], kind="stable")]
-            uniq, starts = np.unique(key_np[order], return_index=True)
-            routes.append(
-                (order, pa.array(uniq.tolist(), pa.string()), starts))
-        return routes
-
-    def load(self, src_edge_refs, dst_edge_refs) -> int:
-        import ray
-
-        def cat(refs, schema_cols):
-            tbls = [t for t in ray.get(list(refs)) if t.num_rows]
-            return (pa.concat_tables(tbls) if tbls
-                    else pa.table({c: pa.array([], pa.string())
-                                   for c in schema_cols}))
-
-        se = cat(src_edge_refs, ("src", "dst"))   # src hashes here
-        de = cat(dst_edge_refs, ("src", "dst"))   # dst hashes here
-        s_src = se["src"].combine_chunks()
-        d_dst = de["dst"].combine_chunks()
-        self.nodes = pa.array(np.unique(np.concatenate((
-            s_src.to_numpy(zero_copy_only=False),
-            d_dst.to_numpy(zero_copy_only=False)))), pa.string())
+        self.nodes = node_set(se["src"], de["dst"])
         # auth half-round: hub mass flows src -> dst over src-sharded
         # edges; h(src) is local
-        si = pc.index_in(s_src, value_set=self.nodes)
-        self.h_src_idx = si.to_numpy(zero_copy_only=False) \
-            .astype(np.int64) if se.num_rows else np.empty(0, np.int64)
-        self.auth_routes = self._routes(
-            np.asarray(se["dst"].to_pylist(), dtype=object), self.B)
+        self.h_src_idx = positions(se["src"], self.nodes)
+        self.auth_routes = SumRoutes(se["dst"], self.B)
         # hub half-round: auth mass flows dst -> src over dst-sharded
         # edges; a(dst) is local
-        di = pc.index_in(d_dst, value_set=self.nodes)
-        self.a_dst_idx = di.to_numpy(zero_copy_only=False) \
-            .astype(np.int64) if de.num_rows else np.empty(0, np.int64)
-        self.hub_routes = self._routes(
-            np.asarray(de["src"].to_pylist(), dtype=object), self.B)
+        self.a_dst_idx = positions(de["dst"], self.nodes)
+        self.hub_routes = SumRoutes(de["src"], self.B)
         return len(self.nodes)
 
     def init(self, n_nodes: int) -> None:
@@ -642,48 +547,23 @@ class _HITSShard:
         self.h = np.full(len(self.nodes), v)
         self.a = np.full(len(self.nodes), v)
 
-    def _emit(self, state, idx, routes):
-        import ray
+    def emit_auth(self) -> list:
+        return self.auth_routes.tables(self.h[self.h_src_idx])
 
-        m_all = state[idx]
-        refs = []
-        for r in routes:
-            if r is None:
-                refs.append(None)
-                continue
-            order, uniq, starts = r
-            refs.append(ray.put(pa.table(
-                {"node": uniq,
-                 "m": np.add.reduceat(m_all[order], starts)})))
-        return refs
+    def emit_hub(self) -> list:
+        return self.hub_routes.tables(self.a[self.a_dst_idx])
 
-    def emit_auth(self):
-        return self._emit(self.h, self.h_src_idx, self.auth_routes)
+    def apply_auth(self, msg: pa.Table) -> float:
+        from .shardutil import scatter_add
 
-    def emit_hub(self):
-        return self._emit(self.a, self.a_dst_idx, self.hub_routes)
+        self.a = scatter_add(self.nodes, msg, "m")
+        return float((self.a * self.a).sum())
 
-    def _apply(self, msg_refs) -> tuple[float, np.ndarray]:
-        import ray
+    def apply_hub(self, msg: pa.Table) -> float:
+        from .shardutil import scatter_add
 
-        acc = np.zeros(len(self.nodes))
-        for tbl in ray.get(list(msg_refs)):
-            idx = pc.index_in(tbl["node"].combine_chunks(),
-                              value_set=self.nodes)
-            np.add.at(acc, idx.to_numpy(zero_copy_only=False)
-                      .astype(np.int64),
-                      tbl["m"].to_numpy(zero_copy_only=False))
-        return float((acc * acc).sum()), acc
-
-    def apply_auth(self, msg_refs) -> float:
-        ssq, acc = self._apply(msg_refs)
-        self.a = acc
-        return ssq
-
-    def apply_hub(self, msg_refs) -> float:
-        ssq, acc = self._apply(msg_refs)
-        self.h = acc
-        return ssq
+        self.h = scatter_add(self.nodes, msg, "m")
+        return float((self.h * self.h).sum())
 
     def scale_auth(self, norm: float) -> None:
         if norm > 0:
@@ -781,92 +661,51 @@ def _kcore_driver(src: np.ndarray, dst: np.ndarray, k: int):
 
 
 class _KCoreShard:
-    """Deletion-Pregel shard: owns alive/degree state for nodes
-    hashing to its bucket plus ALL incident edges (the undirected
-    graph ships both directions, sharded by source — so a node's full
-    adjacency is local). A round: locally find nodes dying (alive,
-    degree < k), emit per-peer decrement counts for their neighbors,
-    apply incoming decrements. State only shrinks, so the fixpoint
-    (no shard reports deaths) is reached in at most n rounds and
-    usually a handful."""
+    """Deletion-Pregel shard, a table kernel run on
+    shardutil.ShardGroup: owns alive/degree state for nodes hashing to
+    its bucket plus ALL incident edges (the undirected graph ships both
+    directions, sharded by source — so a node's full adjacency is
+    local). A round: locally find nodes dying (alive, degree < k),
+    emit per-peer decrement counts for their neighbors, apply incoming
+    decrements. State only shrinks, so the fixpoint (no shard reports
+    deaths) is reached in at most n rounds and usually a handful."""
 
     def __init__(self, bucket: int, n_buckets: int, k: int):
         self.b, self.B, self.k = bucket, n_buckets, k
 
-    def load(self, edge_refs) -> int:
-        """Arrow-native loader (round 5 — the object-dtype rewrite
-        that _TreeShard/_CCShard got in round 4): neighbor strings
-        live ONCE in a local dictionary; adjacency, per-edge target
-        buckets and every emit wave work on int32/int64 codes."""
-        import ray
+    def load(self, edges: pa.Table) -> int:
+        """Neighbor strings live ONCE in a local dictionary; the CSR
+        adjacency and every emit wave work on int64 codes."""
+        from .shardutil import dict_buckets, node_set, positions
 
-        from ..functions.hashing import bucket_of
-
-        tbls = [t for t in ray.get(list(edge_refs)) if t.num_rows]
-        edges = (pa.concat_tables(tbls) if tbls
-                 else pa.table({"src": pa.array([], pa.string()),
-                                "dst": pa.array([], pa.string())}))
-        src = edges["src"].combine_chunks()
-        uniq = pc.unique(src)
-        self.nodes = uniq.take(pc.sort_indices(uniq))
+        self.nodes = node_set(edges["src"])
         n = len(self.nodes)
-        si = pc.index_in(src, value_set=self.nodes) \
-            .to_numpy(zero_copy_only=False).astype(np.int64) \
-            if edges.num_rows else np.empty(0, np.int64)
-        denc = edges["dst"].combine_chunks().dictionary_encode()
-        self.d_dict = denc.dictionary
-        d_codes = denc.indices.to_numpy(zero_copy_only=False) \
-            .astype(np.int64) if edges.num_rows else \
-            np.empty(0, np.int64)
+        si = positions(edges["src"], self.nodes)
+        self.d_dict, d_codes, self.dict_bk = dict_buckets(edges["dst"],
+                                                          self.B)
         order = np.argsort(si, kind="stable")
-        self.s_s, self.d_c = si[order], d_codes[order]
-        self.starts = np.searchsorted(self.s_s, np.arange(n))
-        self.ends = np.searchsorted(self.s_s, np.arange(n),
-                                    side="right")
-        self.deg = np.bincount(si, minlength=n) if n else \
-            np.zeros(0, np.int64)
+        self.d_c = d_codes[order]
+        self.off = np.searchsorted(si[order], np.arange(n + 1))
+        self.deg = np.bincount(si, minlength=n)
         self.alive = np.ones(n, bool)
-        # one hash per DISTINCT neighbor, broadcast to edges by code
-        dict_bk = (bucket_of(self.d_dict, self.B)
-                   .to_numpy(zero_copy_only=False)
-                   if len(self.d_dict) else np.empty(0, np.int32))
-        self.dbk = dict_bk[self.d_c] if len(self.d_c) else \
-            np.empty(0, np.int32)
         return n
 
-    def step_emit(self):
-        """-> (n_dying, per-peer decrement-table refs)."""
-        import ray
+    def step_emit(self) -> tuple:
+        """-> (n_dying, one decrement table per peer)."""
+        from .shardutil import by_bucket, csr_edges
 
         dying = np.flatnonzero(self.alive & (self.deg < self.k))
-        refs = [None] * self.B
-        if dying.size:
-            self.alive[dying] = False
-            parts = [slice(self.starts[u], self.ends[u]) for u in dying]
-            nbrs = np.concatenate([self.d_c[p] for p in parts]) \
-                if parts else np.empty(0, np.int64)
-            bks = np.concatenate([self.dbk[p] for p in parts]) \
-                if parts else np.empty(0, np.int32)
-            for t in range(self.B):
-                sel = nbrs[bks == t]
-                if sel.size == 0:
-                    continue
-                uniq_c, cnt = np.unique(sel, return_counts=True)
-                refs[t] = ray.put(pa.table({
-                    "node": self.d_dict.take(
-                        pa.array(uniq_c, pa.int64())),
-                    "dec": pa.array(cnt, pa.int64())}))
-        return int(dying.size), refs
+        self.alive[dying] = False
+        uc, cnt = np.unique(self.d_c[csr_edges(self.off, dying)[0]],
+                            return_counts=True)
+        return len(dying), by_bucket(pa.table({
+            "node": self.d_dict.take(pa.array(uc, pa.int64())),
+            "dec": pa.array(cnt, pa.int64())}), self.dict_bk[uc], self.B)
 
-    def apply(self, msg_refs) -> None:
-        import ray
+    def apply(self, msg: pa.Table) -> None:
+        from .shardutil import scatter_add
 
-        for tbl in ray.get(list(msg_refs)):
-            idx = pc.index_in(tbl["node"].combine_chunks(),
-                              value_set=self.nodes)
-            ix = idx.to_numpy(zero_copy_only=False).astype(np.int64)
-            np.subtract.at(self.deg, ix,
-                           tbl["dec"].to_numpy(zero_copy_only=False))
+        self.deg -= scatter_add(self.nodes, msg, "dec")
 
     def result(self) -> pa.Table:
         return pa.table({"node": self.nodes,

@@ -20,9 +20,10 @@ header rows. Where the kernels run is the SKOS size gate
 - ``actors``: the skeleton kernel runs per uri bucket after one
   ``shardutil.multiway_cogroup_scatter`` of triples (on ``subj``) and
   edges (on ``child``), the edges move once more to their parent's
-  bucket, the scheme table is broadcast, and the propagation runs on
-  ``ShardGroup(_TreeActor, B)`` (``_TreeShard`` passing its candidate
-  tables as object refs). No driver-sized state.
+  bucket, the scheme table is broadcast, and the same ``_TreeShard``
+  runs on ``ShardGroup(_TreeShard, B)``, whose trampoline moves its
+  candidate tables between actors as object refs. No driver-sized
+  state.
 
 Why propagation equals the reference DFS: each concept has exactly one
 display parent (min parent URI), so the hierarchy is a functional
@@ -176,9 +177,8 @@ class _TreeShard:
     target shard (a null path when the node is unplaced or at the depth
     cap); ``apply`` sets each receiving node to the smaller of its own
     root placement and the candidate and returns the changed count, 0
-    meaning done. Works on tables only: run in-process as
-    ``_TreeShard(0, 1, max_depth)`` or on ``ShardGroup`` through
-    ``_TreeActor``."""
+    meaning done. A table kernel: run in-process as
+    ``_TreeShard(0, 1, max_depth)`` or on shardutil.ShardGroup."""
 
     def __init__(self, bucket: int, n_buckets: int, max_depth: int):
         self.b, self.B, self.max_depth = bucket, n_buckets, max_depth
@@ -240,12 +240,11 @@ class _TreeShard:
         self.e_child = child.to_numpy(zero_copy_only=False)
         self.e_seg = e["seg"].combine_chunks().take(order) \
             .to_numpy(zero_copy_only=False)
-        self.e_cbk = bucket_of(child, self.B).to_numpy(zero_copy_only=False) \
-            if len(child) else np.empty(0, np.int32)
+        self.e_cbk = bucket_of(child, self.B).to_numpy(zero_copy_only=False)
         self.off = np.searchsorted(np.sort(pidx), np.arange(n + 1))
         return n
 
-    def _merge(self, t: pa.Table) -> int:
+    def apply(self, t: pa.Table) -> int:
         """Each candidate row's node becomes min(own root placement,
         candidate); a null candidate path leaves the root placement (or
         none). Changed nodes join the frontier; returns their count.
@@ -267,22 +266,17 @@ class _TreeShard:
         return int(changed.sum())
 
     def emit(self) -> list:
-        """One candidate table per target shard (``None`` = nothing)."""
-        msgs = [None] * self.B
-        ch, self.frontier = self.frontier, np.empty(0, np.int64)
-        cnt = self.off[ch + 1] - self.off[ch]
-        total = int(cnt.sum())
-        if not total:
-            return msgs
-        # CSR expansion of every out-edge of the frontier
-        idx = (np.repeat(self.off[ch], cnt) + np.arange(total)
-               - np.repeat(np.cumsum(cnt) - cnt, cnt))
-        src = np.repeat(ch, cnt)
+        """One candidate table per target shard."""
+        from .shardutil import by_bucket, csr_edges
+
+        # every out-edge of the frontier
+        idx, src = csr_edges(self.off, self.frontier)
+        self.frontier = np.empty(0, np.int64)
         cur = {k: v[src] for k, v in self.cur.items()}
         # a child past max_depth is cut off (the reference dfs bound)
         ok = np.not_equal(cur["path"], None) \
             & (cur["depth"] < self.max_depth)
-        path = np.full(total, None, object)
+        path = np.full(len(idx), None, object)
         path[ok] = cur["path"][ok] + self.e_seg[idx[ok]]
         cand = pa.table({
             "uri": pa.array(self.e_child[idx], pa.string()),
@@ -292,13 +286,7 @@ class _TreeShard:
             "parent_title": pa.array(self.label[src], pa.string()),
             "scheme_label": pa.array(cur["scheme_label"], pa.string()),
         })
-        bks = self.e_cbk[idx]
-        for b in np.unique(bks):
-            msgs[b] = cand.filter(pa.array(bks == b))
-        return msgs
-
-    def apply(self, msgs) -> int:
-        return sum(self._merge(t) for t in msgs)
+        return by_bucket(cand, self.e_cbk[idx], self.B)
 
     def result(self) -> pa.Table:
         """TREE_ROWS of this shard's concepts; the never-placed ones
@@ -335,21 +323,6 @@ class _TreeShard:
             definition=UNASSIGNED_DEF, level=0)])
 
 
-class _TreeActor(_TreeShard):
-    """``_TreeShard`` on ShardGroup: candidate tables travel
-    actor-to-actor as object refs; the driver relays refs only."""
-
-    def emit(self) -> list:
-        import ray
-
-        return [m if m is None else ray.put(m) for m in super().emit()]
-
-    def apply(self, msg_refs) -> int:
-        import ray
-
-        return super().apply(ray.get(list(msg_refs)))
-
-
 def build_tree_rows(triples_ds, cfg: EngineConfig | None = None,
                     *, engine: str = "auto"):
     """triples -> globally ordered tree_rows Dataset (schema TREE_ROWS),
@@ -364,7 +337,7 @@ def build_tree_rows(triples_ds, cfg: EngineConfig | None = None,
     schemes = scheme_table(skel)
     shard = _TreeShard(0, 1, cfg.max_hierarchy_depth)
     shard.load(skel, child_edges(skel), schemes)
-    while shard.apply([m for m in shard.emit() if m is not None]):
+    while shard.apply(*shard.emit()):
         pass
     rows = pa.concat_tables([shard.result(),
                              _headers(schemes, [shard.headers()])])
@@ -395,7 +368,7 @@ def _build_on_actors(triples, cfg: EngineConfig):
     if not len(skel_refs) == len(edge_refs) == B:
         raise RuntimeError("bucket exchange lost its one-block-per-bucket "
                            "layout")
-    with ShardGroup(_TreeActor, B, cfg.max_hierarchy_depth) as g:
+    with ShardGroup(_TreeShard, B, cfg.max_hierarchy_depth) as g:
         g.wave("load", skel_refs, edge_refs, schemes=ray.put(schemes))
         while sum(g.wave("apply", g.relay(g.wave("emit")))):
             pass

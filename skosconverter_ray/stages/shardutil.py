@@ -5,10 +5,16 @@ task-level hash exchanges.
 PageRank/PPR, HITS and k-core shards (stages/graph.py), the
 label-propagation shards (communities.py), the union-find shards
 (canonicalize.py) and the tree-order propagation shards
-(hierarchy.py). A shard class supplies ``load``/``emit``/``apply``
-style methods over numpy state plus ``result() -> pa.Table``; the
-group creates the actors, runs synchronous waves, relays each wave's
-B×B per-peer message refs and collects the results.
+(hierarchy.py). A shard class is a table kernel: its methods take
+``pa.Table`` and scalar arguments and return tables and scalars, and
+it never touches Ray. The group creates the actors and runs
+synchronous waves through one actor-side trampoline (``_call``), which
+fetches and concatenates the split parts and inbox refs a shard is
+handed and puts the per-peer outbox tables it returns, so the driver
+relays each wave's B×B message refs and never a message row. The
+shard-kernel helpers below (``node_set``, ``positions``,
+``dict_buckets``, ``SumRoutes``, ``scatter_add``, ``csr_edges``,
+``by_bucket``) are the numpy/Arrow steps the shard classes share.
 
 Every grouping of rows by bucket in the engine (bar
 ``dedup_triples``' uncoalesced branch) runs on one task exchange,
@@ -22,8 +28,8 @@ cut the same way). When one split run and one gather run cover the
 input (a small input on one CPU), one task does both. Three
 consumers build on it:
 
-- ``split_dataset_by_bucket``: shard actors ``ray.get`` exactly their
-  column of refs at load (the driver relays refs, never rows);
+- ``split_dataset_by_bucket``: a shard's column of part refs reaches
+  it as one table (the driver relays refs, never rows);
 - ``scatter_apply_by_value`` gathers each bucket of rows that already
   carry an int bucket id and applies ``fn`` to it (dedup, sessions,
   aggregates, scans, per-bucket query bodies);
@@ -50,17 +56,19 @@ contract Ray Data itself offers for a failed all-to-all."""
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 
 class ShardGroup:
-    """``n_shards`` zero-CPU actors of ``shard_cls``, constructed as
-    ``shard_cls(b, n_shards, *args)``, killed when the ``with`` block
-    exits (normally or not).
+    """``n_shards`` zero-CPU actors of the table kernel ``shard_cls``,
+    constructed as ``shard_cls(b, n_shards, *args)``, killed when the
+    ``with`` block exits (normally or not).
 
     Split the inputs (``split_dataset_by_bucket``) BEFORE entering:
-    the actors reserve no CPUs, but they block in ``load`` on the
-    split tasks, and B actors reserving B x num_cpus would starve
+    the actors reserve no CPUs, but they block in their first wave on
+    the split tasks, and B actors reserving B x num_cpus would starve
     those tasks (the actor-pool live-lock pitfall). The actors work
     in short serialized waves, so zero CPUs is the honest
     reservation."""
@@ -83,23 +91,24 @@ class ShardGroup:
             ray.kill(s)
 
     def wave(self, method: str, *per_shard, **broadcast) -> list:
-        """One synchronous wave: ``method`` on every shard, results in
-        shard order. Shard ``b`` gets the ``b``-th item of each
-        positional sequence, then every keyword argument as is."""
+        """One synchronous wave: ``method`` on every shard through
+        ``_call``, results in shard order. Shard ``b`` gets the
+        ``b``-th item of each positional sequence, then every keyword
+        argument as is; an item that is a list of refs (a split
+        column, a relay inbox) arrives as one table, and a list of
+        tables the method returns comes back as a list of refs."""
         import ray
 
         return ray.get([
-            getattr(s, method).remote(*(a[b] for a in per_shard),
-                                      **broadcast)
+            s.__ray_call__.remote(_call, method,
+                                  *(a[b] for a in per_shard), **broadcast)
             for b, s in enumerate(self.shards)])
 
     def relay(self, outs) -> list[list]:
-        """B per-shard lists of B peer refs (``None`` = nothing for
-        that peer) -> B inboxes; inbox ``t`` holds every ref addressed
-        to shard ``t``. The driver moves refs, never message rows."""
-        B = self.B
-        return [[outs[b][t] for b in range(B) if outs[b][t] is not None]
-                for t in range(B)]
+        """B outboxes of B peer refs -> B inboxes; inbox ``t`` holds the
+        ref every shard addressed to shard ``t``, in shard order. The
+        driver moves refs, never message rows."""
+        return [list(inbox) for inbox in zip(*outs)]
 
     def collect(self):
         """Every shard's ``result()`` table as one materialized
@@ -113,9 +122,121 @@ class ShardGroup:
         return blocks_dataset([t for t, _ in outs], metas)
 
 
+def _call(shard, method: str, *args, **kwargs):
+    """``shard.method(*args, **kwargs)`` on the shard's actor, with the
+    object-store work the table kernel leaves out: every list of refs
+    in ``args`` is fetched and concatenated in list order
+    (``_concat``), and every list of tables in the result (or in an
+    item of a returned tuple) is put, coming back as a list of refs.
+    A table returned for several peers is put once, and so is the
+    zero-row table of each schema."""
+    import ray
+
+    def put(out):
+        if not (isinstance(out, list)
+                and all(isinstance(t, pa.Table) for t in out)):
+            return out
+        refs: dict = {}
+        keys = [id(t) if t.num_rows else t.schema for t in out]
+        for k, t in zip(keys, out):
+            if k not in refs:
+                refs[k] = ray.put(t)
+        return [refs[k] for k in keys]
+
+    args = [_concat(ray.get(a)) if isinstance(a, list) else a for a in args]
+    out = getattr(shard, method)(*args, **kwargs)
+    return tuple(map(put, out)) if isinstance(out, tuple) else put(out)
+
+
+def _concat(tables: list) -> pa.Table:
+    """``tables`` as one table, in order. Zero-row parts add nothing;
+    with no rows at all the widest part is returned (a schema-less
+    empty block Ray Data can leave has no columns), so an empty split
+    bucket or inbox keeps the schema of the input it came from."""
+    got = [t for t in tables if t.num_rows]
+    if not got:
+        return max(tables, key=lambda t: t.num_columns)
+    return pa.concat_tables(got).combine_chunks()
+
+
 def _result_meta(shard) -> tuple:
     t = shard.result()
     return t, block_meta(t)
+
+
+# Shard-kernel helpers: the numpy/Arrow steps the shard classes share.
+
+def node_set(*cols) -> pa.Array:
+    """The sorted distinct values of the string columns ``cols``
+    (``pa.ChunkedArray``): a shard's node dictionary."""
+    u = pc.unique(pa.chunked_array([c for col in cols for c in col.chunks],
+                                   pa.string()))
+    return u.take(pc.sort_indices(u))
+
+
+def positions(values, nodes: pa.Array) -> np.ndarray:
+    """int64 position of each of ``values`` in ``nodes`` (every value
+    must be one of them)."""
+    return pc.index_in(values, value_set=nodes) \
+        .to_numpy(zero_copy_only=False).astype(np.int64)
+
+
+def dict_buckets(values, B: int) -> tuple:
+    """String column -> ``(dictionary, codes, buckets)``: its distinct
+    values, each row's int64 code into them and each distinct value's
+    ``bucket_of`` id, so a column is hashed once per distinct value and
+    row ``i`` goes to peer ``buckets[codes[i]]``."""
+    from ..functions.hashing import bucket_of
+
+    if isinstance(values, pa.ChunkedArray):
+        values = values.combine_chunks()
+    enc = values.dictionary_encode()
+    return (enc.dictionary,
+            enc.indices.to_numpy(zero_copy_only=False).astype(np.int64),
+            bucket_of(enc.dictionary, B).to_numpy(zero_copy_only=False))
+
+
+class SumRoutes:
+    """Per-peer routing of sum-combined messages along edges keyed by
+    ``keys`` (one target string per edge), built once at load. Each
+    wave, ``tables(values)`` sums the per-edge ``values`` per distinct
+    target, in edge order, and returns one ``(node, m)`` table per
+    peer holding the targets that hash to it."""
+
+    def __init__(self, keys, B: int):
+        d, self.codes, bk = dict_buckets(keys, B)
+        self.n = len(d)
+        self.peers = [np.flatnonzero(bk == t) for t in range(B)]
+        self.targets = [d.take(pa.array(p, pa.int64())) for p in self.peers]
+
+    def tables(self, values: np.ndarray) -> list[pa.Table]:
+        s = np.bincount(self.codes, weights=values, minlength=self.n)
+        return [pa.table({"node": n, "m": s[p]})
+                for n, p in zip(self.targets, self.peers)]
+
+
+def scatter_add(nodes: pa.Array, msg: pa.Table, col: str) -> np.ndarray:
+    """Per-node sums of ``msg[col]`` over rows keyed by ``msg["node"]``
+    (each one of ``nodes``), added in row order."""
+    vals = msg[col].to_numpy()
+    acc = np.zeros(len(nodes), vals.dtype)
+    np.add.at(acc, positions(msg["node"], nodes), vals)
+    return acc
+
+
+def csr_edges(off: np.ndarray, rows: np.ndarray) -> tuple:
+    """Every edge of ``rows`` in a CSR adjacency with offsets ``off``:
+    ``(flat edge positions, the row of each)``, row by row."""
+    cnt = off[rows + 1] - off[rows]
+    idx = (np.repeat(off[rows], cnt) + np.arange(int(cnt.sum()))
+           - np.repeat(np.cumsum(cnt) - cnt, cnt))
+    return idx, np.repeat(rows, cnt)
+
+
+def by_bucket(t: pa.Table, bk: np.ndarray, B: int) -> list[pa.Table]:
+    """``t``'s rows split by their bucket ids ``bk`` into ``B``
+    tables, zero-row where a bucket gets none."""
+    return [t.filter(pa.array(bk == b)) for b in range(B)] if B > 1 else [t]
 
 
 # The helpers below use Ray Data internals (as of ray 2.49.2):
@@ -244,7 +365,6 @@ def _split_blocks(blocks, col: str, B: int, to_bucket) -> list[pa.Table]:
     schema-less empties Ray Data can leave) add no rows; with no
     others the parts are zero-row, which every consumer drops. A
     bucket id outside ``[0, B)`` raises instead of losing its row."""
-    import numpy as np
     from ray.data.block import BlockAccessor
 
     tbls = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
@@ -256,7 +376,7 @@ def _split_blocks(blocks, col: str, B: int, to_bucket) -> list[pa.Table]:
     if not ((bk >= 0) & (bk < B)).all():
         raise ValueError(f"bucket id of {col!r} outside "
                          f"[0, {B}): {bk.min()}..{bk.max()}")
-    return [tbl.filter(pa.array(bk == t)) for t in range(B)]
+    return by_bucket(tbl, bk, B)
 
 
 def _split_runs(groups: list[list], col: str, B: int,
@@ -346,9 +466,6 @@ def _hash_key(values, B: int):
     millions of ids to strings for the polars hash cost more than the
     exchange itself), functions.hashing.bucket_of over the string
     form otherwise."""
-    import numpy as np
-    import pyarrow.compute as pc
-
     from ..functions.hashing import bucket_of
 
     if pa.types.is_integer(values.type):

@@ -111,3 +111,36 @@ def test_constant_true_oracle_columns_are_own_output_checks():
     found = {(name, col) for name, sql in ORACLE_SQL.items()
              for col in re.findall(r"\btrue\s+AS\s+(\w+)", sql, re.I)}
     assert found == _OWN_OUTPUT_CHECKS
+
+
+def test_shard_classes_are_table_kernels():
+    """No ``_*Shard`` class under ``stages/`` names ``ray`` (no import,
+    no ``ray.get``/``ray.put``): the shards take and return tables, and
+    shardutil.ShardGroup's trampoline does the object-store work."""
+    import ast
+    import glob
+    import os
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    shards, bad = [], []
+    for path in glob.glob(os.path.join(root, "skosconverter_ray", "stages",
+                                       "*.py")):
+        with open(path, encoding="utf-8") as f:
+            tree = ast.parse(f.read(), filename=path)
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef)
+                    and cls.name.startswith("_")
+                    and cls.name.endswith("Shard")):
+                continue
+            shards.append(cls.name)
+            for node in ast.walk(cls):
+                names = {ast.Name: lambda n: [n.id],
+                         ast.Attribute: lambda n: [n.attr],
+                         ast.Import: lambda n: [a.name for a in n.names],
+                         ast.ImportFrom: lambda n: [n.module or ""]
+                         }.get(type(node), lambda n: [])(node)
+                bad += [f"{cls.name}:{node.lineno}" for x in names
+                        if x.split(".")[0] == "ray"]
+    assert sorted(shards) == ["_CCShard", "_HITSShard", "_KCoreShard",
+                              "_LPAShard", "_PRShard", "_TreeShard"]
+    assert bad == []

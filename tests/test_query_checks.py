@@ -174,13 +174,16 @@ def test_kmeans_matches_sequential(sf001, embeddings):
     assert (nd == ns).all()
 
 
-@pytest.fixture(scope="module")
-def semdedup(sf001, embeddings):
-    """(centroids, {vec_id: (keep, cluster)}) of embedding_semantic_dedup's
-    pipeline."""
-    cent, out = Q._semantic_dedup(sf001)
-    return cent, {r["vec_id"]: (r["keep"], r["cluster"])
-                  for r in out.take_all()}
+@pytest.fixture(scope="module", params=[0.80, 0.40],
+                ids=["thr0.80", "thr0.40"])
+def semdedup(request, sf001, embeddings):
+    """(threshold, centroids, {vec_id: (keep, cluster)}) of
+    embedding_semantic_dedup's pipeline at the query's 0.80, where
+    sf0.01 drops none of its 500 vectors, and at 0.40, where it drops
+    24, so that a missed drop shows too."""
+    cent, out = Q._semantic_dedup(sf001, request.param)
+    return request.param, cent, {r["vec_id"]: (r["keep"], r["cluster"])
+                                 for r in out.take_all()}
 
 
 def test_semantic_dedup_matches_sequential(embeddings, semdedup):
@@ -190,8 +193,8 @@ def test_semantic_dedup_matches_sequential(embeddings, semdedup):
     from skosconverter_ray.stages.similarity import semantic_dedup_sequential
 
     ids, mat = embeddings
-    cent, got = semdedup
-    keep = semantic_dedup_sequential(mat, ids, cent, threshold=0.80)
+    thr, cent, got = semdedup
+    keep = semantic_dedup_sequential(mat, ids, cent, threshold=thr)
     assert len(got) == len(ids)
     assert {int(i): got[int(i)][0] for i in ids} == \
         {int(i): bool(k) for i, k in zip(ids, keep)}
@@ -199,22 +202,24 @@ def test_semantic_dedup_matches_sequential(embeddings, semdedup):
 
 def test_semantic_dedup_drops_only_covered(embeddings, semdedup):
     """embedding_semantic_dedup's crosscluster_free: every dropped
-    vector has a lower-id member of its own cluster at cosine >= 0.8.
-    At sf0.01 no vector is dropped, so this and the parity test pin
-    that no vector is dropped wrongly."""
+    vector has a lower-id member of its own cluster at cosine >= the
+    threshold. At 0.40 sf0.01 drops vectors, so this checks real
+    drops, not only that none is made wrongly."""
     ids, mat = embeddings
-    _, got = semdedup
+    thr, _, got = semdedup
     m = mat / np.maximum(np.linalg.norm(mat, axis=1), 1e-30)[:, None]
     order = np.argsort(ids, kind="stable")
-    uncovered = []
+    dropped, uncovered = 0, []
     for pos, i in enumerate(order):
         keep, cluster = got[int(ids[i])]
         if keep:
             continue
+        dropped += 1
         earlier = [j for j in order[:pos] if got[int(ids[j])][1] == cluster]
-        if not (earlier and (m[earlier] @ m[i] >= 0.80 - 1e-12).any()):
+        if not (earlier and (m[earlier] @ m[i] >= thr - 1e-12).any()):
             uncovered.append(int(ids[i]))
     assert uncovered == []
+    assert dropped > 0 or thr == 0.80
 
 
 # --- embedding_neardup_lsh, ann_topk_ivf, ann_topk_lsh ------------------

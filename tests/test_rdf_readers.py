@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 import ray.data as rd
 
 from skosconverter_ray.sources.jsonld import parse_jsonld_doc, parse_jsonld_dataset
@@ -510,3 +511,57 @@ def test_read_turtle_one_file_is_one_schema_block(tmp_path, ray_session):
     assert empty.count() == 0 and empty.schema() is not None
     with pytest.raises(FileNotFoundError):
         read_turtle([str(tmp_path / "missing.ttl")])
+
+
+def test_ntriples_statements_outside_the_subset_raise():
+    """The N-Triples reader parses absolute-IRI and plain or @lang
+    literal statements (a trailing comment allowed) and skips blank,
+    comment and malformed lines; a statement with a blank node or a
+    ``^^<datatype>`` literal raises ``ValueError`` quoting the line
+    instead of losing its triple."""
+    import re
+
+    import pyarrow as pa
+
+    from skosconverter_ray.sources.ntriples import parse_lines_batch
+
+    ok = ['<http://ex.org/a> <http://ex.org/p> <http://ex.org/b> .',
+          '<http://ex.org/a> <http://ex.org/p> "x"@en .',
+          '<http://ex.org/a> <http://ex.org/p> "y" . # note', "# comment",
+          "", "<a <b ."]
+    got = parse_lines_batch(pa.table({"text": ok}))
+    assert got["obj"].to_pylist() == ["http://ex.org/b", "x", "y"]
+    for bad in ['_:b0 <http://ex.org/p> <http://ex.org/b> .',
+                '<http://ex.org/a> <http://ex.org/p> _:b1 .',
+                '<http://ex.org/a> <http://ex.org/p> '
+                '"5"^^<http://www.w3.org/2001/XMLSchema#integer> .']:
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            parse_lines_batch(pa.table({"text": ok + [bad]}))
+
+
+# Contract test for the Ray Data internals ``read_turtle`` lists its
+# files with (``_expand_paths``, ``_resolve_paths_and_filesystem``):
+# pinned against the public ``read_binary_files``, so a Ray upgrade
+# that changes them fails here.
+
+@pytest.mark.parametrize("shape", ["file", "directory", "list"])
+def test_expand_lists_the_files_read_binary_files_reads(tmp_path,
+                                                       ray_session, shape):
+    """``turtle._expand`` lists the files ``rd.read_binary_files(...,
+    include_paths=True)`` reads, for one file, a directory (hidden
+    names and a subdirectory included) and a list of a file and a
+    directory."""
+    from skosconverter_ray.sources.turtle import _expand
+
+    for name, text in _DIR_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    for name in ("_hidden.ttl", ".dot.ttl", "sub/e.ttl"):
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(TTL, encoding="utf-8")
+    arg = {"file": str(tmp_path / "a.ttl"),
+           "directory": str(tmp_path),
+           "list": [str(tmp_path / "a.ttl"), str(tmp_path / "sub")]}[shape]
+    files, _ = _expand(arg)
+    want = [r["path"] for r in
+            rd.read_binary_files(arg, include_paths=True).take_all()]
+    assert files and sorted(files) == sorted(want)

@@ -395,3 +395,86 @@ def test_blocks_dataset_snapshot_matches_materialize(ray_session, ray_calls,
     assert want.count() == got.count()
     assert [r for r, _ in _blocks(again)] == refs
     assert again.schema().base_schema == schema
+
+
+# The ShardGroup runner contract: shard classes are table kernels, and
+# the group's trampoline fetches, concatenates and puts their tables.
+
+def _toy_shard():
+    """A table-only shard class (defined here so that it pickles by
+    value: Ray workers cannot import test modules)."""
+    schema = pa.schema([("src", pa.int64()), ("dst", pa.int64())])
+
+    class Toy:
+        def __init__(self, b, B, tag):
+            self.b, self.B, self.tag = b, B, tag
+
+        def load(self, t):
+            return t.num_rows, t.schema.names
+
+        def emit(self, n: int):
+            # ``n`` rows for every peer, a distinct zero-row table
+            # when n is 0
+            return self.tag, [pa.table({"src": [self.b] * n,
+                                        "dst": [t] * n}, schema=schema)
+                              for t in range(self.B)]
+
+        def take(self, inbox):
+            return inbox.to_pydict(), inbox.schema.names
+
+        def broadcast(self):
+            return [pa.table({"src": [self.b]})] * self.B
+
+    return Toy
+
+
+@pytest.mark.parametrize("B", [1, 2, 3])
+def test_shard_group_wave_contract(ray_session, B):
+    """At B shards: a split column reaches its shard as one table, an
+    empty split bucket as a zero-row table with the input's schema;
+    relayed inboxes arrive concatenated in relay (shard) order, an
+    all-empty inbox as a zero-row table with the messages' schema; a
+    table returned for every peer is put once, and so are the zero-row
+    outboxes of one wave; tuples and keyword arguments pass as they
+    are."""
+    from skosconverter_ray.functions.hashing import bucket_of
+    from skosconverter_ray.stages.shardutil import (ShardGroup,
+                                                    split_dataset_by_bucket)
+
+    # every row has one key, so B - 1 buckets get no rows
+    t = pa.table({"k": ["x"] * 30, "v": pa.array(range(30), pa.int64())})
+    cols = split_dataset_by_bucket(
+        rd.from_arrow(t).repartition(3).materialize(), "k", B)
+    full = bucket_of(pa.array(["x"]), B)[0].as_py()
+    with ShardGroup(_toy_shard(), B, "tag") as g:
+        assert g.wave("load", cols) == [
+            (30 if b == full else 0, ["k", "v"]) for b in range(B)]
+
+        outs = g.wave("emit", n=2)
+        assert [tag for tag, _ in outs] == ["tag"] * B
+        got = g.wave("take", g.relay([refs for _, refs in outs]))
+        assert got == [({"src": [b for b in range(B) for _ in range(2)],
+                         "dst": [t] * 2 * B}, ["src", "dst"])
+                       for t in range(B)]
+
+        outs = g.wave("emit", n=0)
+        assert all(len(set(refs)) == 1 for _, refs in outs)
+        assert g.wave("take", g.relay([refs for _, refs in outs])) == \
+            [({"src": [], "dst": []}, ["src", "dst"])] * B
+
+        outs = g.wave("broadcast")
+        assert all(len(set(refs)) == 1 for refs in outs)
+        assert [r["src"] for r, _ in g.wave("take", g.relay(outs))] == \
+            [list(range(B))] * B
+
+
+def test_shard_group_kills_its_actors_when_the_body_raises(ray_session):
+    from skosconverter_ray.stages.shardutil import ShardGroup
+
+    with pytest.raises(RuntimeError, match="body"):
+        with ShardGroup(_toy_shard(), 2, "tag") as g:
+            shards = g.shards
+            raise RuntimeError("body")
+    for s in shards:
+        with pytest.raises(ray.exceptions.RayActorError):
+            ray.get(s.__ray_call__.remote(lambda shard: shard.b), timeout=60)

@@ -1,19 +1,22 @@
-"""Measure the Pregel shard-actor tier's per-wave driver-relay cost
-as a function of shard count (VERDICT r04 #8: message tables move
-actor→actor through the object store, but the driver relays O(B²)
-REFS per wave — this pins where that curve starts to matter so the
-multi-node design point is recorded, not guessed).
+"""Measure the Pregel shard-actor tier's per-wave cost as a function
+of shard count: one wave is a ``shardutil.ShardGroup`` call on every
+shard through the actor-side trampoline, which fetches each shard's
+inbox refs as one table, runs the table kernel and puts its per-peer
+outbox tables; the driver relays the B² refs in between. This pins
+where that curve starts to matter, so the multi-node design point is
+recorded, not guessed.
 
 Method: run the shard-actor PageRank engine (``_pagerank_actors``,
-driven by ``shardutil.ShardGroup`` like every shard-actor engine, so
-its wave cost is the shared runner's) on one fixed synthetic graph at
-n_iter=2 and n_iter=22; (T22 - T2) / 20 isolates the
-steady-state wave latency from actor spawn + load + result costs,
-which are identical between the two runs. Repeated per shard width,
-best-of-N (co-tenant noise on this box is ±30-50%).
+whose wave cost is the shared runner's) on one fixed synthetic graph
+at n_iter=2 and n_iter=22; (T22 - T2) / 20 isolates the steady-state
+wave latency from actor spawn + load + result costs, which are
+identical between the two runs. Repeated per shard width, best-of-N
+(co-tenant noise on a shared box is ±30-50%).
 
 Usage: python tools/pregel_wave_bench.py [shards,shards,...]
-Prints one JSON line; record the table in BASELINE.md.
+The Ray session gets ``RAY_GRAFT_CPUS`` CPUs (default: this machine's
+``os.cpu_count()``). Prints one JSON line carrying both CPU counts;
+record the table in BASELINE.md with them.
 """
 
 from __future__ import annotations
@@ -53,7 +56,8 @@ def main() -> None:
                                else ["8", "16", "32"])]
     repeats = int(os.environ.get("GRAFT_WAVE_REPEATS", "2"))
     ray.init(address="local",
-             num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
+             num_cpus=int(os.environ.get("RAY_GRAFT_CPUS",
+                                         os.cpu_count() or 1)),
              include_dashboard=False, ignore_reinit_error=True,
              logging_level="ERROR")
     from ray.data import DataContext
@@ -64,7 +68,10 @@ def main() -> None:
     norm = build_graph(100_000, 400_000)
     norm.count()  # pin blocks before any timed window
 
-    out = {"n_nodes": 100_000, "n_edges": 400_000, "widths": {}}
+    out = {"n_nodes": 100_000, "n_edges": 400_000,
+           "os_cpu_count": os.cpu_count(),
+           "session_cpus": int(ray.cluster_resources().get("CPU", 0)),
+           "widths": {}}
     for b in widths:
         # least-contended estimate of EACH quantity independently:
         # the two walls come from different moments on a co-tenant
