@@ -8,8 +8,9 @@ rule of each text format the writers emit (CSV fields, N-Triples /
 Turtle literals, Markdown lines, JSON strings) and the join of a column
 into one text.
 Scalar helpers remain where a parser works one string at a time: URI
-validation and deterministic minting (72-90, 1464-1482) and the
-linker's surface normalization.
+validation and deterministic minting (72-90, 1464-1482), the RDF
+literal unescape of the N-Triples and Turtle readers and the linker's
+surface normalization.
 """
 
 from __future__ import annotations
@@ -112,6 +113,32 @@ def rdf_literal_array(values: pa.Array, langs: pa.Array) -> pa.Array:
         out = pc.replace_substring(out, raw, esc)
     tag = pc.if_else(nonempty_array(langs), concat_array("@", langs), "")
     return concat_array('"', out, '"', tag)
+
+
+_RDF_ESC = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
+            '"': '"', "'": "'", "\\": "\\"}
+_RDF_ESC_RE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.?))",
+                         re.DOTALL)
+
+
+def _rdf_unesc(m: re.Match) -> str:
+    if m[3] is None:
+        code = int(m[1] or m[2], 16)
+        if code > 0x10FFFF:
+            raise ValueError(f"escape {m[0]} is past U+10FFFF")
+        return chr(code)
+    if m[3] not in _RDF_ESC:
+        raise ValueError(f"unknown escape {m[0]!r} in an RDF literal")
+    return _RDF_ESC[m[3]]
+
+
+def rdf_unescape(s: str) -> str:
+    """One N-Triples / Turtle literal body as written -> its value: the
+    inverse of ``rdf_literal_array``'s escape, over the grammar's whole
+    escape set (``\\t \\b \\n \\r \\f \\" \\' \\\\``, ``\\uXXXX`` and
+    ``\\UXXXXXXXX``). Any other backslash sequence raises ``ValueError``
+    naming it, instead of reading back with its backslash."""
+    return _RDF_ESC_RE.sub(_rdf_unesc, s) if "\\" in s else s
 
 
 # Markdown line breaks inside one heading or metadata line, in forms

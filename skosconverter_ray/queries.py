@@ -6938,8 +6938,8 @@ def doc_budget_selection(sf_dir: str):
     'best N tokens' selection step of a data-constrained training run
     (and the greedy knapsack relaxation when value is additive).
 
-    Round-5 plan (replaces the global sort + sorted-block scan, kept
-    as _budget_selection_sorted for the parity pytest): the score is
+    Round-5 plan (replaces the global sort + sorted-block scan; the
+    parity pytest checks it against an in-test numpy cut): the score is
     an INTEGER whose distinct-value count is bounded by the score
     RANGE (bits x doc length), never the corpus, so a per-score
     token-weighted histogram (one bucket aggregate, tiny output)
@@ -7044,49 +7044,6 @@ def _budget_selection_threshold(dsr, *, budget_frac: int = 10,
         survivors, "_bucket", num_buckets, emit,
         empty_result=_BUDGET_OUT_SCHEMA.empty_table())
     return _collect(out, _BUDGET_OUT_SCHEMA)
-
-
-def _budget_selection_sorted(dsr, *, budget_frac: int = 10):
-    """The global-sort twin (the original plan): distributed sort on
-    (dsir_bits DESC, doc_id), per-block token sums folded on the
-    driver, exclusive scan for block bases, one cut pass. Kept as the
-    independent parity check for _budget_selection_threshold — the
-    sort is the one exchange the threshold plan exists to avoid."""
-    import ray
-
-    s = dsr.sort(["dsir_bits", "doc_id"],
-                 descending=[True, False]).materialize()
-    refs = s.to_arrow_refs()
-
-    @ray.remote
-    def blk_sum(t: pa.Table) -> int:
-        return int(pc.sum(t["n_tokens"]).as_py() or 0) \
-            if t.num_rows else 0
-
-    sums = np.array(ray.get([blk_sum.remote(r) for r in refs]),
-                    np.int64)
-    bases = np.concatenate(([0], np.cumsum(sums)[:-1]))
-    budget = int(sums.sum()) // budget_frac
-
-    @ray.remote
-    def cut(tbl: pa.Table, base: int) -> pa.Table:
-        if tbl.num_rows == 0:
-            return _BUDGET_OUT_SCHEMA.empty_table()
-        nt = tbl["n_tokens"].to_numpy(zero_copy_only=False)
-        cum = base + np.cumsum(nt)
-        keep = cum <= budget
-        t = tbl.filter(pa.array(keep))
-        return pa.table({
-            "doc_id": t["doc_id"], "n_tokens": t["n_tokens"],
-            "dsir_bits": t["dsir_bits"],
-            "cum_tokens": pa.array(cum[keep], pa.int64()),
-        }).cast(_BUDGET_OUT_SCHEMA)
-
-    import ray.data as rd
-
-    parts = [cut.remote(r, int(b)) for r, b in zip(refs, bases)]
-    return _collect(rd.from_arrow_refs(parts).materialize(),
-                    _BUDGET_OUT_SCHEMA)
 
 
 ORACLE_SQL["doc_budget_selection"] = \

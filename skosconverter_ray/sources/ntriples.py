@@ -7,7 +7,9 @@ absolute ``<uri>`` terms and literals with optional ``@lang`` tags
 A statement outside that subset is an error, not a dropped triple.
 
 Reader: one line per triple makes the format block-parallel, so
-``read_text`` shards by line ranges and every batch parses on its own.
+``read_text`` shards by line ranges and every batch parses on its own;
+a literal's escapes read back through ``functions.text.rdf_unescape``,
+as in the Turtle reader.
 Writer: ``to_ntriples_text`` is one table kernel over the whole triples
 table, fetched once; each line is assembled from Arrow string kernels
 with the literal escape shared with the Turtle writer
@@ -23,7 +25,7 @@ import pyarrow.compute as pc
 
 from .. import schemas
 from ..functions.text import (check_iris, concat_array, join_text,
-                              rdf_literal_array)
+                              rdf_literal_array, rdf_unescape)
 from ..stages.concepts import table_of
 
 _LINE_RE = re.compile(
@@ -37,12 +39,6 @@ _TERM = (r'(?:<[^>]*>|_:\S+|"(?:[^"\\]|\\.)*"'
          r'(?:@[A-Za-z0-9-]+|\^\^<[^>]*>)?)')
 _STATEMENT_RE = re.compile(
     rf"^{_TERM}\s+{_TERM}\s+{_TERM}\s*\.\s*(?:#.*)?$")
-
-
-def _unescape(s: str) -> str:
-    return (s.replace("\\\\", "\x00").replace('\\"', '"')
-            .replace("\\n", "\n").replace("\\r", "\r").replace("\\t", "\t")
-            .replace("\x00", "\\"))
 
 
 def parse_lines_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
@@ -66,7 +62,7 @@ def parse_lines_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
         if m["o_uri"] is not None:
             rows.append((m["s"], m["p"], m["o_uri"], False, None))
         else:
-            rows.append((m["s"], m["p"], _unescape(m["o_lit"]), True,
+            rows.append((m["s"], m["p"], rdf_unescape(m["o_lit"]), True,
                          m["lang"]))
     return schemas.triples_table(rows)
 

@@ -30,7 +30,7 @@ import ray
 
 from .. import schemas
 from ..functions.text import (check_iris, concat_array, join_text,
-                              rdf_literal_array)
+                              rdf_literal_array, rdf_unescape)
 from ..stages.concepts import table_of
 
 _RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
@@ -58,13 +58,6 @@ _TERM_RE = re.compile(
 _RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 _RDF_FIRST, _RDF_REST, _RDF_NIL = (_RDF_NS + "first", _RDF_NS + "rest",
                                    _RDF_NS + "nil")
-
-_UNESC = {"\\n": "\n", "\\r": "\r", "\\t": "\t", '\\"': '"', "\\\\": "\\"}
-
-
-def _unescape(s: str) -> str:
-    return re.sub(r"\\[nrt\"\\]", lambda m: _UNESC[m.group(0)], s)
-
 
 # One token of the comment scan, matched where the text is outside any
 # literal or IRI: a long literal (to its closing triple quote or the end
@@ -148,7 +141,7 @@ def parse_turtle_doc(text: str, *, bnode_prefix: str = "_:") -> list[tuple]:
                 raise ValueError(f"undeclared prefix {pfx!r}")
             return ("uri", prefixes[pfx] + m["local"], None)
         lit = m["long"] if m["long"] is not None else m["lit"]
-        return ("lit", _unescape(lit), m["lang"])
+        return ("lit", rdf_unescape(lit), m["lang"])
 
     def skip_ws(pos: int) -> int:
         while pos < n and body[pos].isspace():

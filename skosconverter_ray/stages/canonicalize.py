@@ -250,24 +250,23 @@ def components_min_label(edges_ds, *, max_rounds: int = 64,
     per-round scheduling latency), hash-min propagation with pointer
     doubling on ``min(num_buckets, 8)`` shard actors above it (bounded
     driver memory; ``max_rounds`` caps pathological graphs)."""
-    from .graph import resolve_engine
+    import ray.data as rd
 
-    def _rank(uri: str) -> str:
-        if preferred_ns and uri.startswith(preferred_ns):
-            return "0|" + uri
-        return "1|" + uri
+    from .graph import resolve_engine
 
     edges = edges_ds.materialize()
     n_edges = edges.count()
     if n_edges == 0:
-        import ray.data as rd
-
         return rd.from_arrow(
             pa.table({"uri": pa.array([], pa.string()),
                       "canonical_uri": pa.array([], pa.string())})
         )
     if resolve_engine(engine, n_edges, _DRIVER_UF_MAX) == "driver":
-        return _driver_union_find(edges, _rank)
+        return rd.from_arrow(_union_find(
+            (e for b in edges.iter_batches(batch_format="pyarrow",
+                                           batch_size=65536)
+             for e in zip(b["node"].to_pylist(), b["peer"].to_pylist())),
+            preferred_ns))
     return _components_actors(edges, max_rounds=max_rounds,
                               preferred_ns=preferred_ns,
                               num_buckets=num_buckets)
@@ -284,10 +283,6 @@ def canonical_map_table(vocab_triples: pa.Table, *,
     source is dimension-sized and already on the driver (e.g. the
     flagship's vocab table), saving the fixed per-job scheduling
     latency of materialize/count/iter_batches round-trips."""
-    def rank_fn(uri: str):
-        pref = preferred_ns is not None and uri.startswith(preferred_ns)
-        return (0 if pref else 1, uri)
-
     mask = pc.and_(
         pc.is_in(vocab_triples["pred"],
                  value_set=pa.array(list(_EQUIV_PREDS))),
@@ -295,6 +290,21 @@ def canonical_map_table(vocab_triples: pa.Table, *,
                   .fill_null(False)),
     )
     t = vocab_triples.filter(mask)
+    return _union_find(zip(t["subj"].to_pylist(), t["obj"].to_pylist()),
+                       preferred_ns)
+
+
+def _union_find(edges, preferred_ns: str | None) -> pa.Table:
+    """Exact in-memory union-find over ``(a, b)`` string edges -> the
+    non-trivial (uri, canonical_uri) rows, in first-seen order.
+
+    Representative = min over the component by (rank, uri), rank 0 for
+    a uri under ``preferred_ns`` and 1 otherwise: identical to what
+    converged hash-min propagation computes, so the driver and actor
+    engines are interchangeable."""
+    def rank(uri: str):
+        return (0 if preferred_ns and uri.startswith(preferred_ns) else 1,
+                uri)
 
     parent: dict[str, str] = {}
 
@@ -305,10 +315,10 @@ def canonical_map_table(vocab_triples: pa.Table, *,
             x = parent[x]
         return x
 
-    for a, b in zip(t["subj"].to_pylist(), t["obj"].to_pylist()):
+    for a, b in edges:
         ra, rb = find(a), find(b)
         if ra != rb:
-            lo, hi = sorted((ra, rb), key=rank_fn)
+            lo, hi = sorted((ra, rb), key=rank)
             parent[hi] = lo
 
     uris, canons = [], []
@@ -319,45 +329,6 @@ def canonical_map_table(vocab_triples: pa.Table, *,
             canons.append(r)
     return pa.table({"uri": pa.array(uris, pa.string()),
                      "canonical_uri": pa.array(canons, pa.string())})
-
-
-def _driver_union_find(edges_ds, rank_fn):
-    """Exact in-memory union-find over a dimension-sized edge set.
-
-    Representative = min over the component by (rank, uri), identical
-    to what converged hash-min propagation computes, so both paths are
-    interchangeable. Returns the non-trivial (uri, canonical_uri) rows
-    as a Dataset."""
-    import ray.data as rd
-
-    parent: dict[str, str] = {}
-
-    def find(x: str) -> str:
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for batch in edges_ds.iter_batches(batch_format="pyarrow",
-                                       batch_size=65536):
-        for a, b in zip(batch["node"].to_pylist(),
-                        batch["peer"].to_pylist()):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                lo, hi = sorted((ra, rb), key=rank_fn)
-                parent[hi] = lo
-
-    uris, canons = [], []
-    for x in list(parent):
-        r = find(x)
-        if r != x:
-            uris.append(x)
-            canons.append(r)
-    return rd.from_arrow(
-        pa.table({"uri": pa.array(uris, pa.string()),
-                  "canonical_uri": pa.array(canons, pa.string())})
-    )
 
 
 def _broadcast_map(ds, key_col: str, val_col: str):

@@ -21,9 +21,11 @@ here follow the same scale shape:
   rows (the only shuffle, ~16 bytes/row/band), never an O(n^2) compare.
   P(candidate | jaccard=0.8) = 1-(1-0.8^4)^32 ≈ 1-5e-8, so vs an exact
   oracle at threshold 0.8 the banding is lossless in practice.
-- **exact verify** — candidate pairs hash-join back to the compact
-  shingle-hash sets (two ``Dataset.join`` s on doc id) and the true
-  Jaccard is computed per pair; LSH false positives are filtered here.
+- **exact verify** — ``verify_pairs_scatter``, the one verify path of
+  every near-dup stage here and in stages/incremental: candidate pairs
+  meet the compact shingle-hash sets in two task-level cogroup
+  exchanges on doc id and the true score is computed per pair; LSH
+  false positives are filtered here.
 - **SimHash** — 64-bit weighted-feature signature; near-dup = hamming
   distance <= k, candidates found by banding the 64 bits into 16-bit
   quarters (any pair at distance <= 3 shares at least one quarter —
@@ -36,8 +38,6 @@ bucket members so pair emission is deterministic.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pyarrow as pa
@@ -323,80 +323,32 @@ def containment_verify_batch(batch: pa.Table, *,
     })
 
 
-_MINHASH_BROADCAST_MAX = int(
-    os.environ.get("GRAFT_MINHASH_BROADCAST_MAX", "100000"))
-# NOTE (round 4, measured): broadening this gate to ~300 MB of blobs
-# (600k docs) made verify 4x SLOWER, not faster — the driver-side dict
-# build over iter_batches plus per-worker pickle deserialization
-# dominates long before worker heap does. The doc-count gate stands.
-
-
 def minhash_near_dup_pairs(docs_ds, *, text_col: str = "text",
                            id_col: str = "doc_id", threshold: float = 0.8,
                            num_partitions: int = 32):
     """Full MinHash+LSH near-dup pipeline: documents Dataset ->
     (doc_a, doc_b, jaccard) pairs Dataset with exact jaccard >= threshold.
 
-    Exchanges: 1 (band,key) cogroup for candidates, 1 for pair
-    dedup; verification joins the compact shingle sets back to the
-    pairs — via broadcast (ray.put once, ~1KB/doc) when the corpus is
-    under GRAFT_MINHASH_BROADCAST_MAX docs, via 2 bucket-cogroup hash
-    joins above it. Nothing ships document text past the first map.
+    Exchanges: 1 (band,key) cogroup for candidates, then the 2 of
+    ``verify_pairs_scatter``, which attach the compact shingle sets to
+    the raw banding pairs (a pair found in k bands arrives k times; the
+    first exchange drops the copies) and compute the exact jaccard.
+    Nothing ships document text past the first map.
     """
+    from functools import partial
+
     # stateless stage -> elastic tasks (no pool to size)
     index = docs_ds.map_batches(
         MinHashStage(text_col, id_col),
         batch_format="pyarrow", batch_size=512)
     cand = candidate_pairs(index, num_buckets=num_partitions * 4)
 
-    # materialized once: BOTH join sides below read it, and a lazy
+    # materialized once: BOTH verify exchanges read it, and a lazy
     # dataset would be recomputed per consumer by the streaming
     # executor (shingle blobs are ~1KB/doc — cheap to pin)
     sh = docs_ds.map_batches(
         lambda b: shingles_batch(b, text_col, id_col),
         batch_format="pyarrow", batch_size=512).materialize()
-
-    if sh.count() <= _MINHASH_BROADCAST_MAX:
-        # broadcast-verify: the shingle table is small-side — ship it
-        # once and verify pairs in a single map (saves two cogroup
-        # exchanges, ~2.5s of fixed shuffle latency at sandbox scale).
-        # a pair surfacing in k bands appears k times -> dedup on the
-        # pair first (one bucket cogroup)
-        from .skew import bucket_aggregate
-
-        cand = bucket_aggregate(cand, ["doc_a", "doc_b"],
-                                [("count", None, "_n")],
-                                bucket_key="doc_a").drop_columns(["_n"])
-        import ray
-
-        blob: dict = {}
-        for b in sh.iter_batches(batch_format="pyarrow", batch_size=65536):
-            blob.update(zip(b["doc_id"].to_pylist(),
-                            b["shingles"].to_pylist()))
-        ref = ray.put(blob)
-
-        def verify(batch: pa.Table, _ref=ref) -> pa.Table:
-            table = ray.get(_ref)
-            joined = pa.table({
-                "doc_a": batch["doc_a"],
-                "doc_b": batch["doc_b"],
-                "shingles_a": pa.array(
-                    [table.get(d) for d in batch["doc_a"].to_pylist()],
-                    pa.binary()),
-                "shingles_b": pa.array(
-                    [table.get(d) for d in batch["doc_b"].to_pylist()],
-                    pa.binary()),
-            })
-            return exact_jaccard_batch(joined, threshold=threshold)
-
-        return cand.map_batches(verify, batch_format="pyarrow")
-    # distributed verify (round 4): TWO task-level cogroup exchanges
-    # replace pair-dedup + two tagged cogroup joins (six barrier steps
-    # down to two — the fixed per-barrier latency, not data volume,
-    # dominated the two-width scaling of this pipeline). Round 5:
-    # extracted as verify_pairs_scatter so the containment join and
-    # the cross-run near-dup store share the identical shape.
-    from functools import partial
 
     names = docs_ds.schema().names  # parquet metadata only — cheap
     id_type = docs_ds.schema().types[names.index(id_col)]
@@ -423,10 +375,13 @@ def verify_pairs_scatter(pairs_ds, sh_ds, *, row_verify,
     on doc_a: every duplicate copy of a pair shares doc_a, so a local
     distinct sees them all; shingles_a attaches via one local Arrow
     join. Exchange 2 cogroups the halves with the shingle table on
-    doc_b, attaches shingles_b and runs ``row_verify`` inline. Both
-    inputs must be materialized (from_arrow_refs outputs — as
-    scatter_apply_by_value / bucket_aggregate produce — qualify for
-    free); each exchange then reads existing refs, no re-materialize.
+    doc_b, attaches shingles_b and runs ``row_verify`` inline. It is
+    the one verify path at every corpus size: on a small corpus the
+    exchange runs as one task, which costs less than building a driver
+    dict of every blob and shipping it to each verify task. Materialized inputs
+    (from_arrow_refs outputs — as scatter_apply_by_value /
+    bucket_aggregate produce — qualify for free) hand their refs to
+    the exchange; a lazy one is materialized there once.
     """
     from .shardutil import multiway_cogroup_scatter
 
@@ -584,11 +539,11 @@ def simhash_near_dup_pairs(docs_ds, *, text_col: str = "text",
 
 
 # ---------------------------------------------------------------------------
-# Embedding-cosine near-dup: exact brute force below GRAFT_EMB_BRUTE_MAX
+# Embedding-cosine near-dup: exact brute force up to _EMB_BRUTE_MAX
 # rows, sign-LSH bucketed (stages/similarity.embedding_neardup_lsh) above
 # ---------------------------------------------------------------------------
 
-_EMB_BRUTE_MAX = int(os.environ.get("GRAFT_EMB_BRUTE_MAX", "100000"))
+_EMB_BRUTE_MAX = 100_000
 
 
 def embedding_near_dup_pairs(emb_ds, *, id_col: str = "vec_id",
@@ -596,7 +551,7 @@ def embedding_near_dup_pairs(emb_ds, *, id_col: str = "vec_id",
                              threshold: float = 0.4):
     """All-pairs cosine >= threshold.
 
-    Below ``GRAFT_EMB_BRUTE_MAX`` rows (default 100k): EXACT blocked
+    Up to ``_EMB_BRUTE_MAX`` rows (100k): EXACT blocked
     matmul — each batch compared against a broadcast (ray.put once)
     normalized matrix; O(n^2) flops, one pass, no shuffle. The matrix
     is dimension-sized by construction of the threshold, so the
@@ -835,11 +790,12 @@ def containment_pairs(docs_ds, *, text_col: str = "text",
     outside B then |A\\B| already exceeds (1-c)|A|. So each doc emits
     every shingle once, tagged is_prefix for its smallest ones; one
     shingle-bucket cogroup generates candidates as (prefix rows x all
-    rows) per exact shingle; exact containment verifies every pair.
+    rows) per exact shingle; ``verify_pairs_scatter`` checks the exact
+    containment of every pair.
     At 100 TB add the standard refinements (index only prefixes under
     a length filter, df-cap hub shingles into a verify-all sidecar);
     the filter's correctness does not depend on them."""
-    import ray
+    from functools import partial
 
     from ..functions.hashing import mix64
     from .shardutil import scatter_apply_by_value
@@ -910,49 +866,19 @@ def containment_pairs(docs_ds, *, text_col: str = "text",
     cand = scatter_apply_by_value(rows.materialize(), "_bucket",
                                   num_buckets, gen_pairs,
                                   empty_result=pair_schema.empty_table())
+    # prefix candidates repeat once per shared prefix shingle: dedup
+    # them in one exchange before both verify exchanges carry them
     pairs = bucket_aggregate(cand, ["doc_a", "doc_b"],
                              [("count", None, "_n")],
                              num_buckets=num_buckets,
-                             bucket_key="doc_a").drop_columns(["_n"])
+                             bucket_key="doc_a")
 
     sh_tbl = docs_ds.map_batches(
         lambda b: shingles_batch(b, text_col, id_col),
         batch_format="pyarrow", batch_size=512).materialize()
-    if sh_tbl.count() > _MINHASH_BROADCAST_MAX:
-        # above the broadcast gate: the SAME two-exchange task cogroup
-        # as minhash_near_dup_pairs (round 5 — replaces the former
-        # NotImplementedError cliff; the pairs dataset must be
-        # materialized for the scatter's to_arrow_refs fast path)
-        from functools import partial
-
-        out_schema = pa.schema([("doc_a", pa.int64()),
-                                ("doc_b", pa.int64()),
-                                ("containment", pa.float64())])
-        return verify_pairs_scatter(
-            pairs.materialize(), sh_tbl,
-            row_verify=partial(containment_verify_batch,
-                               threshold=threshold),
-            out_schema=out_schema, id_type=pa.int64(),
-            num_partitions=num_buckets)
-    blob: dict = {}
-    for b in sh_tbl.iter_batches(batch_format="pyarrow",
-                                 batch_size=65536):
-        blob.update(zip(b["doc_id"].to_pylist(),
-                        b["shingles"].to_pylist()))
-    ref = ray.put(blob)
-
-    def verify(batch: pa.Table, _ref=ref, _c=threshold) -> pa.Table:
-        table = ray.get(_ref)
-        joined = pa.table({
-            "doc_a": batch["doc_a"],
-            "doc_b": batch["doc_b"],
-            "shingles_a": pa.array(
-                [table.get(d) for d in batch["doc_a"].to_pylist()],
-                pa.binary()),
-            "shingles_b": pa.array(
-                [table.get(d) for d in batch["doc_b"].to_pylist()],
-                pa.binary()),
-        })
-        return containment_verify_batch(joined, threshold=_c)
-
-    return pairs.map_batches(verify, batch_format="pyarrow")
+    out_schema = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64()),
+                            ("containment", pa.float64())])
+    return verify_pairs_scatter(
+        pairs, sh_tbl,
+        row_verify=partial(containment_verify_batch, threshold=threshold),
+        out_schema=out_schema, num_partitions=num_buckets)

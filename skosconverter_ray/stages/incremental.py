@@ -263,10 +263,10 @@ def ingest_near_dup(docs_ds, store_dir: str, *, text_col: str = "text",
 
     Scale shape: the stored index is corpus-sized, so candidates come
     from ONE bucket-cogroup join (band,key) new-vs-stored — never a
-    broadcast of the store; verification broadcasts the shingle blobs
-    only under the same size gate as stages/dedup (above it the
-    two-exchange task cogroup of the in-run pipeline applies
-    unchanged). Crash contract (mirrors the exact store): shingles
+    broadcast of the store; verification is the in-run pipeline's
+    ``dedup.verify_pairs_scatter`` over the new shingles plus the
+    stored shingle shards, so no store-sized read reaches the driver
+    at any store size. Crash contract (mirrors the exact store): shingles
     write BEFORE index, so a crash can only leave docs unmatchable →
     they re-ingest as novel (conservative duplicate shards, never a
     false dedup); re-running a completed round flags every doc as
@@ -278,11 +278,12 @@ def ingest_near_dup(docs_ds, store_dir: str, *, text_col: str = "text",
     driver memory writes shards from tasks instead, like
     state/manifest.write_partitioned (one keyed exchange; the gather
     holding a partition writes its file)."""
-    import ray
+    from functools import partial
+
     import ray.data as rd
 
-    from .dedup import (MinHashStage, _MINHASH_BROADCAST_MAX,
-                        exact_jaccard_batch, shingles_batch)
+    from .dedup import (MinHashStage, exact_jaccard_batch, shingles_batch,
+                        verify_pairs_scatter)
     from .joinutil import cogroup_join
     from .skew import bucket_aggregate
 
@@ -299,8 +300,6 @@ def ingest_near_dup(docs_ds, store_dir: str, *, text_col: str = "text",
     sh_paths = _nd_shards(store_dir, "shingles")
 
     doc_ids = docs_ds.select_columns([id_col])
-    flag_schema = pa.schema([("doc_id", pa.int64()),
-                             ("dup_of_prior", pa.bool_())])
 
     dup_ids = None
     if idx_paths:
@@ -321,85 +320,37 @@ def ingest_near_dup(docs_ds, store_dir: str, *, text_col: str = "text",
             t = batch.filter(keep)
             return pa.table({"doc_a": t["doc_id"], "doc_b": t["s_doc"]})
 
-        pairs = bucket_aggregate(
-            cand.map_batches(band_match, batch_format="pyarrow"),
-            ["doc_a", "doc_b"], [("count", None, "_n")],
-            num_buckets=num_buckets,
-            bucket_key="doc_a").drop_columns(["_n"]).materialize()
+        # a pair matched in k bands arrives k times; the verify's first
+        # exchange drops the copies
+        pairs = cand.map_batches(band_match,
+                                 batch_format="pyarrow").materialize()
 
         if pairs.count():
-            # verify with exact jaccard. Blob side = new shingles +
-            # stored shingle SHARDS; shard sizes come from parquet
-            # footers (no data read). Under the broadcast gate the
-            # blobs ship once via ray.put — driver reads are bounded
-            # by the gate, never the accumulated store. Above it
-            # (round 5 — closes the former NotImplementedError scale
-            # stub) verification rides the SAME two-exchange task
-            # cogroup as stages/dedup.minhash_near_dup_pairs, with the
-            # stored shards read as a Dataset: nothing store-sized
-            # ever lands on the driver.
-            n_stored = sum(pq.read_metadata(p).num_rows
-                           for p in sh_paths)
-            n_blob = n_stored + new_sh.count()
-            if n_blob > _MINHASH_BROADCAST_MAX:
-                from functools import partial
-
-                from .dedup import verify_pairs_scatter
-
-                all_sh = new_sh
-                if sh_paths:
-                    stored_sh = rd.read_parquet(
-                        sh_paths,
-                        columns=["doc_id", "shingles"]).map_batches(
-                        # rebuild without the algo-stamp schema
-                        # metadata so union blocks concat cleanly
-                        lambda b: pa.table({"doc_id": b["doc_id"],
-                                            "shingles": b["shingles"]}),
-                        batch_format="pyarrow")
-                    all_sh = new_sh.union(stored_sh)
-                all_sh = all_sh.materialize()
-                verified = verify_pairs_scatter(
-                    pairs, all_sh,
-                    row_verify=partial(exact_jaccard_batch,
-                                       threshold=threshold),
-                    out_schema=pa.schema([("doc_a", pa.int64()),
-                                          ("doc_b", pa.int64()),
-                                          ("jaccard", pa.float64())]),
-                    id_type=pa.int64(), num_partitions=num_buckets)
-                dup_src = verified.map_batches(
-                    lambda b: pa.table({"dup_doc": b["doc_a"]}),
-                    batch_format="pyarrow").materialize()
-            else:
-                old_sh = pq.read_table(sh_paths) if sh_paths else \
-                    pa.table({"doc_id": pa.array([], pa.int64()),
-                              "shingles": pa.array([], pa.binary())})
-                blob: dict = dict(zip(old_sh["doc_id"].to_pylist(),
-                                      old_sh["shingles"].to_pylist()))
-                for b in new_sh.iter_batches(batch_format="pyarrow",
-                                             batch_size=65536):
-                    blob.update(zip(b["doc_id"].to_pylist(),
-                                    b["shingles"].to_pylist()))
-                ref = ray.put(blob)
-
-                def verify(batch: pa.Table, _ref=ref,
-                           _t=threshold) -> pa.Table:
-                    table = ray.get(_ref)
-                    joined = pa.table({
-                        "doc_a": batch["doc_a"],
-                        "doc_b": batch["doc_b"],
-                        "shingles_a": pa.array(
-                            [table.get(d) for d in
-                             batch["doc_a"].to_pylist()], pa.binary()),
-                        "shingles_b": pa.array(
-                            [table.get(d) for d in
-                             batch["doc_b"].to_pylist()], pa.binary()),
-                    })
-                    out = exact_jaccard_batch(joined, threshold=_t)
-                    return pa.table({"dup_doc": out["doc_a"]})
-
-                dup_src = pairs.map_batches(verify,
-                                            batch_format="pyarrow")
-
+            # exact jaccard through the in-run pipeline's verify: the
+            # blob side is the new shingles plus the stored shingle
+            # SHARDS read as a Dataset — nothing store-sized ever lands
+            # on the driver
+            all_sh = new_sh
+            if sh_paths:
+                stored_sh = rd.read_parquet(
+                    sh_paths, columns=["doc_id", "shingles"]).map_batches(
+                    # rebuild without the algo-stamp schema metadata so
+                    # union blocks concat cleanly
+                    lambda b: pa.table({"doc_id": b["doc_id"],
+                                        "shingles": b["shingles"]}),
+                    batch_format="pyarrow")
+                all_sh = new_sh.union(stored_sh)
+            verified = verify_pairs_scatter(
+                pairs, all_sh.materialize(),
+                row_verify=partial(exact_jaccard_batch,
+                                   threshold=threshold),
+                out_schema=pa.schema([("doc_a", pa.int64()),
+                                      ("doc_b", pa.int64()),
+                                      ("jaccard", pa.float64())]),
+                num_partitions=num_buckets)
+            dup_src = verified.map_batches(
+                lambda b: pa.table({"dup_doc": b["doc_a"]}),
+                batch_format="pyarrow")
             dup_ids = bucket_aggregate(
                 dup_src, ["dup_doc"], [("count", None, "_n")],
                 num_buckets=num_buckets).drop_columns(["_n"])

@@ -301,9 +301,10 @@ def embedding_neardup_lsh(emb_ds, *, id_col: str = "vec_id",
     Recall is tunable: with defaults (8 bits, auto tables targeting
     0.95) a pair at cosine 0.85 is caught with p ≈ 0.95+; recall falls
     off for pairs near/below the threshold — this is a NEAR-DUP
-    detector for high-similarity thresholds, not an exact join (use
-    the brute path below ``GRAFT_EMB_BRUTE_MAX`` rows when exactness
-    vs an oracle matters).
+    detector for high-similarity thresholds, not an exact join
+    (``dedup.embedding_near_dup_pairs`` takes the exact brute path up
+    to ``dedup._EMB_BRUTE_MAX`` rows, for when exactness vs an oracle
+    matters).
 
     Hub/skew note: m exact-duplicate vectors share every bucket ->
     O(m^2) pairs, the same blow-up (and the same upstream-exact-dedup

@@ -243,7 +243,7 @@ def test_embedding_lsh_allpairs_recall(ray_session):
 
 
 def test_embedding_near_dup_routes_to_lsh(ray_session, monkeypatch):
-    """Above GRAFT_EMB_BRUTE_MAX the public entry point uses the
+    """Above ``_EMB_BRUTE_MAX`` rows the public entry point uses the
     bucketed path (no driver-side whole-table concat)."""
     from skosconverter_ray.stages import dedup as ddp
 
@@ -554,35 +554,61 @@ def test_image_resize_exact_and_roundtrip(ray_session):
         assert mm.decode_bmp(r["thumb"]).tobytes() == local.tobytes()
 
 
-def test_minhash_distributed_verify_parity(ray_session, monkeypatch):
-    """The two-exchange cogroup verify (the >100k-doc path) must emit
-    exactly the broadcast path's pairs."""
-    import ray.data as rd
+def _exact_score_pairs(texts, threshold: float, *, containment: bool):
+    """All-pairs oracle over ``dedup.shingle_set``: ``(a, b) -> score``
+    for every ordered pair a != b (a < b for jaccard) whose exact
+    jaccard or containment |A∩B|/|A| reaches ``threshold``, computed
+    with the same integer counts as the verify kernels."""
+    sets = [dedup.shingle_set(t) for t in texts]
+    out = {}
+    for a in range(len(texts)):
+        for b in range(len(texts)):
+            if a == b or (not containment and b < a):
+                continue
+            sa, sb = sets[a], sets[b]
+            if sa.size == 0 or sb.size == 0:
+                continue
+            inter = np.intersect1d(sa, sb, assume_unique=True).size
+            if containment:
+                score = inter / sa.size
+                if score >= threshold - 1e-12:
+                    out[(a, b)] = round(score, 6)
+            else:
+                score = inter / (sa.size + sb.size - inter)
+                if score >= threshold:
+                    out[(a, b)] = score
+    return out
 
-    from skosconverter_ray.stages import dedup as D
 
+def test_minhash_distributed_verify_parity(ray_session):
+    """The two-exchange cogroup verify emits exactly the all-pairs
+    oracle's pairs and bitwise jaccards: near-dups, LSH candidates
+    below the threshold (which the verify must drop) and one pair at
+    exactly the threshold (7 shared 3-grams of 10)."""
     texts = []
     base = ("alpha beta gamma delta epsilon zeta eta theta iota kappa "
             "lam mu nu xi omicron pi rho sigma tau upsilon").split()
-    rng = __import__("numpy").random.default_rng(3)
+    rng = np.random.default_rng(3)
     for i in range(300):
         words = rng.choice(base, size=12).tolist()
         texts.append(" ".join(words))
         if i % 5 == 0:
             texts.append(" ".join(words) + " phi")  # near-dup
-    tbl = __import__("pyarrow").table({
-        "doc_id": list(range(len(texts))), "text": texts})
-    ds = rd.from_arrow(tbl).repartition(5).materialize()
+        if i % 7 == 0:
+            texts.append(" ".join(words[:9]) + " chi psi omega")
+    edge = "one two three four five six seven eight nine"
+    texts += [edge, edge + " ten eleven twelve"]      # jaccard 7/10
+    ds = rd.from_arrow(pa.table({
+        "doc_id": list(range(len(texts))), "text": texts})) \
+        .repartition(5).materialize()
 
-    broad = {(r["doc_a"], r["doc_b"]): round(r["jaccard"], 12)
-             for r in D.minhash_near_dup_pairs(ds, threshold=0.7)
-             .take_all()}
-    monkeypatch.setattr(D, "_MINHASH_BROADCAST_MAX", 0)
-    dist = {(r["doc_a"], r["doc_b"]): round(r["jaccard"], 12)
-            for r in D.minhash_near_dup_pairs(ds, threshold=0.7)
-            .take_all()}
-    assert broad == dist
-    assert len(broad) > 0
+    got = {(r["doc_a"], r["doc_b"]): r["jaccard"]
+           for r in dedup.minhash_near_dup_pairs(ds, threshold=0.7)
+           .take_all()}
+    want = _exact_score_pairs(texts, 0.7, containment=False)
+    assert got == want
+    assert want[(len(texts) - 2, len(texts) - 1)] == 0.7
+    assert any(j < 1.0 for j in want.values())
 
 
 def test_containment_catches_embedded_doc_jaccard_misses(ray_session):
@@ -646,17 +672,11 @@ def test_containment_prefix_filter_exactness(ray_session):
                 want.add((a, b))
     assert got == want
 
-def test_containment_distributed_verify_parity(ray_session, monkeypatch):
-    """Above the broadcast gate, containment verification rides the
-    same two-exchange task cogroup as minhash — pairs and containment
-    values must match the broadcast path exactly (round 5: this path
-    used to be a NotImplementedError cliff)."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data as rd
-
-    from skosconverter_ray.stages import dedup as D
-
+def test_containment_distributed_verify_parity(ray_session):
+    """Containment verification rides the same two-exchange task
+    cogroup as minhash: pairs and rounded containments equal the
+    all-pairs oracle's, and the prefix filter's candidates include
+    pairs below the threshold that the verify must drop."""
     rng = np.random.default_rng(7)
     vocab = [f"w{i}" for i in range(40)]
     texts = []
@@ -665,17 +685,17 @@ def test_containment_distributed_verify_parity(ray_session, monkeypatch):
         host = short + " " + " ".join(rng.choice(vocab, size=25))
         texts += [short, host,
                   " ".join(rng.choice(vocab, size=rng.integers(6, 30)))]
+    edge = "one two three four five six seven eight nine ten eleven twelve"
+    texts += [edge, "one two three four five six seven eight nine zero"]
     docs = rd.from_arrow(pa.table({
         "doc_id": pa.array(range(len(texts)), pa.int64()),
         "text": pa.array(texts, pa.string()),
     })).repartition(4)
 
-    broad = {(r["doc_a"], r["doc_b"]): r["containment"]
-             for r in D.containment_pairs(docs, threshold=0.7)
-             .take_all()}
-    monkeypatch.setattr(D, "_MINHASH_BROADCAST_MAX", 0)
-    dist = {(r["doc_a"], r["doc_b"]): r["containment"]
-            for r in D.containment_pairs(docs, threshold=0.7)
-            .take_all()}
-    assert broad == dist
-    assert len(broad) > 0
+    got = {(r["doc_a"], r["doc_b"]): r["containment"]
+           for r in dedup.containment_pairs(docs, threshold=0.7)
+           .take_all()}
+    want = _exact_score_pairs(texts, 0.7, containment=True)
+    assert got == want
+    # 7 of the edge doc's 10 3-grams recur in its host
+    assert want[(len(texts) - 2, len(texts) - 1)] == 0.7

@@ -7,6 +7,7 @@ the target vocabulary — the whole point of importance resampling)."""
 import re
 from collections import Counter
 
+import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
@@ -63,28 +64,36 @@ def test_dsir_matches_sequential_oracle_and_selects_by_text(
     assert not sel & {2, 3, 5}
 
 def test_budget_threshold_matches_sorted_plan(ray_session):
-    """The histogram-threshold budget cut must select the same docs
-    with the same cum_tokens as the global-sort plan, across tie-heavy
-    and skewed score distributions (round 5 — the threshold plan
-    replaced the corpus-wide sort in doc_budget_selection)."""
+    """The histogram-threshold budget cut selects the same docs with the
+    same cum_tokens as an in-test numpy cut: sort on (-dsir_bits,
+    doc_id), cumsum n_tokens, keep cum <= total // 10. Tie-heavy,
+    skewed and single-score distributions, and one with equal token
+    counts whose cut lands exactly on the budget."""
     import numpy as np
     import ray.data as rd
 
-    from skosconverter_ray.queries import (_budget_selection_sorted,
-                                           _budget_selection_threshold)
+    from skosconverter_ray.queries import _budget_selection_threshold
 
     rng = np.random.default_rng(11)
-    for trial, (n, n_scores) in enumerate([(500, 7), (800, 200),
-                                           (300, 1)]):
+    for trial, (n, n_scores, tok_lo) in enumerate(
+            [(500, 7, 0), (800, 200, 0), (300, 1, 0), (400, 30, 10)]):
+        doc = rng.permutation(n)
+        toks = rng.integers(tok_lo, 50 if tok_lo == 0 else tok_lo + 1, n)
+        bits = rng.integers(-n_scores, n_scores + 1, n)
         dsr = rd.from_arrow(pa.table({
-            "doc_id": pa.array(rng.permutation(n), pa.int64()),
-            "n_tokens": pa.array(rng.integers(0, 50, n), pa.int64()),
-            "dsir_bits": pa.array(
-                rng.integers(-n_scores, n_scores + 1, n), pa.int64()),
+            "doc_id": pa.array(doc, pa.int64()),
+            "n_tokens": pa.array(toks, pa.int64()),
+            "dsir_bits": pa.array(bits, pa.int64()),
         })).repartition(6).materialize()
-        a = _budget_selection_threshold(dsr).to_pandas() \
+        got = _budget_selection_threshold(dsr).to_pandas() \
             .sort_values("doc_id").reset_index(drop=True)
-        b = _budget_selection_sorted(dsr).to_pandas() \
-            .sort_values("doc_id").reset_index(drop=True)
-        assert a.equals(b), f"trial {trial}: threshold != sorted"
-        assert len(a) > 0, f"trial {trial}: empty selection"
+        order = np.lexsort((doc, -bits))
+        cum = np.cumsum(toks[order])
+        keep = cum <= int(toks.sum()) // 10
+        want = pd.DataFrame({
+            "doc_id": doc[order][keep], "n_tokens": toks[order][keep],
+            "dsir_bits": bits[order][keep], "cum_tokens": cum[keep],
+        }).astype("int64").sort_values("doc_id").reset_index(drop=True)
+        assert got.equals(want), f"trial {trial}: threshold != numpy cut"
+        assert len(got) > 0, f"trial {trial}: empty selection"
+    assert cum[keep][-1] == int(toks.sum()) // 10

@@ -135,31 +135,73 @@ def test_near_dup_store_refuses_algo_mismatch(ray_session, tmp_path):
     with _pt.raises(NearDupStoreAlgoMismatch):
         ingest_near_dup(_nd_docs(_ND_A), str(store))
 
-def test_near_dup_ingest_distributed_verify(ray_session, tmp_path,
-                                            monkeypatch):
-    """Forcing the broadcast gate to 0 routes verification through the
-    two-exchange task cogroup vs the stored shingle SHARDS (read as a
-    Dataset, never onto the driver) — flags must match the broadcast
-    path exactly, including idempotent replay."""
-    from skosconverter_ray.stages import dedup as D
+def _nd_oracle(new_rows, stored_rows, threshold):
+    """All-pairs oracle: doc id -> whether its exact word-3-gram
+    jaccard (``dedup.shingle_set``) vs any stored doc reaches
+    ``threshold``."""
+    import numpy as np
+
+    from skosconverter_ray.stages.dedup import shingle_set
+
+    stored = [shingle_set(t) for _, t in stored_rows]
+    out = {}
+    for i, t in new_rows:
+        sa = shingle_set(t)
+        best = 0.0
+        for sb in stored:
+            if sa.size and sb.size:
+                inter = np.intersect1d(sa, sb, assume_unique=True).size
+                best = max(best, inter / (sa.size + sb.size - inter))
+        out[i] = best >= threshold
+    return out
+
+
+def test_near_dup_ingest_distributed_verify(ray_session, tmp_path):
+    """Verification is the two-exchange task cogroup vs the stored
+    shingle SHARDS (read as a Dataset, never onto the driver): each
+    round's flags equal the all-pairs oracle's, including LSH
+    candidates below the threshold, a pair at exactly 8/10, a doc
+    too short for a 3-gram and the idempotent replay."""
+    import numpy as np
+
     from skosconverter_ray.stages.incremental import ingest_near_dup
 
-    monkeypatch.setattr(D, "_MINHASH_BROADCAST_MAX", 0)
+    rng = np.random.default_rng(11)
+    vocab = [f"v{i}" for i in range(400)]
+    fresh = iter(f"n{i}" for i in range(10_000))
+    base = [rng.choice(vocab, size=20, replace=False).tolist()
+            for _ in range(10)]
+    edge = "one two three four five six seven eight nine ten"
+    rows_a = [(2 * i, " ".join(w)) for i, w in enumerate(base)]
+    rows_a.append((100, edge))
+    rows_b, nid = [], 1
+    for w in base:
+        # jaccard 18/19, 15/21 and 13/23 against w
+        for keep, n_new in ((20, 1), (17, 3), (15, 5)):
+            tail = [next(fresh) for _ in range(n_new)]
+            rows_b.append((nid, " ".join(w[:keep] + tail)))
+            nid += 2
+    rows_b += [(101, edge + " eleven twelve"),   # jaccard exactly 0.8
+               (103, "too short"),
+               (105, " ".join(next(fresh) for _ in range(15)))]
+
+    def flags(rows):
+        return {r["doc_id"]: r["dup_of_prior"]
+                for b in ingest_near_dup(_nd_docs(rows), store)
+                .iter_batches(batch_format="pyarrow")
+                for r in b.to_pylist()}
+
     store = str(tmp_path / "nd")
-    fa = {r["doc_id"]: r["dup_of_prior"]
-          for b in ingest_near_dup(_nd_docs(_ND_A), store)
-          .iter_batches(batch_format="pyarrow") for r in b.to_pylist()}
-    assert fa == {0: False, 2: False, 4: False}
+    assert flags(rows_a) == {i: False for i, _ in rows_a}
 
-    fb = {r["doc_id"]: r["dup_of_prior"]
-          for b in ingest_near_dup(_nd_docs(_ND_B), store)
-          .iter_batches(batch_format="pyarrow") for r in b.to_pylist()}
-    assert fb == {1: True, 3: False}
+    want_b = _nd_oracle(rows_b, rows_a, 0.8)
+    assert flags(rows_b) == want_b
+    assert want_b[101] and not want_b[103] and not want_b[105]
+    assert sum(want_b.values()) == 11       # 10 one-word edits + edge
 
-    fb2 = {r["doc_id"]: r["dup_of_prior"]
-           for b in ingest_near_dup(_nd_docs(_ND_B), store)
-           .iter_batches(batch_format="pyarrow") for r in b.to_pylist()}
-    assert fb2 == {1: True, 3: True}
+    novel_b = [r for r in rows_b if not want_b[r[0]]]
+    assert flags(rows_b) == _nd_oracle(rows_b, rows_a + novel_b, 0.8)
+
 
 def test_shard_store_core(tmp_path):
     """The shared ShardStore core behind BOTH incremental stores:

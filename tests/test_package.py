@@ -144,3 +144,35 @@ def test_shard_classes_are_table_kernels():
     assert sorted(shards) == ["_CCShard", "_HITSShard", "_KCoreShard",
                               "_LPAShard", "_PRShard", "_TreeShard"]
     assert bad == []
+
+
+def test_no_environment_variable_selects_a_code_path():
+    """No module of the package reads ``os.environ`` or ``os.getenv``
+    (nor ``environ``/``getenv`` imported from ``os``), so no environment
+    variable picks a code path or moves a size gate. The one exception
+    is ``config.use_hash_shuffle``'s opt-in, which perfbench imports."""
+    import ast
+    import glob
+    import os
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    allowed = {("skosconverter_ray/config.py", "use_hash_shuffle")}
+    reads = []
+    for path in sorted(glob.glob("skosconverter_ray/**/*.py", root_dir=root,
+                                 recursive=True)):
+        with open(os.path.join(root, path), encoding="utf-8") as f:
+            tree = ast.parse(f.read(), filename=path)
+        for top in tree.body:
+            owner = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                hit = (isinstance(node, ast.Attribute)
+                       and node.attr in ("environ", "getenv")
+                       and isinstance(node.value, ast.Name)
+                       and node.value.id == "os") or (
+                    isinstance(node, ast.ImportFrom)
+                    and node.module == "os"
+                    and {a.name for a in node.names} & {"environ",
+                                                         "getenv"})
+                if hit and (path, owner) not in allowed:
+                    reads.append(f"{path}:{node.lineno} ({owner})")
+    assert reads == []

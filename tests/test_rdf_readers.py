@@ -1,6 +1,7 @@
 """Turtle / JSON-LD subset readers vs the known vocabulary triples."""
 
 import json
+import re
 
 import pytest
 import ray.data as rd
@@ -538,6 +539,37 @@ def test_ntriples_statements_outside_the_subset_raise():
         with pytest.raises(ValueError, match=re.escape(repr(bad))):
             parse_lines_batch(pa.table({"text": ok + [bad]}))
 
+
+
+def test_rdf_literal_escapes_read_back_through_both_readers():
+    r"""Both readers read every escape of the N-Triples / Turtle grammar
+    (``\uXXXX`` and ``\UXXXXXXXX`` included) back to its character, the
+    writers' literal escape round-trips through them, and an escape
+    outside the grammar raises ``ValueError`` naming it."""
+    import pyarrow as pa
+
+    from skosconverter_ray.functions.text import (rdf_literal_array,
+                                                  rdf_unescape)
+    from skosconverter_ray.sources.ntriples import parse_lines_batch
+
+    def read_both(lit):
+        nt = parse_lines_batch(pa.table({"text": [
+            f'<http://ex.org/a> <http://ex.org/p> "{lit}" .']}))
+        ttl = parse_turtle_doc(f'<http://ex.org/a> <http://ex.org/p> '
+                               f'"{lit}" .\n')
+        return nt["obj"].to_pylist()[0], ttl[0][2]
+
+    assert read_both(r"caf\u00e9 \U0001F600") == ("café 😀", "café 😀")
+    assert read_both(r"t\tb\bn\nr\rf\f q\" a\' s\\") == (
+        ("t\tb\bn\nr\rf\f q\" a' s\\",) * 2)
+    value = 'C:\\new "q"\n\r\t\\u00e9 é'
+    written = rdf_literal_array(pa.array([value]), pa.array([""]))
+    assert read_both(written[0].as_py()[1:-1]) == (value, value)
+    assert rdf_unescape(written[0].as_py()[1:-1]) == value
+    with pytest.raises(ValueError, match=re.escape(r"'\\x'")):
+        read_both(r"bad \x41")
+    with pytest.raises(ValueError, match=re.escape(r"'\\u'")):
+        read_both(r"short \u00e")
 
 # Contract test for the Ray Data internals ``read_turtle`` lists its
 # files with (``_expand_paths``, ``_resolve_paths_and_filesystem``):
